@@ -45,22 +45,13 @@ WORK_ROOT = ROOT / ".perfbench_work"
 # tempcl thread keeps the tracer's span stack single-threaded.
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "TEMPCL_THREADS")
 
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
 WORKER_TIMEOUT_S = 170
 MIN_BEYOND = 10  # a reported percentile needs this many samples above it
 
-# (name, unit, better) in report order; BENCHMARK.json lists the same names.
-END_TO_END = [
-    ("setup_s", "s", "lower"),
-    ("run_s", "s", "lower"),
-    ("train_rows_per_s", "rows/s", "higher"),
-    ("epoch_ms_p50", "ms", "lower"),
-    ("epoch_ms_p90", "ms", "lower"),
-    ("snapshot_ms_p50", "ms", "lower"),
-    ("peak_rss_mb", "MB", "lower"),
-    ("final_knn10", "fraction", "higher"),
-    ("tail_knn10", "fraction", "higher"),
-]
+# Workload names, metric names, units and directions are defined once, in
+# BENCHMARK.json; metrics are reported in its order.
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 ACCURACY_METRICS = ("knn1", "knn10", "fs_lp", "lt_lp")
 GROUP_SCOPES = ("all", "head", "mid", "tail")
@@ -300,27 +291,28 @@ def _measure(workload, seed, seconds, trace, work, log) -> dict:
 
     e2e = end_to_end(setup, runs, cfg)
     if trace:
-        from tracer import PER_LAYER, layer_metrics
+        from tracer import layer_metrics
 
         traced = one_run(len(runs), "trace")
         if traced is None:
             raise WorkerError("; ".join(failures))
         spans = json.loads((traced["out"] / "spans.json").read_text())
         untraced = e2e["run_s"][0]
-        per_layer = layer_metrics(spans, traced["run_s"], untraced)
+        units = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
+        per_layer = layer_metrics(spans, traced["run_s"], untraced, list(units))
         attempted += 1
         failures.extend(check_checkpoint(cfg, traced["out"]))
-        units = {name: unit for name, unit, _ in PER_LAYER}
         metrics = {name: {"value": value, "unit": units[name]} for name, value in per_layer.items()}
         log(f"  per-layer metrics (traced run {traced['run_s']:.3f} s, "
             f"untraced median {untraced:.3f} s over {len(runs)} runs)")
         for name, value in per_layer.items():
             log(f"  {name:48s} {value!r:>24} {units[name]}")
     else:
-        units = {name: unit for name, unit, _ in END_TO_END}
-        metrics = {name: {"value": value, "unit": units[name]} for name, (value, _) in e2e.items()}
-        for name, (value, n) in e2e.items():
-            log(f"  {name:18s} {value:14.6f} {units[name]:9s} (n={n})")
+        metrics = {}
+        for m in SPEC["end_to_end"]:
+            value, n = e2e[m["name"]]
+            metrics[m["name"]] = {"value": value, "unit": m["unit"]}
+            log(f"  {m['name']:18s} {value:14.6f} {m['unit']:9s} (n={n})")
     for i, h in enumerate(hashes):
         log(f"  metrics.csv sha256 run{i} {h}")
     for f in failures:
@@ -333,7 +325,8 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
 
     p = argparse.ArgumentParser(description="tempcl benchmark (see module docstring)")
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
+    names = [w["name"] for w in SPEC["workloads"]]
+    p.add_argument("--workload", required=True, choices=names + ["all"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
         return 0
 
     failed = 0
-    for name in WORKLOADS:
+    for name in names:
         for trace in (0, 1):
             log(f"== {name} trace={trace}")
             try:

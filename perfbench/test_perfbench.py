@@ -6,7 +6,6 @@ workload through the same code path as a real measurement.
 """
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -26,8 +25,11 @@ from tempcl.config import parse_config  # noqa: E402
 from tempcl.data import AugmentationPolicy, synth_mixture  # noqa: E402
 from tempcl.encoder import NegativeSource, init_encoder, init_optim_state  # noqa: E402
 from tempcl.schedule import ScheduleConfig  # noqa: E402
-from tracer import PER_LAYER, Tracer, layer_metrics, self_times  # noqa: E402
+from tracer import Tracer, layer_metrics, self_times  # noqa: E402
 from workloads import CIFAR10_RECORD, WORKLOADS, pixel_inputs  # noqa: E402
+
+
+PER_LAYER = [m["name"] for m in run.SPEC["per_layer"]]
 
 
 class TestPercentile:
@@ -62,7 +64,7 @@ class TestSpanArithmetic:
         assert self_times(self.TREE) == pytest.approx([10 - 4 - 2, 4 - 0.5 - 1, 0.5, 1.0, 2.0])
 
     def test_layer_metrics(self):
-        m = layer_metrics(self.TREE, wall_s=12.0, untraced_run_s=10.0)
+        m = layer_metrics(self.TREE, wall_s=12.0, untraced_run_s=10.0, names=PER_LAYER)
         assert m["encoder.forward.train.calls"] == 1
         assert m["encoder.forward.train.rows"] == 64
         assert m["encoder.forward.eval.s"] == pytest.approx(2.0)
@@ -73,11 +75,11 @@ class TestSpanArithmetic:
         # everything but run_experiment's own 4 s is covered, out of 12 s
         assert m["trace.covered_frac"] == pytest.approx(6.0 / 12.0)
         assert m["loss.info_nce.calls"] == 0
-        assert list(m) == [name for name, _, _ in PER_LAYER]
+        assert list(m) == PER_LAYER
 
     def test_nested_same_name_counts_once_in_time(self):
         spans = [span("loss.info_nce", 0.0, 4.0, -1), span("loss.info_nce", 1.0, 2.0, 0)]
-        m = layer_metrics(spans, wall_s=4.0, untraced_run_s=4.0)
+        m = layer_metrics(spans, wall_s=4.0, untraced_run_s=4.0, names=PER_LAYER)
         assert m["loss.info_nce.calls"] == 2
         assert m["loss.info_nce.s"] == pytest.approx(4.0)
         assert m["loss.s"] == pytest.approx(4.0)
@@ -111,7 +113,7 @@ class TestTracer:
         # encoder -> data, and evaluation -> evaluation through a module global
         assert parents["data.augment_batch"] == "encoder.train_epoch"
         assert parents["evaluation.knn_classify"] == "evaluation.knn_report"
-        m = layer_metrics(tracer.spans, wall_s=1.0, untraced_run_s=1.0)
+        m = layer_metrics(tracer.spans, wall_s=1.0, untraced_run_s=1.0, names=PER_LAYER)
         assert m["encoder.forward.train.calls"] == 2 * batches
         assert m["data.augment_batch.rows"] == 2 * batches * 16
         assert m["evaluation.knn_classify.calls"] == 1
@@ -125,7 +127,7 @@ class TestTracer:
             batches = _tiny_epoch()
         finally:
             tracer.uninstall()
-        m = layer_metrics(tracer.spans, wall_s=1.0, untraced_run_s=1.0)
+        m = layer_metrics(tracer.spans, wall_s=1.0, untraced_run_s=1.0, names=PER_LAYER)
         assert m["loss.info_nce_symmetrized.calls"] == 0
         assert m["loss.info_nce.calls"] == batches
 
@@ -134,13 +136,6 @@ def test_pixel_inputs_follow_the_seed():
     a, b = pixel_inputs(3), pixel_inputs(3)
     assert a == b and a != pixel_inputs(4)
     assert len(a[0]) % CIFAR10_RECORD == 0 and len(a[1]) % CIFAR10_RECORD == 0
-
-
-def test_benchmark_json_matches_the_code():
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]] == run.END_TO_END
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == PER_LAYER
 
 
 def test_workload_configs_parse():
@@ -176,7 +171,7 @@ def test_smoke_traced_run(name, tmp_path):
                          work_root=tmp_path / "work")
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] >= 3  # a clocked run, a traced run, the checkpoint check
-    assert set(result["metrics"]) == {name for name, _, _ in PER_LAYER}
+    assert list(result["metrics"]) == PER_LAYER
     assert result["metrics"]["trace.covered_frac"]["value"] > 0.5
     assert not (tmp_path / "work").exists()
 
@@ -186,5 +181,6 @@ def test_smoke_clocked_run(tmp_path):
                          log=lambda _: None, work_root=tmp_path / "work")
     assert result["correct"] and result["failed"] == 0
     metrics = result["metrics"]
-    assert [(k, v["unit"]) for k, v in metrics.items()] == [(n, u) for n, u, _ in run.END_TO_END]
+    assert [(k, v["unit"]) for k, v in metrics.items()] == [
+        (m["name"], m["unit"]) for m in run.SPEC["end_to_end"]]
     assert all(v["value"] > 0 for v in metrics.values())

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-__all__ = ["Tracer", "self_times", "layer_metrics", "PER_LAYER"]
+__all__ = ["Tracer", "self_times", "layer_metrics"]
 
 
 def _arg(args, kwargs, index, name):
@@ -53,15 +53,14 @@ class Tracer:
     """Records a span for every call of a public ``tempcl`` function while
     installed."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans = []
         self._stack = []
         self._saved = []
 
     def _wrap(self, name, fn):
         size_of = SIZES.get(name)
-        spans, stack, clock = self.spans, self._stack, self.clock
+        spans, stack, clock = self.spans, self._stack, time.perf_counter
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -125,73 +124,11 @@ def _has_ancestor(spans, i, name):
     return False
 
 
-# (metric name, unit, better) in report order
-PER_LAYER = [
-    ("data.augment_batch.s", "s", "lower"),
-    ("data.augment_batch.calls", "count", "lower"),
-    ("data.augment_batch.rows", "rows", "lower"),
-    ("runner.build_datasets.s", "s", "lower"),
-    ("data.load_cifar10_bin.calls", "count", "lower"),
-    ("data.subsample_longtail.calls", "count", "lower"),
-    ("data.synth_mixture.calls", "count", "lower"),
-    ("schedule.s", "s", "lower"),
-    ("schedule.tau_at.calls", "count", "lower"),
-    ("schedule.per_anchor_tau.calls", "count", "lower"),
-    ("loss.s", "s", "lower"),
-    ("loss.similarity_matrix.calls", "count", "lower"),
-    ("loss.info_nce.s", "s", "lower"),
-    ("loss.info_nce.calls", "count", "lower"),
-    ("loss.info_nce_symmetrized.calls", "count", "lower"),
-    ("loss.info_nce_grad.s", "s", "lower"),
-    ("loss.info_nce_grad.calls", "count", "lower"),
-    ("encoder.train_epoch.s", "s", "lower"),
-    ("encoder.train_epoch.self_s", "s", "lower"),
-    ("encoder.train_epoch.calls", "count", "lower"),
-    ("encoder.forward.train.s", "s", "lower"),
-    ("encoder.forward.train.calls", "count", "lower"),
-    ("encoder.forward.train.rows", "rows", "lower"),
-    ("encoder.backward.s", "s", "lower"),
-    ("encoder.backward.calls", "count", "lower"),
-    ("encoder.backward.rows", "rows", "lower"),
-    ("encoder.sgd_step.s", "s", "lower"),
-    ("encoder.sgd_step.calls", "count", "lower"),
-    ("encoder.momentum_update.calls", "count", "lower"),
-    ("encoder.queue_push.calls", "count", "lower"),
-    ("encoder.queue_fill", "rows", "higher"),
-    ("encoder.forward.eval.s", "s", "lower"),
-    ("encoder.forward.eval.calls", "count", "lower"),
-    ("encoder.forward.eval.rows", "rows", "lower"),
-    ("encoder.save_checkpoint.s", "s", "lower"),
-    ("encoder.save_checkpoint.calls", "count", "lower"),
-    ("encoder.save_checkpoint.bytes", "bytes", "lower"),
-    ("evaluation.knn_report.s", "s", "lower"),
-    ("evaluation.knn_classify.s", "s", "lower"),
-    ("evaluation.knn_classify.calls", "count", "lower"),
-    ("evaluation.knn.pairs", "pairs", "lower"),
-    ("evaluation.linear_probe.s", "s", "lower"),
-    ("evaluation.linear_probe.calls", "count", "lower"),
-    ("evaluation.probe.steps", "steps", "lower"),
-    ("analysis.coverage_histogram.s", "s", "lower"),
-    ("analysis.coverage_histogram.calls", "count", "lower"),
-    ("analysis.aggregate_contribution_curves.s", "s", "lower"),
-    ("analysis.aggregate_contribution_curves.calls", "count", "lower"),
-    ("analysis.curves.pairs", "pairs", "lower"),
-    ("analysis.pca_project.s", "s", "lower"),
-    ("analysis.pca_project.calls", "count", "lower"),
-    ("analysis.csv.s", "s", "lower"),
-    ("runner.run_experiment.s", "s", "lower"),
-    ("runner.run_experiment.self_s", "s", "lower"),
-    ("runner.snapshot.count", "count", "lower"),
-    ("config.parse_config.s", "s", "lower"),
-    ("trace.overhead_frac", "frac", "lower"),
-    ("trace.covered_frac", "frac", "higher"),
-]
-
 _CSV_RENDERERS = ("analysis.coverage_csv", "analysis.curves_csv", "analysis.pca_csv")
 
 
-def layer_metrics(spans, wall_s, untraced_run_s):
-    """Per-layer metrics of one traced run.
+def layer_metrics(spans, wall_s, untraced_run_s, names):
+    """The per-layer metrics ``names`` (in that order) of one traced run.
 
     ``wall_s`` is the traced run's wall time and ``untraced_run_s`` the
     median wall time of the untraced runs of the same workload and seed.
@@ -229,7 +166,7 @@ def layer_metrics(spans, wall_s, untraced_run_s):
         "trace.covered_frac": covered / wall_s,
     }
     out = {}
-    for metric, _, _ in PER_LAYER:
+    for metric in names:
         if metric in derived:
             out[metric] = derived[metric]
             continue

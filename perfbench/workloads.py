@@ -18,7 +18,8 @@ PIXEL_TRAIN_PER_CLASS = 100  # balanced source file; the config takes n_max of e
 PIXEL_TEST_PER_CLASS = 200
 PROTO_SIDE = 8  # prototypes are drawn at 8x8 and upsampled, so crops keep them
 PROTO_SPREAD = 24.0  # RMS of each class's offset from the grey base image
-PIXEL_NOISE = 60.0  # per-image noise sigma; both in 0..255 pixel units
+TRAIN_NOISE = 60.0  # per-image noise sigma of training images, 0..255 units
+TEST_NOISE = 115.0  # test images are noisier, so kNN accuracy sits below 1
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,11 @@ class Workload:
     name: str
     config: str  # config text; ``{data_dir}`` is replaced by the input directory
     knn10_floor: float
-    pixel_inputs: bool = False
+
+    @property
+    def pixel_inputs(self) -> bool:
+        """Whether the config reads the seeded CIFAR files."""
+        return "{data_dir}" in self.config
 
 
 WORKLOADS = {
@@ -48,8 +53,9 @@ schedule.period_T = 80
             knn10_floor=0.5,
         ),
         # D=3072 pixel rows: wide GEMMs and the per-row augmentation loop.
-        # Batches of 64 give 300 SGD steps, enough for the learned features
-        # (and so the accuracies) to settle the same way on every seed.
+        # Two batches of 32 per epoch keep a run near 5 s; the noisier test
+        # images (TEST_NOISE) hold kNN accuracy well below 1, with the tail
+        # classes (4-5 training rows) below the head.
         Workload(
             name="pixel-inbatch",
             config="""\
@@ -58,28 +64,29 @@ run.eval_every = 25
 data.kind = cifar10
 data.path = {data_dir}/train.bin
 data.test_path = {data_dir}/test.bin
-data.n_max = 50
-data.imbalance = 5
+data.n_max = 12
+data.imbalance = 3
 data.augment = pixel
-encoder.batch_size = 64
+encoder.batch_size = 32
 schedule.period_T = 100
 """,
             knn10_floor=0.5,
-            pixel_inputs=True,
         ),
         # K=100 with a momentum encoder and a key queue: 128x1152 loss
         # matrices, per-anchor temperatures, and snapshots whose probes and
-        # kNN over 100 classes cost as much as the training.
+        # kNN over 100 classes cost nearly as much as the training.  Five
+        # snapshots give four snapshot gaps per run.
         Workload(
             name="k100-moco",
             config="""\
 run.epochs = 100
-run.eval_every = 100
+run.eval_every = 25
 data.classes = 100
-data.n_max = 30
-data.imbalance = 4
+data.n_max = 10
+data.imbalance = 2
 data.within_sigma = 0.18
-data.test_per_class = 20
+data.test_per_class = 10
+eval.probe_epochs = 100
 encoder.negatives = momentum_queue
 schedule.coarse = true
 schedule.period_T = 100
@@ -90,11 +97,12 @@ schedule.period_T = 100
 }
 
 
-def _pixel_records(prototypes: np.ndarray, per_class: int, rng: np.random.Generator) -> bytes:
+def _pixel_records(prototypes: np.ndarray, per_class: int, noise: float,
+                   rng: np.random.Generator) -> bytes:
     K = prototypes.shape[0]
     labels = np.tile(np.arange(K), per_class)
-    noise = rng.standard_normal((labels.size, prototypes.shape[1]))
-    pixels = np.clip(np.rint(prototypes[labels] + PIXEL_NOISE * noise), 0, 255)
+    draws = rng.standard_normal((labels.size, prototypes.shape[1]))
+    pixels = np.clip(np.rint(prototypes[labels] + noise * draws), 0, 255)
     records = np.empty((labels.size, CIFAR10_RECORD), dtype=np.uint8)
     records[:, 0] = labels
     records[:, 1:] = pixels
@@ -104,21 +112,26 @@ def _pixel_records(prototypes: np.ndarray, per_class: int, rng: np.random.Genera
 def pixel_inputs(seed: int) -> tuple[bytes, bytes]:
     """(train, test) CIFAR-10 binary files for ``seed``.
 
-    Both files draw their images from the same per-class prototypes (smooth
-    8x8 colour fields upsampled to 32x32) plus independent per-image
-    Gaussian noise, so test images are new samples of the training classes.
+    Both files draw their images from the same per-class prototypes (smooth,
+    mirror-symmetric 8x8 colour fields upsampled to 32x32) plus independent
+    per-image Gaussian noise, so test images are new, noisier samples of the
+    training classes.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    dims = 3 * PROTO_SIDE * PROTO_SIDE
-    # orthonormal offsets: every pair of classes is equally far apart, so
-    # the difficulty of the task does not vary with the seed
-    offsets, _ = np.linalg.qr(rng.standard_normal((dims, PIXEL_CLASSES)))
-    coarse = 127.5 + PROTO_SPREAD * np.sqrt(dims) * offsets.T.reshape(PIXEL_CLASSES, 3, PROTO_SIDE, PROTO_SIDE)
+    # Orthonormal offsets: every pair of classes is equally far apart, so
+    # the difficulty of the task does not vary with the seed.  The fields are
+    # mirror-symmetric, so a horizontal flip (one of the augmentations)
+    # never maps one class onto another.
+    half = (3, PROTO_SIDE, PROTO_SIDE // 2)
+    offsets, _ = np.linalg.qr(rng.standard_normal((int(np.prod(half)), PIXEL_CLASSES)))
+    left = offsets.T.reshape(PIXEL_CLASSES, *half)
+    fields = np.concatenate([left, left[..., ::-1]], axis=-1) / np.sqrt(2.0)
+    coarse = 127.5 + PROTO_SPREAD * np.sqrt(3 * PROTO_SIDE * PROTO_SIDE) * fields
     scale = 32 // PROTO_SIDE
     prototypes = coarse.repeat(scale, axis=2).repeat(scale, axis=3).reshape(PIXEL_CLASSES, -1)
-    train = _pixel_records(prototypes, PIXEL_TRAIN_PER_CLASS,
+    train = _pixel_records(prototypes, PIXEL_TRAIN_PER_CLASS, TRAIN_NOISE,
                            np.random.default_rng(np.random.SeedSequence([int(seed), 1])))
-    test = _pixel_records(prototypes, PIXEL_TEST_PER_CLASS,
+    test = _pixel_records(prototypes, PIXEL_TEST_PER_CLASS, TEST_NOISE,
                           np.random.default_rng(np.random.SeedSequence([int(seed), 2])))
     return train, test
 
