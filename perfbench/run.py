@@ -1,18 +1,21 @@
 """Benchmark for tempcl: end-to-end training runs of fixed workloads.
 
-    python3 perfbench/run.py --workload synth-inbatch --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 30
+    python3 perfbench/run.py --workload k100-moco --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 55
 
 Run from the repository root.  For one workload the benchmark writes the
 workload's config and inputs (made from ``--seed``) under
 ``.perfbench_work/``, then starts fresh processes (perfbench/worker.py):
 
-* a few set-up samples, each importing tempcl, parsing the config and
-  building the datasets (``setup_s`` is their median);
+* set-up samples, each importing tempcl, parsing the config and building
+  the datasets (``setup_s`` is their median), one before each training run
+  so that they meet the same host conditions as the runs;
 * training runs of ``tempcl train`` with tracing off, repeated while the
   ``--seconds`` budget lasts; every run's outputs are checked and must be
   byte-identical to the first run's (the same seed gives the same
-  ``metrics.csv``);
+  ``metrics.csv``).  The timings are taken from the runs' fastest
+  segments (see ``fastest_segments``): each epoch, and each gap between
+  epochs, at its fastest repeat;
 * with ``--trace 1``, one more run under the span tracer, whose per-layer
   metrics are reported instead of the end-to-end ones, followed by a check
   that the final checkpoint re-evaluates to the final snapshot's rows.
@@ -45,7 +48,7 @@ WORK_ROOT = ROOT / ".perfbench_work"
 # tempcl thread keeps the tracer's span stack single-threaded.
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "TEMPCL_THREADS")
 
-SETUP_SAMPLES = 9
+SETUP_SAMPLES = 9  # at least; one is taken before every training run
 WORKER_TIMEOUT_S = 170
 MIN_BEYOND = 10  # a reported percentile needs this many samples above it
 
@@ -190,36 +193,40 @@ def check_pixel_inputs(data_dir) -> list:
     return problems
 
 
-def epoch_samples(run, cfg) -> tuple[list, list]:
-    """(epoch latencies in ms, snapshot gaps in ms) of one clocked run.
+def segments(run) -> list:
+    """Durations (s) of one clocked run's timeline cut at every
+    ``train_epoch`` call: the lead-in, then each epoch followed by the gap
+    after it (the gap after the last epoch runs to the end of the run)."""
+    cuts = [0.0] + [t for span in run["epochs"] for t in span] + [run["run_s"]]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
-    A snapshot gap runs from the end of the epoch that completes a snapshot
-    epoch to the start of the next ``train_epoch`` call, or to the end of
-    the run after the last epoch.  The epoch-0 lead-in is excluded because
-    it also holds set-up."""
-    from tempcl.runner import snapshot_epochs
 
-    spans = run["epochs"]
-    epoch_ms = [1e3 * (end - start) for start, end in spans]
-    starts = [start for start, _ in spans[1:]] + [run["run_s"]]
-    snapshots = set(snapshot_epochs(cfg))
-    gaps = [1e3 * (starts[e] - spans[e][1]) for e in range(len(spans)) if e + 1 in snapshots]
-    return epoch_ms, gaps
+def fastest_segments(runs) -> list:
+    """Segment-wise minimum over runs of one config and seed.
+
+    The runs do identical work (their outputs are byte-identical), so a
+    segment that took longer in one run than in another was slowed by the
+    host, not by the program: on a shared host, neighbours slow whole
+    stretches of a run by up to ~1.6x for tenths of a second to minutes.
+    Taking each segment's fastest repeat keeps most of that out of the
+    timings, while a slowdown of the program itself shows in every repeat."""
+    return [min(col) for col in zip(*map(segments, runs))]
 
 
 def end_to_end(setup, runs, cfg) -> dict:
     """metric -> (value, sample count) over the successful clocked runs."""
-    epoch_ms, gaps = [], []
-    for run in runs:
-        e, g = epoch_samples(run, cfg)
-        epoch_ms += e
-        gaps += g
-    rows = sum(r["rows"] for r in runs)
+    from tempcl.runner import snapshot_epochs
+
+    seg = fastest_segments(runs)
+    epoch_ms = [1e3 * d for d in seg[1::2]]
+    # the snapshot at epoch k is the gap after k epochs, segment 2k; the
+    # epoch-0 snapshot sits in the lead-in, which also holds set-up
+    gaps = [1e3 * seg[2 * e] for e in snapshot_epochs(cfg) if e > 0]
     first = runs[0]
     return {
         "setup_s": (statistics.median(setup), len(setup)),
-        "run_s": (statistics.median(r["run_s"] for r in runs), len(runs)),
-        "train_rows_per_s": (rows / (1e-3 * sum(epoch_ms)), len(epoch_ms)),
+        "run_s": (sum(seg), len(runs)),
+        "train_rows_per_s": (first["rows"] / (1e-3 * sum(epoch_ms)), len(epoch_ms)),
         "epoch_ms_p50": (statistics.median(epoch_ms), len(epoch_ms)),
         "epoch_ms_p90": (percentile(epoch_ms, 90), len(epoch_ms)),
         "snapshot_ms_p50": (statistics.median(gaps), len(gaps)),
@@ -250,8 +257,9 @@ def _measure(workload, seed, seconds, trace, work, log) -> dict:
     failures = check_pixel_inputs(work / "data") if workload.pixel_inputs else []
     attempted = 1 if workload.pixel_inputs else 0
 
-    setup = [run_worker("setup", cfg_path, seed, work / f"setup{i}.json")["setup_s"]
-             for i in range(SETUP_SAMPLES)]
+    def setup_sample():
+        out = run_worker("setup", cfg_path, seed, work / f"setup{len(setup)}.json")
+        setup.append(out["setup_s"])
 
     def one_run(i, mode):
         nonlocal attempted
@@ -272,18 +280,22 @@ def _measure(workload, seed, seconds, trace, work, log) -> dict:
         run.update(info, out=out)
         return run
 
-    hashes, runs = [], []
+    setup, hashes, runs = [], [], []
     start = time.perf_counter()
     while True:
+        setup_sample()
         run = one_run(len(runs), "train")
         if run is None:
             break
         runs.append(run)
         elapsed = time.perf_counter() - start
-        if elapsed + run["run_s"] * (2 if trace else 1) > seconds:
+        # stop before a further run (and the traced run) would overrun
+        if elapsed + elapsed / len(runs) * (2 if trace else 1) > seconds:
             break
     if not runs:
         raise WorkerError("; ".join(failures))
+    while len(setup) < SETUP_SAMPLES:
+        setup_sample()
 
     log(f"{workload.name} seed={seed}: {len(runs)} clocked runs in "
         f"{time.perf_counter() - start:.1f} s")
@@ -297,7 +309,7 @@ def _measure(workload, seed, seconds, trace, work, log) -> dict:
         if traced is None:
             raise WorkerError("; ".join(failures))
         spans = json.loads((traced["out"] / "spans.json").read_text())
-        untraced = e2e["run_s"][0]
+        untraced = statistics.median(r["run_s"] for r in runs)
         units = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
         per_layer = layer_metrics(spans, traced["run_s"], untraced, list(units))
         attempted += 1

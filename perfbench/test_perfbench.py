@@ -47,6 +47,14 @@ class TestPercentile:
         assert run.percentile(range(1, 21), 50) == 10
 
 
+def test_fastest_segments_take_each_segment_from_its_fastest_run():
+    # segments: lead-in, epoch 0, gap, epoch 1, tail; b is slower in epoch 0 only
+    a = {"epochs": [[1.0, 2.0], [2.5, 3.0]], "run_s": 4.0}
+    b = {"epochs": [[0.5, 2.5], [2.6, 3.1]], "run_s": 3.5}
+    assert run.segments(a) == pytest.approx([1.0, 1.0, 0.5, 0.5, 1.0])
+    assert run.fastest_segments([a, b]) == pytest.approx([0.5, 1.0, 0.1, 0.5, 0.4])
+
+
 def span(name, start, end, parent, size=0):
     return [name, start, end, parent, size]
 
@@ -146,8 +154,6 @@ def test_workload_configs_parse():
 
 # Toy sizes: 100 short epochs (the epoch p90 needs them) on a few rows.
 TOY = {
-    "synth-inbatch": {"data.n_max": "40", "data.test_per_class": "10",
-                      "encoder.batch_size": "32"},
     "pixel-inbatch": {"data.n_max": "10", "encoder.batch_size": "32",
                       "encoder.hidden_dims": "32"},
     "k100-moco": {"data.n_max": "4", "data.test_per_class": "2", "encoder.batch_size": "64",
@@ -177,7 +183,7 @@ def test_smoke_traced_run(name, tmp_path):
 
 
 def test_smoke_clocked_run(tmp_path):
-    result = run.measure(toy(WORKLOADS["synth-inbatch"]), seed=2, seconds=0.1, trace=0,
+    result = run.measure(toy(WORKLOADS["k100-moco"]), seed=2, seconds=0.1, trace=0,
                          log=lambda _: None, work_root=tmp_path / "work")
     assert result["correct"] and result["failed"] == 0
     metrics = result["metrics"]
