@@ -5,9 +5,6 @@ Subcommands: ``train`` (full experiment), ``eval --checkpoint`` and
 (epoch,tau CSV on stdout), and ``gen-data`` (write the synthetic dataset
 files).  Exit codes: 1 for configuration errors, 2 for data errors, 3 for
 numeric divergence.
-
-The ``TEMPCL_THREADS`` environment variable caps the worker threads used
-for kNN scoring (default 1, which keeps runs bitwise reproducible).
 """
 
 import argparse

@@ -17,7 +17,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "render_config",
-    "default_config",
 ]
 
 
@@ -225,10 +224,6 @@ _CONVERTERS = {
 _LINE_RE = re.compile(r"^([a-z_]+)\.([A-Za-z0-9_]+)\s*=\s*(.*)$")
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config; missing keys take defaults."""
     cfg = ExperimentConfig()
@@ -283,13 +278,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(d.path != "", f"data.path required for data.kind = {d.kind}")
         _require(d.test_path != "", f"data.test_path required for data.kind = {d.kind}")
     if d.augment == "pixel":
-        _require(
-            d.kind in ("cifar10", "cifar100") or (d.kind == "tcld") or d.dim == 3072,
-            "data.augment = pixel needs pixel rows (cifar/tcld data or data.dim = 3072)",
-        )
+        _require(d.kind in ("cifar10", "cifar100"),
+                 "data.augment = pixel needs data.kind = cifar10 or cifar100 "
+                 "(only the CIFAR loaders record the channel statistics)")
 
-    _require(len(e.hidden_dims) >= 0 and all(h >= 1 for h in e.hidden_dims),
-             "encoder.hidden_dims must be positive")
+    _require(all(h >= 1 for h in e.hidden_dims), "encoder.hidden_dims must be positive")
     _require(e.embed_dim >= 2, "encoder.embed_dim must be >= 2")
     _require(e.projection_layers in (1, 2), "encoder.projection_layers must be 1 or 2")
     _require(e.batch_size >= 2, "encoder.batch_size must be >= 2 (loss needs a negative)")

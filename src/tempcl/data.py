@@ -404,15 +404,11 @@ def augment(policy: AugmentationPolicy, x: np.ndarray, rng: np.random.Generator)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"augment expects a single row, got shape {x.shape}")
-    if policy.mode == "embedding_noise":
-        y = x.copy()
-        if policy.noise_sigma > 0:
-            y += policy.noise_sigma * rng.standard_normal(x.size)
-        if policy.dropout_prob > 0:
-            y *= rng.random(x.size) >= policy.dropout_prob
-        return y
-    if x.size != _PIXELS:
-        raise ValueError(f"pixel augmentation needs D={_PIXELS}, got {x.size}")
+    return augment_batch(policy, x[None], rng)[0]
+
+
+def _augment_pixel_row(policy: AugmentationPolicy, x: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
     img = x.reshape(3, 32, 32)
     if rng.random() < policy.flip_prob:
         img = img[:, :, ::-1]
@@ -438,7 +434,9 @@ def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gene
         if policy.dropout_prob > 0:
             Y *= rng.random(X.shape) >= policy.dropout_prob
         return Y
-    return np.stack([augment(policy, row, rng) for row in X])
+    if X.shape[1] != _PIXELS:
+        raise ValueError(f"pixel augmentation needs D={_PIXELS}, got {X.shape[1]}")
+    return np.stack([_augment_pixel_row(policy, row, rng) for row in X])
 
 
 @dataclass(frozen=True)
@@ -458,15 +456,6 @@ class GroupPartition:
         union = self.head | self.mid | self.tail
         if len(union) != total:
             raise ValueError("head/mid/tail sets must be disjoint")
-
-    def group_of(self, class_id: int) -> str:
-        if class_id in self.head:
-            return "head"
-        if class_id in self.mid:
-            return "mid"
-        if class_id in self.tail:
-            return "tail"
-        raise KeyError(f"class {class_id} not in partition")
 
 
 def head_mid_tail_split(class_sizes) -> GroupPartition:

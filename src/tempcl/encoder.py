@@ -12,15 +12,21 @@ All arrays are float64 and every update is performed in a fixed order, so
 training is bitwise reproducible for a given seed.
 """
 
-import copy as _copy
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from tempcl.data import AugmentationPolicy, LongTailDataset, augment_batch
-from tempcl.loss import info_nce, info_nce_grad, info_nce_symmetrized, similarity_matrix
+from tempcl.data import AugmentationPolicy, DataFormatError, LongTailDataset, augment_batch
+from tempcl.loss import (
+    _check_unit_rows,
+    _unit_rows,
+    info_nce,
+    info_nce_grad,
+    info_nce_symmetrized,
+    similarity_matrix,
+)
 from tempcl.schedule import CoarseTauConfig, ScheduleConfig, per_anchor_tau, tau_at
 
 __all__ = [
@@ -43,7 +49,6 @@ __all__ = [
 ]
 
 TCLP_MAGIC = b"TCLP"
-_UNIT_NORM_TOL = 1e-6
 
 
 @dataclass
@@ -81,12 +86,6 @@ class EncoderParams:
     @property
     def embed_dim(self) -> int:
         return self.projection[-1][0].shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        if self.backbone:
-            return self.backbone[-1][0].shape[1]
-        return self.projection[0][0].shape[0]
 
 
 def init_encoder(
@@ -166,14 +165,8 @@ def forward(params: EncoderParams, X: np.ndarray) -> ForwardResult:
         proj_pre.append(y)
         p = np.maximum(y, 0.0) if i < n_proj - 1 else y
 
-    z_out = p
-    norms = np.linalg.norm(z_out, axis=1)
+    U, norms = _unit_rows(p)
     zero_rows = norms == 0.0
-    safe = np.where(zero_rows, 1.0, norms)
-    U = z_out / safe[:, None]
-    if zero_rows.any():
-        U[zero_rows] = 0.0
-        U[zero_rows, 0] = 1.0
     cache = {
         "backbone_in": backbone_in,
         "backbone_pre": backbone_pre,
@@ -340,10 +333,7 @@ def queue_push(source: NegativeSource, keys: np.ndarray) -> None:
     if source.kind != "momentum_queue":
         raise ValueError("queue_push needs a momentum_queue source")
     keys = np.asarray(keys, dtype=np.float64)
-    norms = np.linalg.norm(keys, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(f"key row {bad} is not unit-norm (norm {norms[bad]:.6g})")
+    _check_unit_rows(keys, "keys")
     source.queue = np.vstack([source.queue, keys])[-source.capacity :]
 
 
@@ -452,15 +442,23 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
+    """Read a checkpoint written by :func:`save_checkpoint`; a malformed
+    file raises :class:`DataFormatError`."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != TCLP_MAGIC:
-        raise ValueError(f"{path}: missing TCLP header")
+        raise DataFormatError(f"{path}: missing TCLP header")
     n_back, n_proj = struct.unpack("<II", raw[4:12])
-    off = 12
-    dims = []
-    for _ in range(n_back + n_proj):
-        dims.append(struct.unpack("<II", raw[off : off + 8]))
-        off += 8
+    off = 12 + 8 * (n_back + n_proj)
+    if off > len(raw):
+        raise DataFormatError(f"{path}: table of {n_back + n_proj} layers overruns the file")
+    dims = list(struct.iter_unpack("<II", raw[12:off]))
+    if n_proj == 0 or any(a[1] != b[0] for a, b in zip(dims, dims[1:])):
+        raise DataFormatError(f"{path}: layer shapes {dims} do not chain into an encoder")
+    expected = off + sum(8 * (d_in + 1) * d_out for d_in, d_out in dims)
+    if expected > len(raw):
+        raise DataFormatError(f"{path}: weights need {expected} bytes, file has {len(raw)}")
+    if expected < len(raw):
+        raise DataFormatError(f"{path}: trailing bytes in checkpoint")
     layers = []
     for d_in, d_out in dims:
         W = np.frombuffer(raw, dtype="<f8", count=d_in * d_out, offset=off).reshape(d_in, d_out)
@@ -468,6 +466,4 @@ def load_checkpoint(path) -> EncoderParams:
         b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off)
         off += 8 * d_out
         layers.append((W.copy(), b.copy()))
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
     return EncoderParams(backbone=layers[:n_back], projection=layers[n_back:])

@@ -9,12 +9,12 @@ ascending train index); vote ties go to the tied class whose nearest
 voting member is closest, then to the smallest class id.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from tempcl.data import GroupPartition, head_mid_tail_split
+from tempcl.loss import _check_unit_rows
 
 __all__ = [
     "ProbeConfig",
@@ -25,8 +25,6 @@ __all__ = [
     "fewshot_subset",
     "linear_probe",
 ]
-
-_UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,13 +91,6 @@ class EvalReport:
         return EvalReport(metrics=merged)
 
 
-def _check_unit_rows(X, name):
-    norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL)
-    if bad.size:
-        raise ValueError(f"row {int(bad[0])} of {name} is not unit-norm")
-
-
 def _vote(row_sims: np.ndarray, train_labels: np.ndarray, k: int) -> int:
     order = np.argsort(-row_sims, kind="stable")[:k]
     votes = train_labels[order]
@@ -121,7 +112,6 @@ def knn_classify(
     train_labels: np.ndarray,
     test_emb: np.ndarray,
     k: int,
-    n_threads: int = 1,
 ) -> np.ndarray:
     """Majority vote over the k nearest training embeddings per test row."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
@@ -135,18 +125,8 @@ def knn_classify(
         raise ValueError(f"k={k} outside [1, {train_emb.shape[0]}]")
     _check_unit_rows(train_emb, "train embeddings")
     _check_unit_rows(test_emb, "test embeddings")
-
-    def classify_block(block: np.ndarray) -> np.ndarray:
-        sims = block @ train_emb.T
-        return np.array([_vote(s, train_labels, k) for s in sims], dtype=np.int64)
-
-    m = test_emb.shape[0]
-    if n_threads <= 1 or m < 2 * n_threads:
-        return classify_block(test_emb)
-    blocks = np.array_split(test_emb, n_threads)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(classify_block, blocks))
-    return np.concatenate(parts)
+    sims = test_emb @ train_emb.T
+    return np.array([_vote(s, train_labels, k) for s in sims], dtype=np.int64)
 
 
 def _breakdown(
@@ -172,7 +152,6 @@ def knn_report(
     test_labels,
     k_values=(1, 10),
     partition: GroupPartition | None = None,
-    n_threads: int = 1,
 ) -> EvalReport:
     """kNN accuracy at each requested k, overall and per head/mid/tail
     group, on the (balanced) test set."""
@@ -183,7 +162,7 @@ def knn_report(
         partition = head_mid_tail_split(np.bincount(train_labels, minlength=K))
     metrics = {}
     for k in k_values:
-        pred = knn_classify(train_emb, train_labels, test_emb, k, n_threads=n_threads)
+        pred = knn_classify(train_emb, train_labels, test_emb, k)
         metrics[f"knn{k}"] = _breakdown(test_labels, pred, partition, K)
     return EvalReport(metrics=metrics)
 

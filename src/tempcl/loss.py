@@ -32,22 +32,28 @@ _SIM_BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-anchor decomposition of the contrastive loss.
+    """Per-anchor contrastive loss and its mean.
 
-    per_anchor[i] = log(1 + positive_factors[i] * negative_sums[i]) where
-    negative_sums[i] = sum_{j != i} exp(-d_ij) and
-    positive_factors[i] = exp(d_ii), with d_ij = (1 - s_ij) / tau_i.
-    ``mean`` is the arithmetic mean of ``per_anchor``.
-
-    ``negative_sums`` and ``positive_factors`` are reported as raw values
-    and can under/overflow for extreme temperatures; ``per_anchor`` is
-    always computed through a stable log-space path.
+    per_anchor[i] = -log(exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i)), which
+    equals log(1 + exp(d_ii) * sum_{j != i} exp(-d_ij)) with
+    d_ij = (1 - s_ij) / tau_i; it is always computed through a stable
+    log-space path.  ``mean`` is the arithmetic mean of ``per_anchor``.
     """
 
     per_anchor: np.ndarray
     mean: float
-    negative_sums: np.ndarray
-    positive_factors: np.ndarray
+
+
+def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``X`` divided by their norms, with all-zero rows mapped to the
+    first basis vector; returns (rows, norms)."""
+    norms = np.linalg.norm(X, axis=1)
+    zero = norms == 0.0
+    U = X / np.where(zero, 1.0, norms)[:, None]
+    if zero.any():
+        U[zero] = 0.0
+        U[zero, 0] = 1.0
+    return U, norms
 
 
 def _check_unit_rows(X: np.ndarray, name: str) -> None:
@@ -133,16 +139,7 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
     zmax = z_neg.max(axis=1)
     lse = zmax + np.log(np.sum(np.exp(z_neg - zmax[:, None]), axis=1, where=off))
     per_anchor = np.logaddexp(0.0, lse)
-
-    d = (1.0 - S) / taus[:, None]
-    negative_sums = np.sum(np.exp(-d), axis=1, where=off)
-    positive_factors = np.exp(d[np.arange(n), np.arange(n)])
-    return LossBreakdown(
-        per_anchor=per_anchor,
-        mean=float(per_anchor.mean()),
-        negative_sums=negative_sums,
-        positive_factors=positive_factors,
-    )
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
 
 
 def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
@@ -163,15 +160,7 @@ def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
     lse = nmax + np.log(np.sum(np.exp(neg - nmax[:, None]), axis=1, where=off))
     d_pos = d[np.arange(n), np.arange(n)]
     per_anchor = np.logaddexp(0.0, d_pos + lse)
-
-    negative_sums = np.sum(np.exp(-d), axis=1, where=off)
-    positive_factors = np.exp(d_pos)
-    return LossBreakdown(
-        per_anchor=per_anchor,
-        mean=float(per_anchor.mean()),
-        negative_sums=negative_sums,
-        positive_factors=positive_factors,
-    )
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
 
 
 def info_nce_grad(S: np.ndarray, tau, symmetrize: bool = False) -> np.ndarray:
@@ -210,9 +199,7 @@ def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
     """Average of the loss and its transposed-roles counterpart.
 
     Square matrices only.  ``per_anchor`` and ``mean`` are the per-index
-    averages of the two directions; ``negative_sums`` and
-    ``positive_factors`` report the forward direction (call with ``S.T``
-    for the reverse ones).
+    averages of the two directions.
     """
     S = _validate_similarities(S)
     if S.shape[0] != S.shape[1]:
@@ -220,9 +207,4 @@ def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
     fwd = info_nce(S, tau)
     rev = info_nce(S.T, tau)
     per_anchor = 0.5 * (fwd.per_anchor + rev.per_anchor)
-    return LossBreakdown(
-        per_anchor=per_anchor,
-        mean=float(per_anchor.mean()),
-        negative_sums=fwd.negative_sums,
-        positive_factors=fwd.positive_factors,
-    )
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))

@@ -7,7 +7,6 @@ checkpoint-based evaluation and analysis entry points used by the CLI.
 """
 
 import dataclasses
-import os
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from tempcl.analysis import (
 )
 from tempcl.config import ExperimentConfig, render_config
 from tempcl.data import (
+    DataFormatError,
     LongTailDataset,
     channel_stats,
     destandardize_pixels,
@@ -46,6 +46,7 @@ from tempcl.encoder import (
     train_epoch,
 )
 from tempcl.evaluation import ProbeConfig, knn_report, linear_probe
+from tempcl.loss import _unit_rows
 from tempcl.schedule import recommended_eval_epoch, tau_at
 
 __all__ = [
@@ -60,21 +61,6 @@ __all__ = [
 
 class NumericDivergenceError(RuntimeError):
     """Training produced non-finite values."""
-
-
-def _n_threads() -> int:
-    return max(1, int(os.environ.get("TEMPCL_THREADS", "1")))
-
-
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Row-normalize, mapping all-zero rows to the first basis vector."""
-    norms = np.linalg.norm(X, axis=1)
-    zero = norms == 0.0
-    out = X / np.where(zero, 1.0, norms)[:, None]
-    if zero.any():
-        out[zero] = 0.0
-        out[zero, 0] = 1.0
-    return out
 
 
 def _paths(value: str) -> list:
@@ -113,25 +99,22 @@ def _pixel_view(ds: LongTailDataset) -> LongTailDataset:
     return dataclasses.replace(ds, features=destandardize_pixels(ds.features, mean, std))
 
 
+def _recommended_points(cfg: ExperimentConfig) -> set:
+    """Each completed period's recommended evaluation epoch (periodic schedules)."""
+    E, s = cfg.run.epochs, cfg.schedule
+    if s.coarse or s.kind not in ("cosine", "linear_oscillation") or E < s.period_T:
+        return set()
+    return {recommended_eval_epoch(k * s.period_T, s.period_T)
+            for k in range(1, E // s.period_T + 1)}
+
+
 def snapshot_epochs(cfg: ExperimentConfig) -> list:
     """Epochs at which metrics are recorded: 0, every eval_every, each
     period's recommended evaluation epoch, and the final epoch."""
     E = cfg.run.epochs
-    points = {0, E}
+    points = {0, E} | _recommended_points(cfg)
     points.update(range(0, E + 1, cfg.run.eval_every))
-    s = cfg.schedule
-    if s.kind in ("cosine", "linear_oscillation") and not s.coarse and E >= s.period_T:
-        for k in range(1, E // s.period_T + 1):
-            points.add(min(max(int(round((k - 0.3) * s.period_T)), 1), E))
     return sorted(points)
-
-
-def _recommended_points(cfg: ExperimentConfig) -> set:
-    E, s = cfg.run.epochs, cfg.schedule
-    if s.coarse or s.kind not in ("cosine", "linear_oscillation") or E < s.period_T:
-        return set()
-    return {min(max(int(round((k - 0.3) * s.period_T)), 1), E)
-            for k in range(1, E // s.period_T + 1)}
 
 
 def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
@@ -140,13 +123,19 @@ def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
     return tau_at(cfg.schedule_config(), epoch)
 
 
-def _snapshot_rows(cfg, params, train, test, partition, epoch):
+def _embed_train(cfg, params, train):
+    """The snapshot's one forward pass of the train set: (embeddings, unit
+    features, coverage histogram of the embeddings)."""
+    result = forward(params, train.features)
+    hist = coverage_histogram(result.embeddings, B=cfg.analysis.bins, seed=cfg.analysis.seed)
+    return result.embeddings, _unit_rows(result.features)[0], hist
+
+
+def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
     """(metric, scope, value) rows for one evaluation snapshot."""
-    threads = _n_threads()
-    train_feat = _unit_rows(forward(params, train.features).features)
-    test_feat = _unit_rows(forward(params, test.features).features)
+    test_feat = _unit_rows(forward(params, test.features).features)[0]
     report = knn_report(train_feat, train.labels, test_feat, test.labels,
-                        k_values=(1, 10), partition=partition, n_threads=threads)
+                        k_values=(1, 10), partition=partition)
     if cfg.eval.run_probes:
         for mode in ("FS_LP", "LT_LP"):
             probe_cfg = ProbeConfig(mode=mode, epochs=cfg.eval.probe_epochs,
@@ -155,18 +144,13 @@ def _snapshot_rows(cfg, params, train, test, partition, epoch):
                                  probe_cfg, partition=partition)
             report = report.merged_with(probe)
     rows = list(report.rows())
-    emb = forward(params, train.features).embeddings
-    cv = uniformity_stat(coverage_histogram(emb, B=cfg.analysis.bins,
-                                            seed=cfg.analysis.seed))
-    rows.append(("coverage_cv", "all", cv))
+    rows.append(("coverage_cv", "all", uniformity_stat(hist)))
     return rows
 
 
-def _write_analysis(cfg, params, train, out_dir, epoch):
+def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     tag = f"epoch{epoch:05d}"
-    emb = forward(params, train.features).embeddings
-    h = coverage_histogram(emb, B=cfg.analysis.bins, seed=cfg.analysis.seed)
-    (out_dir / f"coverage_{tag}.csv").write_text(coverage_csv(h))
+    (out_dir / f"coverage_{tag}.csv").write_text(coverage_csv(hist))
 
     tau = _tau_label(cfg, epoch)
     if np.isnan(tau):
@@ -175,9 +159,8 @@ def _write_analysis(cfg, params, train, out_dir, epoch):
     curves = aggregate_contribution_curves(S, tau, mode="pooled")
     (out_dir / f"curves_{tag}.csv").write_text(curves_csv(curves))
 
-    feats = _unit_rows(forward(params, train.features).features)
     coords, _ = pca_project(feats, components=3)
-    (out_dir / f"pca_{tag}.csv").write_text(pca_csv(coords, train.labels))
+    (out_dir / f"pca_{tag}.csv").write_text(pca_csv(coords, labels))
 
 
 def _format_rows(epoch, tau, rows):
@@ -225,11 +208,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     def record(epoch, extra_rows=()):
         nonlocal last_rows
-        rows = _snapshot_rows(cfg, params, train, test, partition, epoch)
+        emb, feats, hist = _embed_train(cfg, params, train)
+        rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
         rows.extend(extra_rows)
         lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
         if cfg.analysis.enable:
-            _write_analysis(cfg, params, train, out_dir, epoch)
+            _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
         last_rows = rows
 
     record(0)
@@ -265,15 +249,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
+def _load_encoder(checkpoint_path, train: LongTailDataset):
+    params = load_checkpoint(checkpoint_path)
+    in_dim = params.layers()[0][0].shape[0]
+    if in_dim != train.dim:
+        raise DataFormatError(f"{checkpoint_path}: checkpoint input width {in_dim} "
+                              f"does not match the dataset's dim {train.dim}")
+    return params
+
+
 def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     """Metrics rows for a saved encoder, identical to the in-training
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = load_checkpoint(checkpoint_path)
     train, test = build_datasets(cfg)
+    params = _load_encoder(checkpoint_path, train)
     partition = head_mid_tail_split(train.class_sizes)
-    rows = _snapshot_rows(cfg, params, train, test, partition, epoch)
+    _, feats, hist = _embed_train(cfg, params, train)
+    rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
     (out_dir / f"eval_epoch{epoch:05d}.csv").write_text("".join(lines))
@@ -284,9 +278,8 @@ def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> fl
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = load_checkpoint(checkpoint_path)
     train, _ = build_datasets(cfg)
-    _write_analysis(cfg, params, train, out_dir, epoch)
-    emb = forward(params, train.features).embeddings
-    return uniformity_stat(coverage_histogram(emb, B=cfg.analysis.bins,
-                                              seed=cfg.analysis.seed))
+    params = _load_encoder(checkpoint_path, train)
+    emb, feats, hist = _embed_train(cfg, params, train)
+    _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
+    return uniformity_stat(hist)

@@ -118,15 +118,6 @@ class TestKnnClassify:
         dists = np.linalg.norm(train - q, axis=1)
         np.testing.assert_array_equal(np.argsort(-sims), np.argsort(dists))
 
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(20)
-        train = unit_rows(rng, 60, 4)
-        labels = rng.integers(0, 3, size=60)
-        test = unit_rows(rng, 33, 4)
-        a = knn_classify(train, labels, test, 5, n_threads=1)
-        b = knn_classify(train, labels, test, 5, n_threads=4)
-        np.testing.assert_array_equal(a, b)
-
     def test_k_out_of_range(self):
         train = circle([0.0, 10.0])
         with pytest.raises(ValueError, match="k="):

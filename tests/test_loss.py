@@ -20,6 +20,15 @@ def random_similarities(rng, n, m=None):
     return rng.uniform(-0.95, 0.95, size=(n, m))
 
 
+def distance_factors(S, tau):
+    """(positive_factor, negative_sum) per anchor, with d_ij = (1 - s_ij) / tau_i:
+    exp(d_ii) and sum_{j != i} exp(-d_ij)."""
+    n = S.shape[0]
+    d = (1.0 - S) / np.broadcast_to(np.asarray(tau, dtype=float), (n,))[:, None]
+    off = ~np.eye(n, S.shape[1], dtype=bool)
+    return np.exp(np.diag(d)), np.sum(np.exp(-d), axis=1, where=off)
+
+
 class TestSimilarityMatrix:
     def test_orthonormal_basis(self):
         """Identity embeddings give the identity similarity matrix."""
@@ -92,7 +101,8 @@ class TestInfoNce:
             S = random_similarities(rng, n)
             taus = rng.uniform(0.05, 2.0, size=n)
             bd = info_nce(S, taus)
-            recon = np.log1p(bd.positive_factors * bd.negative_sums)
+            positive, negative = distance_factors(S, taus)
+            recon = np.log1p(positive * negative)
             np.testing.assert_allclose(bd.per_anchor, recon, rtol=1e-12)
             np.testing.assert_allclose(bd.mean, bd.per_anchor.mean(), rtol=1e-12)
 
@@ -129,16 +139,22 @@ class TestDistanceForm:
 
     def test_all_ones_gives_log_n(self):
         """s = 1 everywhere: zero distances, unit factors, loss log N."""
-        bd = info_nce_distance_form(np.ones((5, 5)), 0.2)
+        S = np.ones((5, 5))
+        bd = info_nce_distance_form(S, 0.2)
         np.testing.assert_allclose(bd.per_anchor, math.log(5.0), rtol=1e-12)
-        np.testing.assert_allclose(bd.positive_factors, 1.0, rtol=1e-12)
+        positive, negative = distance_factors(S, 0.2)
+        np.testing.assert_allclose(positive, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(bd.per_anchor, np.log1p(positive * negative), rtol=1e-12)
 
     def test_hand_evaluated_uniform_half(self):
         """N=2 with every s = 0.5 at tau = 0.5: d = 1 everywhere, loss log 2."""
-        bd = info_nce_distance_form(np.full((2, 2), 0.5), 0.5)
+        S = np.full((2, 2), 0.5)
+        bd = info_nce_distance_form(S, 0.5)
         np.testing.assert_allclose(bd.per_anchor, math.log(2.0), rtol=1e-12)
-        np.testing.assert_allclose(bd.negative_sums, math.exp(-1.0), rtol=1e-12)
-        np.testing.assert_allclose(bd.positive_factors, math.e, rtol=1e-12)
+        positive, negative = distance_factors(S, 0.5)
+        np.testing.assert_allclose(negative, math.exp(-1.0), rtol=1e-12)
+        np.testing.assert_allclose(positive, math.e, rtol=1e-12)
+        np.testing.assert_allclose(bd.per_anchor, np.log1p(positive * negative), rtol=1e-12)
 
 
 class TestFormEquivalence:
