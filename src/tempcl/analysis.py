@@ -207,7 +207,7 @@ def curves_csv(c: ContributionCurves) -> str:
     buf.write("bin_center,histogram,individual,cumulative\n")
     centers = 0.5 * (c.bin_edges[:-1] + c.bin_edges[1:])
     for mid, h, ind, cum in zip(centers, c.histogram, c.individual, c.cumulative):
-        buf.write(f"{mid!r},{int(h)},{ind!r},{cum!r}\n")
+        buf.write(f"{float(mid)!r},{int(h)},{float(ind)!r},{float(cum)!r}\n")
     return buf.getvalue()
 
 
@@ -216,5 +216,5 @@ def pca_csv(coords: np.ndarray, labels) -> str:
     buf = io.StringIO()
     buf.write("index,label,pc1,pc2,pc3\n")
     for i, (row, lab) in enumerate(zip(coords, labels)):
-        buf.write(f"{i},{int(lab)},{row[0]!r},{row[1]!r},{row[2]!r}\n")
+        buf.write(f"{i},{int(lab)},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
     return buf.getvalue()

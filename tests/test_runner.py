@@ -40,11 +40,11 @@ BASE = {
 HASHES = {
     "in_batch": {
         "checkpoint": "38898379604d1a458f5e0fc5586669b573f93915f757601624a35e382e721b25",
-        "analysis": "8ae4c9f92293e9229582dc2b97cd5e7a1ad329aa9243b2b5216c39aecb51e54b",
+        "analysis": "a6b4857edb570e31220dae19540f0672d3ae9656521c33698989bf40369c9dda",
     },
     "momentum_queue": {
         "checkpoint": "a80a4ba6c5db6aeba4e3c36e042d2c25f136956f78736f888afb9b68bac95f1f",
-        "analysis": "c576be5ebb2cac1ac2894d3f90090309be960653c1ec20d396ded3d459b1e15a",
+        "analysis": "0fa55bf98fff1249daa23abe9a347c83914d7eb0093789945c10c1af789256a2",
     },
 }
 
@@ -67,7 +67,9 @@ def analysis_digest(out_dir: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(out_dir.glob("*.csv")):
         if p.name.startswith(("coverage_", "curves_", "pca_")):
-            text = _DECIMAL.sub(lambda m: f"{float(m.group()):.12g}", p.read_text())
+            text = p.read_text()
+            assert "np." not in text, f"{p.name} holds a NumPy scalar repr"
+            text = _DECIMAL.sub(lambda m: f"{float(m.group()):.12g}", text)
             h.update(p.name.encode() + b"\0" + text.encode())
     return h.hexdigest()
 
