@@ -7,7 +7,6 @@ factor, and PCA projections.  Each diagnostic has a CSV renderer; plotting
 is left to external tooling.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,27 +193,23 @@ def pca_project(embeddings: np.ndarray, components: int = 3, return_basis: bool 
     return coords, ratios
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text of ``rows`` of Python ints and floats, each written by repr."""
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def coverage_csv(h: CoverageHistogram) -> str:
-    buf = io.StringIO()
-    buf.write("bin,count\n")
-    for i, c in enumerate(h.counts):
-        buf.write(f"{i},{int(c)}\n")
-    return buf.getvalue()
+    return _csv("bin,count", ((i, int(c)) for i, c in enumerate(h.counts)))
 
 
 def curves_csv(c: ContributionCurves) -> str:
-    buf = io.StringIO()
-    buf.write("bin_center,histogram,individual,cumulative\n")
     centers = 0.5 * (c.bin_edges[:-1] + c.bin_edges[1:])
-    for mid, h, ind, cum in zip(centers, c.histogram, c.individual, c.cumulative):
-        buf.write(f"{float(mid)!r},{int(h)},{float(ind)!r},{float(cum)!r}\n")
-    return buf.getvalue()
+    return _csv("bin_center,histogram,individual,cumulative",
+                ((float(mid), int(h), float(ind), float(cum))
+                 for mid, h, ind, cum in zip(centers, c.histogram, c.individual, c.cumulative)))
 
 
 def pca_csv(coords: np.ndarray, labels) -> str:
-    labels = np.asarray(labels)
-    buf = io.StringIO()
-    buf.write("index,label,pc1,pc2,pc3\n")
-    for i, (row, lab) in enumerate(zip(coords, labels)):
-        buf.write(f"{i},{int(lab)},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
-    return buf.getvalue()
+    return _csv("index,label,pc1,pc2,pc3",
+                ((i, int(lab), float(row[0]), float(row[1]), float(row[2]))
+                 for i, (row, lab) in enumerate(zip(coords, np.asarray(labels)))))

@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from tempcl.config import ConfigError, parse_config, render_config
-from tempcl.data import DataFormatError, save_dataset, synth_balanced, synth_mixture
+from tempcl.data import DataFormatError, save_dataset
 from tempcl.runner import (
     NumericDivergenceError,
     analyze_checkpoint,
     eval_checkpoint,
     run_experiment,
+    synthetic_datasets,
 )
 from tempcl.schedule import tau_at
 
@@ -37,6 +38,8 @@ def _load_config(args):
     text = Path(args.config).read_text() if args.config else ""
     cfg = parse_config(text)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg.run.seed = args.seed
     if args.output is not None:
         cfg.run.output_dir = args.output
@@ -84,16 +87,10 @@ def cmd_schedule_preview(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    d = cfg.data
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(render_config(cfg))
-    train = synth_mixture(d.classes, d.dim, d.n_max, d.imbalance,
-                          class_separation=d.class_separation,
-                          within_sigma=d.within_sigma, seed=cfg.run.seed)
-    test = synth_balanced(d.classes, d.dim, d.test_per_class,
-                          class_separation=d.class_separation,
-                          within_sigma=d.within_sigma, seed=cfg.run.seed)
+    train, test = synthetic_datasets(cfg)
     save_dataset(train, out_dir / "dataset.tcld")
     save_dataset(test, out_dir / "test.tcld")
     print(f"dataset.tcld: K={train.num_classes} D={train.dim} n={train.n}")

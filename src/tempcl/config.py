@@ -4,12 +4,22 @@
 the offending line number.  A parsed config has every default
 materialized; :func:`render_config` produces the canonical text form that
 round-trips through :func:`parse_config`.
+
+Each key is one field of a section dataclass below; its type alone decides
+how the value is parsed.  Every number in the format is finite and >= 0,
+and the parser rejects any other.  Ranges that a value object checks
+(:class:`ScheduleConfig`, :class:`AugmentationPolicy`,
+:class:`ProbeConfig`) are checked by building it, and rules that need the
+loaded data are checked once it is loaded.
 """
 
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
+from typing import Literal, get_args, get_origin
 
 from tempcl.data import AugmentationPolicy
+from tempcl.evaluation import ProbeConfig
 from tempcl.schedule import SCHEDULE_KINDS, CoarseTauConfig, ScheduleConfig
 
 __all__ = [
@@ -34,7 +44,7 @@ class RunSection:
 
 @dataclass
 class DataSection:
-    kind: str = "synthetic"
+    kind: Literal["synthetic", "tcld", "cifar10", "cifar100"] = "synthetic"
     classes: int = 10
     dim: int = 32
     n_max: int = 500
@@ -44,7 +54,7 @@ class DataSection:
     test_per_class: int = 100
     path: str = ""
     test_path: str = ""
-    augment: str = "embedding_noise"
+    augment: Literal["embedding_noise", "pixel"] = "embedding_noise"
     noise_sigma: float = 0.1
     dropout_prob: float = 0.0
     flip_prob: float = 0.5
@@ -63,7 +73,7 @@ class EncoderSection:
     warmup_epochs: int = 10
     weight_decay: float = 1e-4
     sgd_momentum: float = 0.9
-    negatives: str = "in_batch"
+    negatives: Literal["in_batch", "momentum_queue"] = "in_batch"
     queue_capacity: int = 1024
     moco_momentum: float = 0.99
     symmetrize: bool = False
@@ -71,7 +81,7 @@ class EncoderSection:
 
 @dataclass
 class ScheduleSection:
-    kind: str = "cosine"
+    kind: Literal[SCHEDULE_KINDS] = "cosine"
     tau_minus: float = 0.1
     tau_plus: float = 1.0
     period_T: int = 400
@@ -109,39 +119,51 @@ class ExperimentConfig:
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
 
     def schedule_config(self) -> ScheduleConfig:
-        s = self.schedule
-        return ScheduleConfig(
-            kind=s.kind,
-            tau_minus=s.tau_minus,
-            tau_plus=s.tau_plus,
-            period_T=s.period_T,
-            step_length=s.step_length,
-            seed=s.seed,
-            constant_tau=s.constant_tau,
-        )
+        return _value_object(ScheduleConfig, self.schedule)
 
     def coarse_config(self, num_classes: int) -> CoarseTauConfig:
-        """Coarse supervision; an empty head set defaults to the most
-        frequent half of the classes (ids 0..ceil(K/2)-1)."""
+        """Coarse supervision for data of ``num_classes`` classes; an empty
+        head set defaults to the most frequent half of the classes (ids
+        0..ceil(K/2)-1).  Raises ConfigError unless the head set is a strict
+        subset of the classes."""
         s = self.schedule
         head = s.head_classes or tuple(range((num_classes + 1) // 2))
-        return CoarseTauConfig(
-            head_classes=frozenset(head), tau_head=s.tau_head, tau_tail=s.tau_tail
-        )
+        _require(max(head) < num_classes,
+                 f"schedule.head_classes must lie in [0, {num_classes})")
+        _require(len(set(head)) < num_classes,
+                 "schedule.head_classes must be a strict subset of all classes")
+        return _value_object(CoarseTauConfig, s, head_classes=frozenset(head))
 
     def augmentation_policy(self) -> AugmentationPolicy:
-        d = self.data
-        return AugmentationPolicy(
-            mode=d.augment,
-            noise_sigma=d.noise_sigma,
-            dropout_prob=d.dropout_prob,
-            flip_prob=d.flip_prob,
-            crop_padding=d.crop_padding,
-            pixel_noise_sigma=d.pixel_noise_sigma,
-        )
+        return _value_object(AugmentationPolicy, self.data, mode=self.data.augment)
+
+    def probe_config(self, mode: str) -> ProbeConfig:
+        ev = self.eval
+        return ProbeConfig(mode=mode, epochs=ev.probe_epochs, lr=ev.probe_lr, seed=ev.probe_seed)
 
 
-# --- field registry ----------------------------------------------------
+def _value_object(cls, section, **named):
+    """``cls`` built from the section's fields of the same names, plus
+    ``named``."""
+    shared = {f.name: getattr(section, f.name) for f in dc_fields(cls) if f.name not in named}
+    return cls(**shared, **named)
+
+
+# --- value parsers ------------------------------------------------------
+
+def _parse_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _parse_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
 
 def _parse_bool(text):
     if text in ("true", "false"):
@@ -152,14 +174,14 @@ def _parse_bool(text):
 def _parse_int_list(text):
     if not text:
         return ()
-    return tuple(int(v.strip()) for v in text.split(","))
+    return tuple(_parse_int(v.strip()) for v in text.split(","))
 
 
 def _parse_opt_int(text):
-    return None if text == "" else int(text)
+    return None if text == "" else _parse_int(text)
 
 
-def _choice(*options):
+def _choice(options):
     def conv(text):
         if text not in options:
             raise ValueError(f"expected one of {options}, got {text!r}")
@@ -167,58 +189,24 @@ def _choice(*options):
     return conv
 
 
+_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    str: str,
+    bool: _parse_bool,
+    tuple: _parse_int_list,
+    int | None: _parse_opt_int,
+}
+
+
+def _converter(tp):
+    return _choice(get_args(tp)) if get_origin(tp) is Literal else _PARSERS[tp]
+
+
 _CONVERTERS = {
-    ("run", "seed"): int,
-    ("run", "epochs"): int,
-    ("run", "eval_every"): int,
-    ("run", "output_dir"): str,
-    ("data", "kind"): _choice("synthetic", "tcld", "cifar10", "cifar100"),
-    ("data", "classes"): int,
-    ("data", "dim"): int,
-    ("data", "n_max"): int,
-    ("data", "imbalance"): float,
-    ("data", "class_separation"): float,
-    ("data", "within_sigma"): float,
-    ("data", "test_per_class"): int,
-    ("data", "path"): str,
-    ("data", "test_path"): str,
-    ("data", "augment"): _choice("embedding_noise", "pixel"),
-    ("data", "noise_sigma"): float,
-    ("data", "dropout_prob"): float,
-    ("data", "flip_prob"): float,
-    ("data", "crop_padding"): int,
-    ("data", "pixel_noise_sigma"): float,
-    ("data", "permutation_seed"): _parse_opt_int,
-    ("encoder", "hidden_dims"): _parse_int_list,
-    ("encoder", "embed_dim"): int,
-    ("encoder", "projection_layers"): int,
-    ("encoder", "batch_size"): int,
-    ("encoder", "base_lr"): float,
-    ("encoder", "warmup_epochs"): int,
-    ("encoder", "weight_decay"): float,
-    ("encoder", "sgd_momentum"): float,
-    ("encoder", "negatives"): _choice("in_batch", "momentum_queue"),
-    ("encoder", "queue_capacity"): int,
-    ("encoder", "moco_momentum"): float,
-    ("encoder", "symmetrize"): _parse_bool,
-    ("schedule", "kind"): _choice(*SCHEDULE_KINDS),
-    ("schedule", "tau_minus"): float,
-    ("schedule", "tau_plus"): float,
-    ("schedule", "period_T"): int,
-    ("schedule", "step_length"): int,
-    ("schedule", "seed"): int,
-    ("schedule", "constant_tau"): float,
-    ("schedule", "coarse"): _parse_bool,
-    ("schedule", "tau_head"): float,
-    ("schedule", "tau_tail"): float,
-    ("schedule", "head_classes"): _parse_int_list,
-    ("eval", "probe_epochs"): int,
-    ("eval", "probe_lr"): float,
-    ("eval", "probe_seed"): int,
-    ("eval", "run_probes"): _parse_bool,
-    ("analysis", "enable"): _parse_bool,
-    ("analysis", "bins"): int,
-    ("analysis", "seed"): int,
+    (section.name, f.name): _converter(f.type)
+    for section in dc_fields(ExperimentConfig)
+    for f in dc_fields(section.type)
 }
 
 _LINE_RE = re.compile(r"^([a-z_]+)\.([A-Za-z0-9_]+)\s*=\s*(.*)$")
@@ -257,24 +245,28 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    r, d, e, s, ev, an = cfg.run, cfg.data, cfg.encoder, cfg.schedule, cfg.eval, cfg.analysis
+    """The rules no value object makes: cross-field rules, required paths
+    and lower bounds above zero.  Negative and non-finite numbers never get
+    here."""
+    r, d, e, s = cfg.run, cfg.data, cfg.encoder, cfg.schedule
 
-    _require(r.epochs >= 0, "run.epochs must be >= 0")
+    for section, build in (("data", cfg.augmentation_policy),
+                           ("schedule", cfg.schedule_config),
+                           ("eval", lambda: cfg.probe_config("LT_LP"))):
+        try:
+            build()
+        except ValueError as err:
+            raise ConfigError(f"{section}: {err}") from None
+
     _require(r.eval_every >= 1, "run.eval_every must be >= 1")
-    _require(r.seed >= 0, "run.seed must be >= 0")
 
     _require(d.classes >= 2, "data.classes must be >= 2")
     _require(d.dim >= 2, "data.dim must be >= 2")
     _require(d.n_max >= 1, "data.n_max must be >= 1")
     _require(d.imbalance >= 1.0, "data.imbalance must be >= 1")
     _require(d.class_separation > 0, "data.class_separation must be > 0")
-    _require(d.within_sigma >= 0, "data.within_sigma must be >= 0")
     _require(d.test_per_class >= 1, "data.test_per_class must be >= 1")
-    _require(d.noise_sigma >= 0 and d.pixel_noise_sigma >= 0, "noise sigmas must be >= 0")
-    _require(0 <= d.dropout_prob < 1, "data.dropout_prob must be in [0, 1)")
-    _require(0 <= d.flip_prob <= 1, "data.flip_prob must be in [0, 1]")
-    _require(d.crop_padding >= 0, "data.crop_padding must be >= 0")
-    if d.kind in ("tcld", "cifar10", "cifar100"):
+    if d.kind != "synthetic":
         _require(d.path != "", f"data.path required for data.kind = {d.kind}")
         _require(d.test_path != "", f"data.test_path required for data.kind = {d.kind}")
     if d.augment == "pixel":
@@ -287,34 +279,20 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(e.projection_layers in (1, 2), "encoder.projection_layers must be 1 or 2")
     _require(e.batch_size >= 2, "encoder.batch_size must be >= 2 (loss needs a negative)")
     _require(e.base_lr > 0, "encoder.base_lr must be > 0")
-    _require(e.warmup_epochs >= 0, "encoder.warmup_epochs must be >= 0")
-    _require(e.weight_decay >= 0, "encoder.weight_decay must be >= 0")
-    _require(0 <= e.sgd_momentum < 1, "encoder.sgd_momentum must be in [0, 1)")
+    _require(e.sgd_momentum < 1, "encoder.sgd_momentum must be in [0, 1)")
     _require(e.queue_capacity >= 1, "encoder.queue_capacity must be >= 1")
     _require(0 < e.moco_momentum <= 1, "encoder.moco_momentum must be in (0, 1]")
     if e.symmetrize:
         _require(e.negatives == "in_batch", "encoder.symmetrize requires in_batch negatives")
 
-    _require(0 < s.tau_minus <= s.tau_plus,
-             "schedule.tau_minus must satisfy 0 < tau_minus <= tau_plus")
-    _require(s.period_T >= 1, "schedule.period_T must be >= 1")
-    _require(s.step_length >= 1, "schedule.step_length must be >= 1")
-    _require(s.constant_tau > 0, "schedule.constant_tau must be > 0")
     if r.epochs > 0 and s.kind in ("cosine", "linear_oscillation"):
         _require(s.period_T <= r.epochs,
                  "schedule.period_T must be <= run.epochs for periodic schedules")
     if r.epochs > 0 and s.kind == "step":
         _require(s.step_length <= r.epochs, "schedule.step_length must be <= run.epochs")
     _require(s.tau_head > 0 and s.tau_tail > 0, "coarse temperatures must be > 0")
-    if s.head_classes:
-        _require(all(0 <= c < d.classes for c in s.head_classes),
-                 f"schedule.head_classes must lie in [0, {d.classes})")
-        _require(len(set(s.head_classes)) < d.classes,
-                 "schedule.head_classes must be a strict subset of all classes")
 
-    _require(ev.probe_epochs >= 1, "eval.probe_epochs must be >= 1")
-    _require(ev.probe_lr > 0, "eval.probe_lr must be > 0")
-    _require(an.bins >= 1, "analysis.bins must be >= 1")
+    _require(cfg.analysis.bins >= 1, "analysis.bins must be >= 1")
 
 
 def _format_value(value) -> str:

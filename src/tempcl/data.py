@@ -37,9 +37,7 @@ __all__ = [
     "load_dataset",
 ]
 
-CIFAR10_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
-CIFAR100_RECORD = 3074  # coarse byte + fine byte + pixels
-_PIXELS = 3072
+_PIXELS = 3072  # 3 * 32 * 32 channel-major pixel bytes of a CIFAR record
 
 TCLD_MAGIC = b"TCLD"
 
@@ -165,11 +163,24 @@ def subsample_longtail(
     )
 
 
-def _class_means(K: int, D: int, class_separation: float, seed: int) -> np.ndarray:
+def _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, stream):
+    """Class k draws ``sizes[k]`` rows mean_k + within_sigma * N(0, I) from
+    the stream keyed (seed, stream, k); the class means, drawn from stream
+    0, lie on the sphere of radius ``class_separation``.  Returns (features,
+    labels)."""
+    if K < 2 or D < 2:
+        raise ValueError(f"need K >= 2 and D >= 2, got K={K}, D={D}")
+    if class_separation <= 0 or within_sigma < 0:
+        raise ValueError("class_separation must be > 0 and within_sigma >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     means = rng.standard_normal((K, D))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    return means * class_separation
+    means *= class_separation
+    feats = []
+    for k in range(K):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream, k]))
+        feats.append(means[k] + within_sigma * rng.standard_normal((int(sizes[k]), D)))
+    return np.vstack(feats), np.repeat(np.arange(K, dtype=np.int64), sizes)
 
 
 def synth_mixture(
@@ -186,22 +197,11 @@ def synth_mixture(
     Class k contributes ``longtail_sizes(K, n_max, imb)[k]`` samples drawn
     as mean_k + within_sigma * N(0, I).  Deterministic in ``seed``.
     """
-    if K < 2 or D < 2:
-        raise ValueError(f"need K >= 2 and D >= 2, got K={K}, D={D}")
-    if class_separation <= 0 or within_sigma < 0:
-        raise ValueError("class_separation must be > 0 and within_sigma >= 0")
-    means = _class_means(K, D, class_separation, seed)
     sizes = longtail_sizes(K, n_max, imb)
-    feats = []
-    labels = []
-    for k in range(K):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1, k]))
-        noise = rng.standard_normal((int(sizes[k]), D))
-        feats.append(means[k] + within_sigma * noise)
-        labels.append(np.full(int(sizes[k]), k, dtype=np.int64))
+    feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 1)
     return LongTailDataset(
-        features=np.vstack(feats),
-        labels=np.concatenate(labels),
+        features=feats,
+        labels=labels,
         class_sizes=sizes,
         provenance=f"synth(K={K},D={D},n_max={n_max},imb={imb:g},seed={seed})",
     )
@@ -217,20 +217,14 @@ def synth_balanced(
 ) -> LongTailDataset:
     """Class-balanced companion set sharing the class means of
     :func:`synth_mixture` for the same (K, D, class_separation, seed)."""
-    if K < 2 or D < 2 or n_per_class < 1:
-        raise ValueError("need K >= 2, D >= 2, n_per_class >= 1")
-    means = _class_means(K, D, class_separation, seed)
-    feats = []
-    labels = []
-    for k in range(K):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2, k]))
-        noise = rng.standard_normal((n_per_class, D))
-        feats.append(means[k] + within_sigma * noise)
-        labels.append(np.full(n_per_class, k, dtype=np.int64))
+    if n_per_class < 1:
+        raise ValueError(f"need n_per_class >= 1, got {n_per_class}")
+    sizes = np.full(K, n_per_class, dtype=np.int64)
+    feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 2)
     return LongTailDataset(
-        features=np.vstack(feats),
-        labels=np.concatenate(labels),
-        class_sizes=np.full(K, n_per_class, dtype=np.int64),
+        features=feats,
+        labels=labels,
+        class_sizes=sizes,
         provenance=f"synth-balanced(K={K},D={D},n={n_per_class},seed={seed})",
     )
 
@@ -242,8 +236,7 @@ def _standardize(pixels01: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     mean = planes.mean(axis=(0, 2))
     std = planes.std(axis=(0, 2))
     std = np.where(std > 0.0, std, 1.0)
-    feats = (planes - mean[None, :, None]) / std[None, :, None]
-    return feats.reshape(-1, _PIXELS), mean, std
+    return standardize_pixels(pixels01, mean, std), mean, std
 
 
 def _stats_tag(mean: np.ndarray, std: np.ndarray) -> str:
@@ -274,97 +267,75 @@ def destandardize_pixels(features: np.ndarray, mean: np.ndarray, std: np.ndarray
     return (planes * std[None, :, None] + mean[None, :, None]).reshape(-1, _PIXELS)
 
 
-def _read_records(path, record_size: int) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) == 0 or len(raw) % record_size != 0:
-        raise DataFormatError(
-            f"{path}: length {len(raw)} not a multiple of {record_size}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, record_size)
-
-
-def _check_labels(raw_labels: np.ndarray, limit: int, record_size: int, offset_in_record: int, path) -> None:
-    bad = np.flatnonzero(raw_labels > limit)
-    if bad.size:
-        i = int(bad[0])
-        raise DataFormatError(
-            f"{path}: label byte {raw_labels[i]} out of range [0, {limit}] "
-            f"at offset {i * record_size + offset_in_record}"
-        )
-
-
-def load_cifar10_bin(paths) -> LongTailDataset:
-    """Parse CIFAR-10 binary batches (3073-byte records: label byte then
-    3072 channel-major pixel bytes).
-
-    Pixels are scaled to [0, 1] and standardized per channel; the
-    standardization constants are recorded in the provenance string so the
-    dataset can be re-serialized bit-exactly.
-    """
+def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
+    """Parse CIFAR binary files whose records are one byte per label
+    (``label_limits`` gives each byte's largest value; the last is the
+    dataset label, a leading one the coarse label) then 3072 channel-major
+    pixel bytes.  Pixels are scaled to [0, 1] and standardized per channel;
+    the constants are recorded in the provenance string so the dataset can
+    be re-serialized bit-exactly."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
+    n_labels = len(label_limits)
+    record = n_labels + _PIXELS
     chunks = []
     for p in paths:
-        recs = _read_records(p, CIFAR10_RECORD)
-        _check_labels(recs[:, 0], 9, CIFAR10_RECORD, 0, p)
+        raw = Path(p).read_bytes()
+        if len(raw) == 0 or len(raw) % record != 0:
+            raise DataFormatError(f"{p}: length {len(raw)} not a multiple of {record}")
+        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
+        for j, limit in enumerate(label_limits):
+            bad = np.flatnonzero(recs[:, j] > limit)
+            if bad.size:
+                i = int(bad[0])
+                raise DataFormatError(
+                    f"{p}: label byte {recs[i, j]} out of range [0, {limit}] "
+                    f"at offset {i * record + j}"
+                )
         chunks.append(recs)
     recs = np.vstack(chunks)
-    labels = recs[:, 0].astype(np.int64)
-    feats, mean, std = _standardize(recs[:, 1:].astype(np.float64) / 255.0)
-    K = int(labels.max()) + 1
+    labels = recs[:, n_labels - 1].astype(np.int64)
+    feats, mean, std = _standardize(recs[:, n_labels:].astype(np.float64) / 255.0)
     names = ",".join(Path(p).name for p in paths)
     return LongTailDataset(
         features=feats,
         labels=labels,
-        class_sizes=np.bincount(labels, minlength=K),
-        provenance=f"cifar10-bin({names})|{_stats_tag(mean, std)}",
+        class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
+        provenance=f"{name}-bin({names})|{_stats_tag(mean, std)}",
+        coarse_labels=recs[:, 0].astype(np.int64) if n_labels == 2 else None,
     )
+
+
+def load_cifar10_bin(paths) -> LongTailDataset:
+    """Parse CIFAR-10 binary batches (3073-byte records: label byte then
+    3072 channel-major pixel bytes), concatenated in order."""
+    return _load_cifar_bin(paths, (9,), "cifar10")
 
 
 def load_cifar100_bin(path) -> LongTailDataset:
-    """Parse a CIFAR-100 binary file (3074-byte records: coarse byte, fine
+    """Parse CIFAR-100 binary files (3074-byte records: coarse byte, fine
     byte, 3072 pixel bytes).  Fine labels become the dataset labels; coarse
     labels are retained for re-serialization."""
-    recs = _read_records(path, CIFAR100_RECORD)
-    _check_labels(recs[:, 0], 19, CIFAR100_RECORD, 0, path)
-    _check_labels(recs[:, 1], 99, CIFAR100_RECORD, 1, path)
-    labels = recs[:, 1].astype(np.int64)
-    feats, mean, std = _standardize(recs[:, 2:].astype(np.float64) / 255.0)
-    K = int(labels.max()) + 1
-    return LongTailDataset(
-        features=feats,
-        labels=labels,
-        class_sizes=np.bincount(labels, minlength=K),
-        provenance=f"cifar100-bin({Path(path).name})|{_stats_tag(mean, std)}",
-        coarse_labels=recs[:, 0].astype(np.int64),
-    )
+    return _load_cifar_bin(path, (19, 99), "cifar100")
 
 
-def _pixel_bytes(ds: LongTailDataset) -> np.ndarray:
+def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
     mean, std = channel_stats(ds.provenance)
     px = destandardize_pixels(ds.features, mean, std)
-    return np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
+    px = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
+    return np.hstack([np.stack(label_columns, axis=1).astype(np.uint8), px]).tobytes()
 
 
 def serialize_cifar10_bin(ds: LongTailDataset) -> bytes:
     """Inverse of :func:`load_cifar10_bin`: byte-identical for datasets it
     produced."""
-    px = _pixel_bytes(ds)
-    out = np.empty((ds.n, CIFAR10_RECORD), dtype=np.uint8)
-    out[:, 0] = ds.labels
-    out[:, 1:] = px
-    return out.tobytes()
+    return _serialize_cifar_bin(ds, [ds.labels])
 
 
 def serialize_cifar100_bin(ds: LongTailDataset) -> bytes:
     if ds.coarse_labels is None:
         raise ValueError("dataset carries no coarse labels; not a CIFAR-100 parse")
-    px = _pixel_bytes(ds)
-    out = np.empty((ds.n, CIFAR100_RECORD), dtype=np.uint8)
-    out[:, 0] = ds.coarse_labels
-    out[:, 1] = ds.labels
-    out[:, 2:] = px
-    return out.tobytes()
+    return _serialize_cifar_bin(ds, [ds.coarse_labels, ds.labels])
 
 
 @dataclass(frozen=True)
@@ -448,9 +419,8 @@ class GroupPartition:
     tail: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "head", frozenset(int(c) for c in self.head))
-        object.__setattr__(self, "mid", frozenset(int(c) for c in self.mid))
-        object.__setattr__(self, "tail", frozenset(int(c) for c in self.tail))
+        for name in ("head", "mid", "tail"):
+            object.__setattr__(self, name, frozenset(int(c) for c in getattr(self, name)))
         groups = [self.head, self.mid, self.tail]
         total = sum(len(g) for g in groups)
         union = self.head | self.mid | self.tail

@@ -101,17 +101,13 @@ def init_encoder(
         raise ValueError(f"projection_layers must be 1 or 2, got {projection_layers}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
     dims = [int(in_dim)] + [int(h) for h in hidden_dims]
-    backbone = []
+    dims += [dims[-1]] * (projection_layers - 1) + [embed_dim]
+    layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         W = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-        backbone.append((W, np.zeros(d_out)))
-    feat = dims[-1]
-    proj_dims = [feat, embed_dim] if projection_layers == 1 else [feat, feat, embed_dim]
-    projection = []
-    for d_in, d_out in zip(proj_dims[:-1], proj_dims[1:]):
-        W = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-        projection.append((W, np.zeros(d_out)))
-    return EncoderParams(backbone=backbone, projection=projection)
+        layers.append((W, np.zeros(d_out)))
+    n_back = len(hidden_dims)
+    return EncoderParams(backbone=layers[:n_back], projection=layers[n_back:])
 
 
 @dataclass
@@ -203,20 +199,20 @@ def backward(
     dz = (dU - np.sum(dU * U, axis=1, keepdims=True) * U) / safe[:, None]
     dz[result.zero_rows] = 0.0
 
-    grads = params.zeros_like()
+    # every layer but the last projection layer is followed by a ReLU
+    layers = params.layers()
+    inputs = cache["backbone_in"] + cache["proj_in"]
+    pre = cache["backbone_pre"] + cache["proj_pre"]
+    grads = [None] * len(layers)
     d = dz
-    for i in range(len(params.projection) - 1, -1, -1):
-        W, _ = params.projection[i]
-        if i < len(params.projection) - 1:
-            d = d * (cache["proj_pre"][i] > 0.0)
-        grads.projection[i] = (cache["proj_in"][i].T @ d, d.sum(axis=0))
-        d = d @ W.T
-    for i in range(len(params.backbone) - 1, -1, -1):
-        W, _ = params.backbone[i]
-        d = d * (cache["backbone_pre"][i] > 0.0)
-        grads.backbone[i] = (cache["backbone_in"][i].T @ d, d.sum(axis=0))
-        d = d @ W.T
-    return grads
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            d = d * (pre[i] > 0.0)
+        grads[i] = (inputs[i].T @ d, d.sum(axis=0))
+        if i > 0:  # the gradient of the encoder's input is never used
+            d = d @ layers[i][0].T
+    n_back = len(params.backbone)
+    return EncoderParams(backbone=grads[:n_back], projection=grads[n_back:])
 
 
 def _accumulate(into: EncoderParams, other: EncoderParams) -> EncoderParams:

@@ -20,10 +20,9 @@ from tempcl.analysis import (
     pca_project,
     uniformity_stat,
 )
-from tempcl.config import ExperimentConfig, render_config
+from tempcl.config import ConfigError, ExperimentConfig, render_config
 from tempcl.data import (
     DataFormatError,
-    LongTailDataset,
     channel_stats,
     destandardize_pixels,
     load_cifar10_bin,
@@ -45,13 +44,14 @@ from tempcl.encoder import (
     save_checkpoint,
     train_epoch,
 )
-from tempcl.evaluation import ProbeConfig, knn_report, linear_probe
+from tempcl.evaluation import knn_report, linear_probe
 from tempcl.loss import _unit_rows
 from tempcl.schedule import recommended_eval_epoch, tau_at
 
 __all__ = [
     "NumericDivergenceError",
     "build_datasets",
+    "synthetic_datasets",
     "run_experiment",
     "eval_checkpoint",
     "analyze_checkpoint",
@@ -67,36 +67,32 @@ def _paths(value: str) -> list:
     return [p.strip() for p in value.split(",") if p.strip()]
 
 
+def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
+    """The (long-tail train, balanced test) Gaussian mixtures that the
+    ``data.*`` keys describe, whatever ``data.kind`` says."""
+    d = cfg.data
+    common = dict(class_separation=d.class_separation, within_sigma=d.within_sigma,
+                  seed=cfg.run.seed)
+    return (synth_mixture(d.classes, d.dim, d.n_max, d.imbalance, **common),
+            synth_balanced(d.classes, d.dim, d.test_per_class, **common))
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple:
     """The (long-tail train, balanced test) pair described by the config."""
     d = cfg.data
-    seed = cfg.run.seed
     if d.kind == "synthetic":
-        train = synth_mixture(d.classes, d.dim, d.n_max, d.imbalance,
-                              class_separation=d.class_separation,
-                              within_sigma=d.within_sigma, seed=seed)
-        test = synth_balanced(d.classes, d.dim, d.test_per_class,
-                              class_separation=d.class_separation,
-                              within_sigma=d.within_sigma, seed=seed)
-        return train, test
+        return synthetic_datasets(cfg)
     if d.kind == "tcld":
         return load_dataset(d.path), load_dataset(d.test_path)
     loader = load_cifar10_bin if d.kind == "cifar10" else load_cifar100_bin
-    if d.kind == "cifar10":
-        balanced = loader(_paths(d.path))
-    else:
-        balanced = loader(d.path)
-    sizes = longtail_sizes(balanced.num_classes, d.n_max, d.imbalance)
-    train = subsample_longtail(balanced, sizes, seed,
-                               class_permutation_seed=d.permutation_seed)
-    test = load_cifar10_bin(_paths(d.test_path)) if d.kind == "cifar10" else loader(d.test_path)
-    return train, test
-
-
-def _pixel_view(ds: LongTailDataset) -> LongTailDataset:
-    """Dataset with features in [0, 1] pixel space (the augmentation domain)."""
-    mean, std = channel_stats(ds.provenance)
-    return dataclasses.replace(ds, features=destandardize_pixels(ds.features, mean, std))
+    balanced = loader(_paths(d.path))
+    try:
+        sizes = longtail_sizes(balanced.num_classes, d.n_max, d.imbalance)
+        train = subsample_longtail(balanced, sizes, cfg.run.seed,
+                                   class_permutation_seed=d.permutation_seed)
+    except ValueError as err:
+        raise ConfigError(f"data.n_max = {d.n_max} does not fit {d.path}: {err}") from None
+    return train, loader(_paths(d.test_path))
 
 
 def _recommended_points(cfg: ExperimentConfig) -> set:
@@ -138,10 +134,8 @@ def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
                         k_values=(1, 10), partition=partition)
     if cfg.eval.run_probes:
         for mode in ("FS_LP", "LT_LP"):
-            probe_cfg = ProbeConfig(mode=mode, epochs=cfg.eval.probe_epochs,
-                                    lr=cfg.eval.probe_lr, seed=cfg.eval.probe_seed)
             probe = linear_probe(train_feat, train.labels, test_feat, test.labels,
-                                 probe_cfg, partition=partition)
+                                 cfg.probe_config(mode), partition=partition)
             report = report.merged_with(probe)
     rows = list(report.rows())
     rows.append(("coverage_cv", "all", uniformity_stat(hist)))
@@ -174,19 +168,27 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train per config, writing metrics.csv, analysis CSVs, checkpoints,
     and config.resolved into run.output_dir.  Returns the final snapshot's
     overall metrics."""
+    train, test = build_datasets(cfg)
+    if cfg.encoder.batch_size > train.n:
+        raise ConfigError(f"encoder.batch_size = {cfg.encoder.batch_size} exceeds the "
+                          f"{train.n} rows of the long-tail train set")
+    schedule = (cfg.coarse_config(train.num_classes) if cfg.schedule.coarse
+                else cfg.schedule_config())
+    # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(render_config(cfg))
 
-    train, test = build_datasets(cfg)
     partition = head_mid_tail_split(train.class_sizes)
     policy = cfg.augmentation_policy()
 
     view_transform = None
     train_ds = train
     if policy.mode == "pixel":
+        # views are augmented in [0, 1] pixel space, then standardized again
         mean, std = channel_stats(train.provenance)
-        train_ds = _pixel_view(train)
+        train_ds = dataclasses.replace(
+            train, features=destandardize_pixels(train.features, mean, std))
         view_transform = lambda V: standardize_pixels(V, mean, std)
 
     E = cfg.run.epochs
@@ -198,8 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                                momentum_m=cfg.encoder.moco_momentum)
     else:
         source = NegativeSource.in_batch()
-    schedule = (cfg.coarse_config(train.num_classes) if cfg.schedule.coarse
-                else cfg.schedule_config())
 
     snapshots = set(snapshot_epochs(cfg))
     checkpoints = _recommended_points(cfg)
@@ -249,24 +249,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _load_encoder(checkpoint_path, train: LongTailDataset):
+def _load_checkpoint_run(cfg, checkpoint_path):
+    """(output dir, train set, test set, encoder, train embedding) for a
+    saved encoder evaluated on the config's data."""
+    out_dir = Path(cfg.run.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers()[0][0].shape[0]
     if in_dim != train.dim:
         raise DataFormatError(f"{checkpoint_path}: checkpoint input width {in_dim} "
                               f"does not match the dataset's dim {train.dim}")
-    return params
+    return out_dir, train, test, params, _embed_train(cfg, params, train)
 
 
 def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     """Metrics rows for a saved encoder, identical to the in-training
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
-    out_dir = Path(cfg.run.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train, test = build_datasets(cfg)
-    params = _load_encoder(checkpoint_path, train)
+    out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path)
     partition = head_mid_tail_split(train.class_sizes)
-    _, feats, hist = _embed_train(cfg, params, train)
     rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
@@ -276,10 +277,6 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
 
 def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> float:
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
-    out_dir = Path(cfg.run.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train, _ = build_datasets(cfg)
-    params = _load_encoder(checkpoint_path, train)
-    emb, feats, hist = _embed_train(cfg, params, train)
+    out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path)
     _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
     return uniformity_stat(hist)

@@ -1,6 +1,7 @@
 """Tests for the command-line exit-code contract: 0 on success, 1 for a
 configuration error, 2 for a data error, 3 for numeric divergence."""
 
+import numpy as np
 import pytest
 
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
@@ -94,6 +95,62 @@ def test_truncated_cifar_file_exits_2(tmp_path, capsys):
                                           f"data.test_path = {test}\n")
     assert main(["train", "--config", config]) == EXIT_DATA
     assert "not a multiple of 3073" in capsys.readouterr().err
+
+
+def test_batch_larger_than_the_train_set_exits_1(tmp_path, capsys):
+    # 4 classes, n_max 20, imbalance 2: 59 long-tail training rows
+    big_batch = TINY.replace("encoder.batch_size = 16", "encoder.batch_size = 128")
+    assert main(["train", "--config", write_config(tmp_path, text=big_batch)]) == EXIT_CONFIG
+    assert "config error: encoder.batch_size = 128 exceeds the 59 rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
+def test_negative_seed_override_exits_1(tmp_path, capsys):
+    assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cifar100_files(tmp_path_factory):
+    """CIFAR-100 train and test files in which all 100 fine classes occur,
+    twice per class in the train file and once in the test file."""
+    tmp_path = tmp_path_factory.mktemp("cifar100")
+    rng = np.random.default_rng(0)
+    paths = []
+    for name, per_class in (("train.bin", 2), ("test.bin", 1)):
+        recs = rng.integers(0, 256, size=(100 * per_class, 3074), dtype=np.uint8)
+        recs[:, 0] = rng.integers(0, 20, size=len(recs))
+        recs[:, 1] = np.arange(len(recs)) % 100
+        (tmp_path / name).write_bytes(recs.tobytes())
+        paths.append(tmp_path / name)
+    return paths
+
+
+def cifar100_config(tmp_path, cifar100_files, n_max=2, extra=""):
+    train, test = cifar100_files
+    text = TINY.replace("data.n_max = 20", f"data.n_max = {n_max}")
+    return write_config(tmp_path, text=text, extra=f"data.kind = cifar100\ndata.path = {train}\n"
+                                                 f"data.test_path = {test}\n" + extra)
+
+
+def test_coarse_head_classes_beyond_data_classes_run(tmp_path, cifar100_files):
+    # data.classes = 4 describes the synthetic generator, not the 100 loaded classes
+    config = cifar100_config(tmp_path, cifar100_files,
+                             extra="schedule.coarse = true\nschedule.head_classes = 0,50,99\n")
+    assert main(["train", "--config", config]) == 0
+
+
+def test_coarse_head_class_outside_the_data_exits_1(tmp_path, cifar100_files, capsys):
+    config = cifar100_config(tmp_path, cifar100_files,
+                             extra="schedule.coarse = true\nschedule.head_classes = 3,100\n")
+    assert main(["train", "--config", config]) == EXIT_CONFIG
+    assert "config error: schedule.head_classes must lie in [0, 100)" in capsys.readouterr().err
+
+
+def test_n_max_beyond_the_loaded_class_sizes_exits_1(tmp_path, cifar100_files, capsys):
+    config = cifar100_config(tmp_path, cifar100_files, n_max=3)
+    assert main(["train", "--config", config]) == EXIT_CONFIG
+    assert "config error: data.n_max = 3 does not fit" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,8 @@
 """Tests for the config format: the render/parse round trip, line-numbered
 errors, and the cross-field rules."""
 
+from dataclasses import fields
+
 import pytest
 
 from tempcl.config import ConfigError, ExperimentConfig, parse_config, render_config
@@ -56,6 +58,34 @@ class TestErrors:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    @pytest.mark.parametrize("line", [
+        "schedule.seed = -1",
+        "eval.probe_seed = -1",
+        "analysis.seed = -1",
+        "data.permutation_seed = -1",
+        "schedule.tau_plus = inf",
+        "schedule.constant_tau = inf",
+        "data.noise_sigma = inf",
+        "eval.probe_lr = inf",
+        "data.within_sigma = nan",
+        "encoder.hidden_dims = 16,-4",
+    ])
+    def test_negative_and_non_finite_numbers(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: expected"):
+            parse_config("# every number is finite and >= 0\n" + line + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("schedule.tau_minus = 2\n", "schedule: need 0 < tau_minus <= tau_plus"),
+        ("schedule.period_T = 0\n", "schedule: period_T must be >= 1"),
+        ("data.flip_prob = 1.5\n", "data: flip_prob must be in"),
+        ("data.dropout_prob = 1\n", "data: dropout_prob must be in"),
+        ("eval.probe_epochs = 0\n", "eval: need epochs >= 1"),
+    ])
+    def test_value_object_rules_carry_the_section(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_cross_field_rule(self):
         with pytest.raises(ConfigError, match="period_T must be <= run.epochs"):
             parse_config("run.epochs = 10\nschedule.period_T = 20\n")
@@ -76,3 +106,39 @@ class TestPixelAugmentation:
         cfg = parse_config(f"data.kind = {kind}\ndata.path = a\ndata.test_path = b\n"
                            "data.augment = pixel\n")
         assert cfg.augmentation_policy().mode == "pixel"
+
+
+class TestKeysAreFields:
+    def test_every_field_is_one_key(self):
+        lines = render_config(parse_config("")).splitlines()
+        keys = [f"{section.name}.{f.name}" for section in fields(ExperimentConfig)
+                for f in fields(section.type)]
+        assert len(keys) == 51
+        assert sorted(line.split(" = ")[0] for line in lines) == sorted(keys)
+        for line in lines:  # each key parses on its own
+            assert parse_config(line + "\n") == ExperimentConfig()
+
+    def test_value_objects_take_the_section_values(self):
+        cfg = parse_config("schedule.kind = step\nschedule.step_length = 7\n"
+                           "schedule.seed = 3\ndata.flip_prob = 0.25\n")
+        sched = cfg.schedule_config()
+        assert (sched.kind, sched.step_length, sched.seed) == ("step", 7, 3)
+        assert cfg.augmentation_policy().flip_prob == 0.25
+
+
+class TestHeadClasses:
+    def test_checked_against_the_loaded_class_count(self):
+        # data.classes describes the synthetic generator only; loaded data
+        # may have more classes
+        cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,50\n")
+        assert cfg.coarse_config(100).head_classes == frozenset({0, 50})
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 40\)"):
+            cfg.coarse_config(40)
+
+    def test_strict_subset(self):
+        cfg = parse_config("schedule.head_classes = 0,1,2\n")
+        with pytest.raises(ConfigError, match="strict subset"):
+            cfg.coarse_config(3)
+
+    def test_default_is_the_frequent_half(self):
+        assert parse_config("").coarse_config(5).head_classes == frozenset({0, 1, 2})

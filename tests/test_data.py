@@ -209,6 +209,14 @@ class TestCifarLoaders:
         ds = load_cifar10_bin([a, b])
         assert ds.n == 7
 
+    def test_cifar100_multiple_files_concatenate(self, tmp_path):
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        a.write_bytes(cifar100_fixture_bytes(n=3, seed=5))
+        b.write_bytes(cifar100_fixture_bytes(n=4, seed=6))
+        ds = load_cifar100_bin([a, b])
+        assert ds.n == 7 and ds.coarse_labels.shape == (7,)
+        assert serialize_cifar100_bin(ds) == a.read_bytes() + b.read_bytes()
+
     def test_standardization_recorded(self, tmp_path):
         p = tmp_path / "s.bin"
         p.write_bytes(cifar10_fixture_bytes(n=8, seed=7))
