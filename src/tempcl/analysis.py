@@ -81,8 +81,14 @@ def _sim_bin_edges() -> np.ndarray:
 
 
 def _bin_of(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # right-open bins, except the last bin which includes s = 1
-    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, N_SIM_BINS - 1)
+    """Right-open bins, except the last bin which includes s = 1; values
+    beyond the ends go to the end bins.  The arithmetic estimate is off by at
+    most one bin near an edge, and one comparison with each edge repairs it."""
+    idx = np.floor((values + 1.0) * (N_SIM_BINS / 2))
+    idx = np.clip(idx, 0, N_SIM_BINS - 1, out=idx).astype(np.intp)
+    idx -= values < edges[idx]
+    idx += values >= edges[idx + 1]
+    return np.clip(idx, 0, N_SIM_BINS - 1, out=idx)
 
 
 def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCurves:
@@ -95,7 +101,7 @@ def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCur
     s = np.asarray(similarities, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValueError("need at least one negative similarity")
-    if s.min() < -1.0 or s.max() > 1.0:
+    if not (s.min() >= -1.0 and s.max() <= 1.0):  # also refuses NaN
         raise ValueError("similarities must lie in [-1, 1]")
     if not tau > 0:
         raise ValueError(f"temperature must be > 0, got {tau}")

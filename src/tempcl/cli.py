@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from tempcl.config import ConfigError, parse_config, render_config
-from tempcl.data import DataFormatError, save_dataset
+from tempcl.data import DataFormatError, save_dataset, write_atomic
 from tempcl.runner import (
     NumericDivergenceError,
     analyze_checkpoint,
@@ -89,7 +89,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(render_config(cfg))
+    write_atomic(out_dir / "config.resolved", render_config(cfg))
     train, test = synthetic_datasets(cfg)
     save_dataset(train, out_dir / "dataset.tcld")
     save_dataset(test, out_dir / "test.tcld")

@@ -8,6 +8,7 @@ used by the evaluation breakdowns.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "head_mid_tail_split",
     "save_dataset",
     "load_dataset",
+    "write_atomic",
 ]
 
 _PIXELS = 3072  # 3 * 32 * 32 channel-major pixel bytes of a CIFAR record
@@ -465,7 +467,7 @@ def save_dataset(ds: LongTailDataset, path) -> None:
     recs["label"] = ds.labels.astype("<u2")
     recs["feat"] = ds.features.astype("<f4")
     header = TCLD_MAGIC + struct.pack("<III", ds.num_classes, ds.dim, ds.n)
-    Path(path).write_bytes(header + recs.tobytes())
+    write_atomic(path, header + recs.tobytes())
 
 
 def load_dataset(path) -> LongTailDataset:
@@ -490,3 +492,20 @@ def load_dataset(path) -> LongTailDataset:
         class_sizes=np.bincount(labels, minlength=K),
         provenance=f"tcld({Path(path).name})",
     )
+
+
+def write_atomic(path, content) -> None:
+    """Write ``content`` (str as UTF-8, or bytes) to ``path`` through a
+    temporary file in the same directory and ``os.replace``: a reader sees
+    the earlier file or the whole new one, never a partial write, and a
+    failed write leaves no temporary file behind."""
+    path = Path(path)
+    data = content.encode() if isinstance(content, str) else content
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

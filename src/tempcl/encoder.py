@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from tempcl.data import AugmentationPolicy, DataFormatError, LongTailDataset, augment_batch
+from tempcl.data import (
+    AugmentationPolicy,
+    DataFormatError,
+    LongTailDataset,
+    augment_batch,
+    write_atomic,
+)
 from tempcl.loss import (
     _check_unit_rows,
     _unit_rows,
@@ -234,27 +240,17 @@ class OptimState:
     sgd_momentum: float = 0.9
     epoch: int = 0
 
+    def __post_init__(self):
+        if self.base_lr <= 0 or self.total_epochs < 1 or self.warmup_epochs < 0:
+            raise ValueError("need base_lr > 0, total_epochs >= 1, warmup_epochs >= 0")
+        if self.weight_decay < 0 or not (0.0 <= self.sgd_momentum < 1.0):
+            raise ValueError("need weight_decay >= 0 and sgd_momentum in [0, 1)")
 
-def init_optim_state(
-    params: EncoderParams,
-    base_lr: float = 0.5,
-    warmup_epochs: int = 10,
-    total_epochs: int = 400,
-    weight_decay: float = 1e-4,
-    sgd_momentum: float = 0.9,
-) -> OptimState:
-    if base_lr <= 0 or total_epochs < 1 or warmup_epochs < 0:
-        raise ValueError("need base_lr > 0, total_epochs >= 1, warmup_epochs >= 0")
-    if weight_decay < 0 or not (0.0 <= sgd_momentum < 1.0):
-        raise ValueError("need weight_decay >= 0 and sgd_momentum in [0, 1)")
-    return OptimState(
-        buffers=params.zeros_like(),
-        base_lr=base_lr,
-        warmup_epochs=warmup_epochs,
-        total_epochs=total_epochs,
-        weight_decay=weight_decay,
-        sgd_momentum=sgd_momentum,
-    )
+
+def init_optim_state(params: EncoderParams, **hyper) -> OptimState:
+    """Zero momentum buffers shaped like ``params``; ``hyper`` takes the
+    :class:`OptimState` hyper-parameters by name."""
+    return OptimState(buffers=params.zeros_like(), **hyper)
 
 
 def lr_at(state: OptimState, epoch: int) -> float:
@@ -434,7 +430,7 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     for W, _ in params.layers():
         header.append(struct.pack("<II", W.shape[0], W.shape[1]))
     body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
-    Path(path).write_bytes(b"".join(header) + b"".join(body))
+    write_atomic(path, b"".join(header) + b"".join(body))
 
 
 def load_checkpoint(path) -> EncoderParams:

@@ -7,6 +7,14 @@ similarity, and the implementation uses the cosine form.  Tie handling is
 fully deterministic: neighbours are ranked by (descending similarity,
 ascending train index); vote ties go to the tied class whose nearest
 voting member is closest, then to the smallest class id.
+
+Ranking is partition-then-repair: one row-wise ``argpartition`` of the
+similarity matrix picks k candidates per test row, and a lexsort by
+(similarity desc, index asc) orders them.  The candidates are the exact top
+k unless the k-th similarity also occurs outside them, in which case the
+partition may have kept a larger train index than the rule allows; those
+rare rows are re-ranked with a full stable sort.  Votes for all rows are
+then counted at once.
 """
 
 from dataclasses import dataclass
@@ -91,20 +99,20 @@ class EvalReport:
         return EvalReport(metrics=merged)
 
 
-def _vote(row_sims: np.ndarray, train_labels: np.ndarray, k: int) -> int:
-    order = np.argsort(-row_sims, kind="stable")[:k]
-    votes = train_labels[order]
-    counts = np.bincount(votes)
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    if tied.size == 1:
-        return int(tied[0])
-    # nearest voting member decides; similarity ties fall to the smaller id
-    choices = []
-    for c in tied:
-        pos = int(np.flatnonzero(votes == c)[0])
-        choices.append((-row_sims[order[pos]], int(c)))
-    return min(choices)[1]
+def _rank_neighbours(sims: np.ndarray, k: int) -> tuple:
+    """(indices, similarities) of each row's k nearest train rows, ordered
+    by (similarity desc, train index asc)."""
+    m = sims.shape[1]
+    idx = np.argpartition(sims, m - k, axis=1)[:, m - k:]
+    top = np.take_along_axis(sims, idx, axis=1)
+    order = np.lexsort((idx, -top), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    top = np.take_along_axis(top, order, axis=1)
+    # a k-th similarity shared with a row outside the candidates: re-rank fully
+    for i in np.flatnonzero((sims >= top[:, -1:]).sum(axis=1) > k):
+        idx[i] = np.argsort(-sims[i], kind="stable")[:k]
+        top[i] = sims[i, idx[i]]
+    return idx, top
 
 
 def knn_classify(
@@ -125,19 +133,30 @@ def knn_classify(
         raise ValueError(f"k={k} outside [1, {train_emb.shape[0]}]")
     _check_unit_rows(train_emb, "train embeddings")
     _check_unit_rows(test_emb, "test embeddings")
-    sims = test_emb @ train_emb.T
-    return np.array([_vote(s, train_labels, k) for s in sims], dtype=np.int64)
+    idx, top = _rank_neighbours(test_emb @ train_emb.T, k)
+    votes = train_labels[idx]
+    rows = np.arange(idx.shape[0])
+    shape = (idx.shape[0], int(train_labels.max()) + 1)
+    counts = np.zeros(shape, dtype=np.int64)
+    nearest = np.full(shape, -np.inf)
+    # last to first, so each class keeps the similarity of its nearest member
+    for j in reversed(range(k)):
+        counts[rows, votes[:, j]] += 1
+        nearest[rows, votes[:, j]] = top[:, j]
+    # among the most-voted classes: the nearest member, then the smaller id
+    tied = counts == counts.max(axis=1, keepdims=True)
+    return np.argmax(np.where(tied, nearest, -np.inf), axis=1)
 
 
 def _breakdown(
     true_labels: np.ndarray, pred: np.ndarray, partition: GroupPartition, n_classes: int
 ) -> MetricBreakdown:
     hits = pred == true_labels
+    # sums of 0/1 are exact, so each class mean equals hits[mask].mean()
+    sizes = np.bincount(true_labels, minlength=n_classes)
     per_class = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        mask = true_labels == c
-        if mask.any():
-            per_class[c] = hits[mask].mean()
+    np.divide(np.bincount(true_labels, weights=hits, minlength=n_classes), sizes,
+              out=per_class, where=sizes > 0)
     groups = {}
     for name, ids in (("head", partition.head), ("mid", partition.mid), ("tail", partition.tail)):
         accs = [per_class[c] for c in sorted(ids) if c < n_classes and not np.isnan(per_class[c])]
@@ -183,16 +202,19 @@ def fewshot_subset(labels, seed: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
-def _probe_loss_grad(W, b, X, onehot):
-    """Mean softmax cross-entropy and its gradients for a linear classifier."""
-    logits = X @ W + b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    P = expl / expl.sum(axis=1, keepdims=True)
-    n = X.shape[0]
-    loss = -np.log(np.maximum(P[onehot.astype(bool)], 1e-300)).mean()
-    G = (P - onehot) / n
-    return loss, X.T @ G, G.sum(axis=0)
+def _probe_loss_grad(W, b, X, onehot, hit=None):
+    """Mean softmax cross-entropy and its gradients for a linear classifier.
+    ``hit`` is ``onehot.astype(bool)``, computed here when not given.  The
+    softmax and then the logit gradient are built in place in one buffer."""
+    P = X @ W
+    P += b
+    P -= P.max(axis=1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    loss = -np.log(np.maximum(P[onehot.astype(bool) if hit is None else hit], 1e-300)).mean()
+    P -= onehot
+    P /= X.shape[0]
+    return loss, X.T @ P, P.sum(axis=0)
 
 
 def linear_probe(
@@ -227,10 +249,13 @@ def linear_probe(
     b = np.zeros(K)
     onehot = np.zeros((X.shape[0], K))
     onehot[np.arange(X.shape[0]), y] = 1.0
+    hit = onehot.astype(bool)
     for _ in range(cfg.epochs):
-        _, dW, db = _probe_loss_grad(W, b, X, onehot)
-        W -= cfg.lr * dW
-        b -= cfg.lr * db
+        _, dW, db = _probe_loss_grad(W, b, X, onehot, hit)
+        dW *= cfg.lr
+        db *= cfg.lr
+        W -= dW
+        b -= db
 
     pred = np.argmax(test_emb @ W + b, axis=1)
     name = "fs_lp" if cfg.mode == "FS_LP" else "lt_lp"

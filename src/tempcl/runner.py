@@ -34,6 +34,7 @@ from tempcl.data import (
     subsample_longtail,
     synth_balanced,
     synth_mixture,
+    write_atomic,
 )
 from tempcl.encoder import (
     NegativeSource,
@@ -144,17 +145,17 @@ def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
 
 def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     tag = f"epoch{epoch:05d}"
-    (out_dir / f"coverage_{tag}.csv").write_text(coverage_csv(hist))
+    write_atomic(out_dir / f"coverage_{tag}.csv", coverage_csv(hist))
 
     tau = _tau_label(cfg, epoch)
     if np.isnan(tau):
         tau = cfg.schedule.tau_tail
     S = np.clip(emb @ emb.T, -1.0, 1.0)
     curves = aggregate_contribution_curves(S, tau, mode="pooled")
-    (out_dir / f"curves_{tag}.csv").write_text(curves_csv(curves))
+    write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
 
     coords, _ = pca_project(feats, components=3)
-    (out_dir / f"pca_{tag}.csv").write_text(pca_csv(coords, labels))
+    write_atomic(out_dir / f"pca_{tag}.csv", pca_csv(coords, labels))
 
 
 def _format_rows(epoch, tau, rows):
@@ -177,7 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(render_config(cfg))
+    write_atomic(out_dir / "config.resolved", render_config(cfg))
 
     partition = head_mid_tail_split(train.class_sizes)
     policy = cfg.augmentation_policy()
@@ -239,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
         save_checkpoint(params, out_dir / "checkpoint_final.tclp")
 
-    (out_dir / "metrics.csv").write_text("".join(lines))
+    write_atomic(out_dir / "metrics.csv", "".join(lines))
 
     summary = {}
     for metric, scope, value in last_rows:
@@ -271,7 +272,7 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
-    (out_dir / f"eval_epoch{epoch:05d}.csv").write_text("".join(lines))
+    write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", "".join(lines))
     return rows
 
 

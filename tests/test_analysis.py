@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from tempcl.analysis import (
+    N_SIM_BINS,
+    _bin_of,
+    _sim_bin_edges,
     aggregate_contribution_curves,
     contribution_curves,
     coverage_csv,
@@ -147,10 +150,36 @@ class TestContributionCurves:
         with pytest.raises(ValueError, match="> 0"):
             contribution_curves(hard_easy_fixture(), 0.0)
 
+    @pytest.mark.parametrize("bad", [-1.5, 1.0 + 1e-12, np.nan])
+    def test_similarity_outside_the_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            contribution_curves(np.array([0.2, bad, 0.5]), 0.5)
+
     def test_underflow_safe_at_tiny_tau(self):
         c = contribution_curves(np.array([-0.99, -0.98, -0.97]), 0.01)
         assert np.isfinite(c.cumulative).all()
         assert c.cumulative.max() == 1.0
+
+
+class TestBinOf:
+    def test_equals_searchsorted_binning(self):
+        """Arithmetic binning equals the right-open searchsorted rule on every
+        edge, the neighbouring floats of each edge, the ends and 10^5 uniform
+        draws."""
+        edges = _sim_bin_edges()
+        s = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-1.0, 1.0],
+            np.random.default_rng(12).uniform(-1.0, 1.0, size=100_000),
+        ])
+        expect = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, N_SIM_BINS - 1)
+        np.testing.assert_array_equal(_bin_of(s, edges), expect)
+
+    def test_one_lands_in_the_last_bin(self):
+        edges = _sim_bin_edges()
+        np.testing.assert_array_equal(_bin_of(np.array([-1.0, 1.0]), edges), [0, N_SIM_BINS - 1])
 
 
 class TestAggregateCurves:

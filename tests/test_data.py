@@ -1,5 +1,7 @@
 """Tests for long-tail construction, CIFAR binary round-trips, synthetic
-mixtures, augmentation, and the dataset file format."""
+mixtures, augmentation, the dataset file format and atomic writes."""
+
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from tempcl.data import (
     subsample_longtail,
     synth_balanced,
     synth_mixture,
+    write_atomic,
 )
 
 
@@ -367,3 +370,37 @@ class TestDatasetValidation:
     def test_imbalance_ratio(self):
         ds = synth_mixture(4, 8, 100, 10.0, seed=0)
         assert abs(ds.imbalance_ratio - 10.0) < 0.5
+
+
+class TestWriteAtomic:
+    def test_writes_text_and_bytes(self, tmp_path):
+        p = tmp_path / "out.csv"
+        write_atomic(p, "a,b\n1,2\n")
+        assert p.read_text() == "a,b\n1,2\n"
+        write_atomic(p, b"\x00\x01")
+        assert p.read_bytes() == b"\x00\x01"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        """An exception while the new content is written leaves the earlier
+        file intact and no temporary file behind."""
+        p = tmp_path / "metrics.csv"
+        p.write_text("earlier\n")
+        with pytest.raises(TypeError):
+            write_atomic(p, object())  # not bytes: the write itself fails
+        assert p.read_text() == "earlier\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_failed_rename_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.tcld"
+        save_dataset(synth_mixture(3, 4, 5, 2.0, seed=2), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(synth_mixture(3, 4, 9, 2.0, seed=3), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["d.tcld"]

@@ -279,6 +279,29 @@ class TestSgdStep:
         assert params.projection[0][0][0, 0] == pytest.approx(-2.5, abs=1e-14)
 
 
+class TestOptimState:
+    @pytest.mark.parametrize("bad", [dict(sgd_momentum=1.0), dict(base_lr=0.0),
+                                     dict(total_epochs=0), dict(warmup_epochs=-1),
+                                     dict(weight_decay=-1e-4)])
+    def test_direct_construction_checks_ranges(self, bad):
+        """The range checks live in the state itself, not only in
+        init_optim_state."""
+        params = scalar_params(1.0)
+        with pytest.raises(ValueError, match="need"):
+            OptimState(buffers=params.zeros_like(), **bad)
+        with pytest.raises(ValueError, match="need"):
+            init_optim_state(params, **bad)
+
+    def test_init_takes_the_state_defaults(self):
+        params = init_encoder(3, (4,), embed_dim=2, seed=10)
+        state = init_optim_state(params, total_epochs=7)
+        direct = OptimState(buffers=params.zeros_like(), total_epochs=7)
+        for name in ("base_lr", "warmup_epochs", "total_epochs", "weight_decay",
+                     "sgd_momentum", "epoch"):
+            assert getattr(state, name) == getattr(direct, name)
+        assert not flat(state.buffers).any()
+
+
 class TestMomentumUpdate:
     def test_m_one_keeps_key(self):
         f, k = scalar_params(2.0), scalar_params(5.0)

@@ -1,6 +1,7 @@
 """Tests for kNN classification (against an exhaustive sort-and-vote
 oracle), report breakdowns, few-shot subsets, and the linear probe."""
 
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +72,33 @@ class TestKnnClassify:
             labels = rng.integers(0, 5, size=n)
             test = unit_rows(rng, 20, d)
             for k in (1, 3, 10):
+                mine = knn_classify(train, labels, test, k)
+                oracle = brute_force_knn(train, labels, test, k)
+                np.testing.assert_array_equal(mine, oracle)
+
+    def test_matches_brute_force_oracle_with_boundary_ties(self):
+        """Exact predictions when the k-th similarity is shared with rows
+        outside the top k.  Train rows are drawn with repeats from a grid of
+        unit vectors (four entries of +-1/2, the rest 0), so similarities and
+        distances are exact and ties are everywhere."""
+        rng = np.random.default_rng(31)
+        D = 6
+        grid = []
+        for support in itertools.combinations(range(D), 4):
+            for signs in itertools.product((-0.5, 0.5), repeat=4):
+                v = np.zeros(D)
+                v[list(support)] = signs
+                grid.append(v)
+        grid = np.array(grid)
+        for n in (200, 500, 800):
+            train = grid[rng.integers(0, 40, size=n)]
+            labels = rng.integers(0, 6, size=n)
+            test = grid[rng.integers(0, len(grid), size=12)]
+            sims = test @ train.T
+            for k in (1, 3, 10, n):
+                kth = -np.sort(-sims, axis=1)[:, k - 1:k]
+                if k < n:
+                    assert ((sims >= kth).sum(axis=1) > k).any()  # a boundary tie occurs
                 mine = knn_classify(train, labels, test, k)
                 oracle = brute_force_knn(train, labels, test, k)
                 np.testing.assert_array_equal(mine, oracle)
