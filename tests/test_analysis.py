@@ -177,10 +177,6 @@ class TestBinOf:
         expect = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, N_SIM_BINS - 1)
         np.testing.assert_array_equal(_bin_of(s, edges), expect)
 
-    def test_one_lands_in_the_last_bin(self):
-        edges = _sim_bin_edges()
-        np.testing.assert_array_equal(_bin_of(np.array([-1.0, 1.0]), edges), [0, N_SIM_BINS - 1])
-
 
 class TestAggregateCurves:
     def square_sims(self):
