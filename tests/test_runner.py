@@ -1,8 +1,9 @@
 """Golden end-to-end runs of the experiment runner, and the checkpoint
 entry points checked against them.
 
-The two runs are seconds-scale (150 training rows, 6 epochs of period 3)
-and cover both negative sources.  Their ``metrics.csv`` files are kept
+The three runs are seconds-scale (150 training rows, 6 epochs of period 3).
+Two cover the negative sources under the cosine schedule; the third runs
+the momentum queue under coarse head/tail temperature supervision.  Their ``metrics.csv`` files are kept
 under ``tests/golden/``; the final checkpoint and the analysis CSVs are
 pinned by sha256.  A change that moves any of these outputs must say why
 and regenerate them on purpose.
@@ -23,7 +24,12 @@ from tempcl.config import parse_config
 from tempcl.runner import analyze_checkpoint, eval_checkpoint, run_experiment, snapshot_epochs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NEGATIVES = ("in_batch", "momentum_queue")
+# run name -> its config overrides
+RUNS = {
+    "in_batch": {"encoder__negatives": "in_batch"},
+    "momentum_queue": {"encoder__negatives": "momentum_queue"},
+    "coarse_momentum_queue": {"encoder__negatives": "momentum_queue", "schedule__coarse": "true"},
+}
 EPOCHS = 6
 
 BASE = {
@@ -45,6 +51,10 @@ HASHES = {
     "momentum_queue": {
         "checkpoint": "a80a4ba6c5db6aeba4e3c36e042d2c25f136956f78736f888afb9b68bac95f1f",
         "analysis": "0fa55bf98fff1249daa23abe9a347c83914d7eb0093789945c10c1af789256a2",
+    },
+    "coarse_momentum_queue": {
+        "checkpoint": "aaaa17d1dfb7a1b24d3f4424176d2076ce081cd95f22510f1f08b985a602bf1c",
+        "analysis": "fab400e350bd308f3f4a24af92da5d99a9c2fee2416f1549bbc3ad537cd1f18a",
     },
 }
 
@@ -77,39 +87,42 @@ def analysis_digest(out_dir: Path) -> str:
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     out = {}
-    for negatives in NEGATIVES:
-        out_dir = tmp_path_factory.mktemp(negatives)
-        cfg = config(out_dir, encoder__negatives=negatives)
-        out[negatives] = (cfg, out_dir, run_experiment(cfg))
+    for name, overrides in RUNS.items():
+        out_dir = tmp_path_factory.mktemp(name)
+        cfg = config(out_dir, **overrides)
+        out[name] = (cfg, out_dir, run_experiment(cfg))
     return out
 
 
-@pytest.mark.parametrize("negatives", NEGATIVES)
-def test_metrics_csv_matches_golden(runs, negatives):
-    _, out_dir, _ = runs[negatives]
-    golden = (GOLDEN / f"metrics_{negatives}.csv").read_text()
+@pytest.mark.parametrize("name", RUNS)
+def test_metrics_csv_matches_golden(runs, name):
+    _, out_dir, _ = runs[name]
+    golden = (GOLDEN / f"metrics_{name}.csv").read_text()
     assert (out_dir / "metrics.csv").read_text() == golden
 
 
-@pytest.mark.parametrize("negatives", NEGATIVES)
-def test_checkpoint_and_analysis_match_golden(runs, negatives):
-    _, out_dir, _ = runs[negatives]
-    assert sha256(out_dir / "checkpoint_final.tclp") == HASHES[negatives]["checkpoint"]
-    assert analysis_digest(out_dir) == HASHES[negatives]["analysis"]
+@pytest.mark.parametrize("name", RUNS)
+def test_checkpoint_and_analysis_match_golden(runs, name):
+    _, out_dir, _ = runs[name]
+    assert sha256(out_dir / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
+    assert analysis_digest(out_dir) == HASHES[name]["analysis"]
 
 
-@pytest.mark.parametrize("negatives", NEGATIVES)
-def test_outputs_follow_the_snapshot_schedule(runs, negatives):
-    cfg, out_dir, summary = runs[negatives]
+@pytest.mark.parametrize("name", RUNS)
+def test_outputs_follow_the_snapshot_schedule(runs, name):
+    cfg, out_dir, summary = runs[name]
     epochs = snapshot_epochs(cfg)
     lines = (out_dir / "metrics.csv").read_text().splitlines()[1:]
     assert sorted({int(line.split(",")[0]) for line in lines}) == epochs
     for e in epochs:
         for kind in ("coverage", "curves", "pca"):
             assert (out_dir / f"{kind}_epoch{e:05d}.csv").is_file()
-    # recommended evaluation epochs of the cosine period get a checkpoint
+    # recommended evaluation epochs of the cosine period get a checkpoint;
+    # coarse supervision has no period
+    periodic = [] if cfg.schedule.coarse else [
+        "checkpoint_epoch00002.tclp", "checkpoint_epoch00005.tclp"]
     assert sorted(p.name for p in out_dir.glob("checkpoint_*.tclp")) == [
-        "checkpoint_epoch00002.tclp", "checkpoint_epoch00005.tclp", "checkpoint_final.tclp"]
+        *periodic, "checkpoint_final.tclp"]
     assert set(summary) >= {"knn1", "knn10", "fs_lp", "lt_lp", "coverage_cv", "train_loss"}
 
 
@@ -121,10 +134,10 @@ def _final_lines(out_dir: Path) -> list:
             if line.startswith(f"{EPOCHS},") and ",train_loss," not in line]
 
 
-@pytest.mark.parametrize("negatives", NEGATIVES)
-def test_eval_checkpoint_reproduces_the_final_snapshot(runs, negatives, tmp_path):
-    _, out_dir, _ = runs[negatives]
-    cfg = config(tmp_path, encoder__negatives=negatives)
+@pytest.mark.parametrize("name", RUNS)
+def test_eval_checkpoint_reproduces_the_final_snapshot(runs, name, tmp_path):
+    _, out_dir, _ = runs[name]
+    cfg = config(tmp_path, **RUNS[name])
     rows = eval_checkpoint(cfg, out_dir / "checkpoint_final.tclp", EPOCHS)
     written = (tmp_path / f"eval_epoch{EPOCHS:05d}.csv").read_text().splitlines(keepends=True)
     assert written[0] == "epoch,tau,metric,scope,value\n"
@@ -132,10 +145,10 @@ def test_eval_checkpoint_reproduces_the_final_snapshot(runs, negatives, tmp_path
     assert len(rows) == len(written) - 1
 
 
-@pytest.mark.parametrize("negatives", NEGATIVES)
-def test_analyze_checkpoint_reproduces_the_final_analysis(runs, negatives, tmp_path):
-    _, out_dir, _ = runs[negatives]
-    cfg = config(tmp_path, encoder__negatives=negatives)
+@pytest.mark.parametrize("name", RUNS)
+def test_analyze_checkpoint_reproduces_the_final_analysis(runs, name, tmp_path):
+    _, out_dir, _ = runs[name]
+    cfg = config(tmp_path, **RUNS[name])
     cv = analyze_checkpoint(cfg, out_dir / "checkpoint_final.tclp", EPOCHS)
     cv_line = next(line for line in _final_lines(out_dir) if ",coverage_cv," in line)
     assert repr(cv) == cv_line.rstrip("\n").rsplit(",", 1)[1]
