@@ -15,7 +15,6 @@ from tempcl.loss import (
     similarity_matrix,
 )
 from tempcl.schedule import (
-    CoarseTauConfig,
     ScheduleConfig,
     per_anchor_tau,
     recommended_eval_epoch,

@@ -121,31 +121,13 @@ def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCur
     )
 
 
-def aggregate_contribution_curves(S: np.ndarray, tau: float, mode: str = "pooled") -> ContributionCurves:
-    """Curves aggregated over all anchors of a square similarity matrix.
-
-    ``pooled`` (default) pools every off-diagonal similarity into one curve
-    set; ``mean`` averages the per-anchor normalized curves and renormalizes.
-    """
+def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurves:
+    """Curves of a square similarity matrix: every off-diagonal similarity
+    of every anchor pooled into one curve set."""
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 2:
         raise ValueError("need a square similarity matrix with N >= 2")
-    n = S.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if mode == "pooled":
-        return contribution_curves(S[off], tau)
-    if mode != "mean":
-        raise ValueError(f"mode must be 'pooled' or 'mean', got {mode!r}")
-    per = [contribution_curves(S[i][off[i]], tau) for i in range(n)]
-    hist = np.sum([c.histogram for c in per], axis=0)
-    cumulative = np.mean([c.cumulative for c in per], axis=0)
-    cumulative /= cumulative.max()
-    return ContributionCurves(
-        bin_edges=per[0].bin_edges,
-        individual=per[0].individual,
-        cumulative=cumulative,
-        histogram=hist,
-    )
+    return contribution_curves(S[~np.eye(S.shape[0], dtype=bool)], tau)
 
 
 def positive_factor(S: np.ndarray, tau) -> np.ndarray:

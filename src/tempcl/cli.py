@@ -26,6 +26,7 @@ from tempcl.schedule import tau_at
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EPOCH_HELP = "epoch label (default: parsed from the file name, else run.epochs)"
 
 
 def _add_common(p):
@@ -46,11 +47,12 @@ def _load_config(args):
     return cfg
 
 
-def _epoch_from_checkpoint(path, explicit):
-    if explicit is not None:
-        return explicit
-    m = re.search(r"epoch(\d+)", Path(path).name)
-    return int(m.group(1)) if m else 0
+def _checkpoint_epoch(cfg, args):
+    """--epoch, else the file name's epoch, else run.epochs (checkpoint_final)."""
+    if args.epoch is not None:
+        return args.epoch
+    m = re.search(r"epoch(\d+)", Path(args.checkpoint).name)
+    return int(m.group(1)) if m else cfg.run.epochs
 
 
 def cmd_train(args) -> int:
@@ -60,7 +62,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    epoch = _epoch_from_checkpoint(args.checkpoint, args.epoch)
+    epoch = _checkpoint_epoch(cfg, args)
     rows = eval_checkpoint(cfg, args.checkpoint, epoch)
     for metric, scope, value in rows:
         if scope == "all":
@@ -70,7 +72,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    epoch = _epoch_from_checkpoint(args.checkpoint, args.epoch)
+    epoch = _checkpoint_epoch(cfg, args)
     cv = analyze_checkpoint(cfg, args.checkpoint, epoch)
     print(f"coverage_cv = {cv!r}")
     return 0
@@ -78,10 +80,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_schedule_preview(args) -> int:
     cfg = _load_config(args)
-    sched = cfg.schedule_config()
     print("epoch,tau")
     for t in range(cfg.run.epochs + 1):
-        print(f"{t},{tau_at(sched, t)!r}")
+        print(f"{t},{tau_at(cfg.schedule, t)!r}")
     return 0
 
 
@@ -112,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--epoch", type=int, help="epoch label (default: parsed from filename)")
+    p.add_argument("--epoch", type=int, help=EPOCH_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="analysis dumps for a saved checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--epoch", type=int)
+    p.add_argument("--epoch", type=int, help=EPOCH_HELP)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("schedule-preview", help="emit the epoch,tau schedule as CSV")

@@ -5,14 +5,18 @@ the offending line number.  A parsed config has every default
 materialized; :func:`render_config` produces the canonical text form that
 round-trips through :func:`parse_config`.
 
-Each key is one field of a section dataclass below; its type alone decides
-how the value is parsed.  Every number in the format is finite and >= 0,
-and the parser rejects any other.  Ranges that a value object checks
-(:class:`ScheduleConfig`, :class:`AugmentationPolicy`,
-:class:`ProbeConfig`) are checked by building it, and rules that need the
-loaded data are checked once it is loaded.
+Each key is one field of a section dataclass; its type alone decides how
+the value is parsed.  The ``schedule.*`` section is
+:class:`ScheduleConfig` itself.  Every number in the format is finite and
+>= 0, and the parser rejects any other.  Each section is built once from
+its values, and a range its constructor refuses is reported against the
+section, as are the ranges :class:`AugmentationPolicy` and
+:class:`ProbeConfig` check.  Rules that need the loaded data, such as the
+coarse head set (:meth:`ExperimentConfig.schedule_for`), are checked once
+it is loaded.
 """
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
@@ -20,7 +24,7 @@ from typing import Literal, get_args, get_origin
 
 from tempcl.data import AugmentationPolicy
 from tempcl.evaluation import ProbeConfig
-from tempcl.schedule import SCHEDULE_KINDS, CoarseTauConfig, ScheduleConfig
+from tempcl.schedule import ScheduleConfig
 
 __all__ = [
     "ConfigError",
@@ -80,21 +84,6 @@ class EncoderSection:
 
 
 @dataclass
-class ScheduleSection:
-    kind: Literal[SCHEDULE_KINDS] = "cosine"
-    tau_minus: float = 0.1
-    tau_plus: float = 1.0
-    period_T: int = 400
-    step_length: int = 200
-    seed: int = 0
-    constant_tau: float = 0.2
-    coarse: bool = False
-    tau_head: float = 1.0
-    tau_tail: float = 0.1
-    head_classes: tuple = ()
-
-
-@dataclass
 class EvalSection:
     probe_epochs: int = 500
     probe_lr: float = 0.5
@@ -114,39 +103,33 @@ class ExperimentConfig:
     run: RunSection = field(default_factory=RunSection)
     data: DataSection = field(default_factory=DataSection)
     encoder: EncoderSection = field(default_factory=EncoderSection)
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
 
-    def schedule_config(self) -> ScheduleConfig:
-        return _value_object(ScheduleConfig, self.schedule)
-
-    def coarse_config(self, num_classes: int) -> CoarseTauConfig:
-        """Coarse supervision for data of ``num_classes`` classes; an empty
-        head set defaults to the most frequent half of the classes (ids
-        0..ceil(K/2)-1).  Raises ConfigError unless the head set is a strict
-        subset of the classes."""
+    def schedule_for(self, num_classes: int) -> ScheduleConfig:
+        """The schedule for data of ``num_classes`` classes: under coarse
+        supervision an empty head set becomes the frequent half (ids
+        0..ceil(K/2)-1), and one not a strict subset raises ConfigError."""
         s = self.schedule
+        if not s.coarse:
+            return s
         head = s.head_classes or tuple(range((num_classes + 1) // 2))
         _require(max(head) < num_classes,
                  f"schedule.head_classes must lie in [0, {num_classes})")
         _require(len(set(head)) < num_classes,
                  "schedule.head_classes must be a strict subset of all classes")
-        return _value_object(CoarseTauConfig, s, head_classes=frozenset(head))
+        return dataclasses.replace(s, head_classes=head)
 
     def augmentation_policy(self) -> AugmentationPolicy:
-        return _value_object(AugmentationPolicy, self.data, mode=self.data.augment)
+        d = self.data
+        shared = {f.name: getattr(d, f.name) for f in dc_fields(AugmentationPolicy)
+                  if f.name != "mode"}
+        return AugmentationPolicy(mode=d.augment, **shared)
 
     def probe_config(self, mode: str) -> ProbeConfig:
         ev = self.eval
         return ProbeConfig(mode=mode, epochs=ev.probe_epochs, lr=ev.probe_lr, seed=ev.probe_seed)
-
-
-def _value_object(cls, section, **named):
-    """``cls`` built from the section's fields of the same names, plus
-    ``named``."""
-    shared = {f.name: getattr(section, f.name) for f in dc_fields(cls) if f.name not in named}
-    return cls(**shared, **named)
 
 
 # --- value parsers ------------------------------------------------------
@@ -214,8 +197,7 @@ _LINE_RE = re.compile(r"^([a-z_]+)\.([A-Za-z0-9_]+)\s*=\s*(.*)$")
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config; missing keys take defaults."""
-    cfg = ExperimentConfig()
-    seen = set()
+    values = {section.name: {} for section in dc_fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,14 +209,20 @@ def parse_config(text: str) -> ExperimentConfig:
         conv = _CONVERTERS.get((section, key))
         if conv is None:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
-        if (section, key) in seen:
+        if key in values[section]:
             raise ConfigError(f"line {lineno}: duplicate key {section}.{key}")
-        seen.add((section, key))
         try:
             parsed = conv(value)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {e}") from None
-        setattr(getattr(cfg, section), key, parsed)
+        values[section][key] = parsed
+    sections = {}
+    for section in dc_fields(ExperimentConfig):
+        try:
+            sections[section.name] = section.type(**values[section.name])
+        except ValueError as err:
+            raise ConfigError(f"{section.name}: {err}") from None
+    cfg = ExperimentConfig(**sections)
     _validate(cfg)
     return cfg
 
@@ -251,7 +239,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     r, d, e, s = cfg.run, cfg.data, cfg.encoder, cfg.schedule
 
     for section, build in (("data", cfg.augmentation_policy),
-                           ("schedule", cfg.schedule_config),
                            ("eval", lambda: cfg.probe_config("LT_LP"))):
         try:
             build()
@@ -290,7 +277,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "schedule.period_T must be <= run.epochs for periodic schedules")
     if r.epochs > 0 and s.kind == "step":
         _require(s.step_length <= r.epochs, "schedule.step_length must be <= run.epochs")
-    _require(s.tau_head > 0 and s.tau_tail > 0, "coarse temperatures must be > 0")
 
     _require(cfg.analysis.bins >= 1, "analysis.bins must be >= 1")
 

@@ -433,17 +433,16 @@ class GroupPartition:
 def head_mid_tail_split(class_sizes) -> GroupPartition:
     """Split classes into head/mid/tail groups by descending size.
 
-    10 classes split 4/3/3 and 100 classes 34/33/33 (the reference splits);
-    other K put roughly 40% of classes in the head and divide the rest
-    evenly, mid taking any odd remainder.  Size ties are broken by class id.
+    100 classes split 34/33/33 (the reference split); other K put roughly
+    40% of classes in the head and divide the rest evenly, mid taking any
+    odd remainder (10 classes split 4/3/3).  Size ties are broken by class
+    id.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     K = len(sizes)
     if K < 3:
         raise ValueError(f"need at least 3 classes to split, got {K}")
-    if K == 10:
-        n_head, n_mid = 4, 3
-    elif K == 100:
+    if K == 100:
         n_head, n_mid = 34, 33
     else:
         n_head = max(1, min(K - 2, _round_half_up(K * 0.4)))

@@ -33,7 +33,7 @@ from tempcl.loss import (
     info_nce_symmetrized,
     similarity_matrix,
 )
-from tempcl.schedule import CoarseTauConfig, ScheduleConfig, per_anchor_tau, tau_at
+from tempcl.schedule import ScheduleConfig, per_anchor_tau, tau_at
 
 __all__ = [
     "EncoderParams",
@@ -365,7 +365,7 @@ def train_epoch(
     dataset: LongTailDataset,
     params: EncoderParams,
     state: OptimState,
-    schedule,
+    schedule: ScheduleConfig,
     negative_source: NegativeSource,
     policy: AugmentationPolicy,
     seed: int,
@@ -377,10 +377,11 @@ def train_epoch(
     """One pass over the dataset; returns the updated parameters and the
     mean batch loss.
 
-    ``schedule`` is either a :class:`ScheduleConfig` (one scalar temperature
-    for the epoch) or a :class:`CoarseTauConfig` (per-anchor temperatures
-    from the batch labels).  Shuffling and augmentation are keyed by
-    (seed, epoch); the final undersized batch is dropped.  An optional
+    ``schedule`` gives each batch per-anchor temperatures from its labels
+    (:func:`per_anchor_tau`) when ``schedule.coarse`` is set, and otherwise
+    the epoch's one temperature (:func:`tau_at`).  Shuffling and
+    augmentation are keyed by (seed, epoch); the final undersized batch is
+    dropped.  An optional
     ``view_transform`` maps each augmented view before the encoder (used to
     standardize pixel views, which are augmented in [0, 1] space).
     """
@@ -392,9 +393,6 @@ def train_epoch(
         raise ValueError("symmetrized loss requires in-batch negatives")
 
     state.epoch = epoch
-    coarse = isinstance(schedule, CoarseTauConfig)
-    if not coarse and not isinstance(schedule, ScheduleConfig):
-        raise TypeError(f"schedule must be ScheduleConfig or CoarseTauConfig, got {type(schedule)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(n)
 
@@ -407,7 +405,7 @@ def train_epoch(
         if view_transform is not None:
             v1 = view_transform(v1)
             v2 = view_transform(v2)
-        if coarse:
+        if schedule.coarse:
             tau = per_anchor_tau(dataset.labels[idx], schedule)
         else:
             tau = tau_at(schedule, epoch)

@@ -117,7 +117,7 @@ def snapshot_epochs(cfg: ExperimentConfig) -> list:
 def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
     if cfg.schedule.coarse:
         return float("nan")
-    return tau_at(cfg.schedule_config(), epoch)
+    return tau_at(cfg.schedule, epoch)
 
 
 def _embed_train(cfg, params, train):
@@ -147,11 +147,9 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     tag = f"epoch{epoch:05d}"
     write_atomic(out_dir / f"coverage_{tag}.csv", coverage_csv(hist))
 
-    tau = _tau_label(cfg, epoch)
-    if np.isnan(tau):
-        tau = cfg.schedule.tau_tail
+    tau = cfg.schedule.tau_tail if cfg.schedule.coarse else _tau_label(cfg, epoch)
     S = np.clip(emb @ emb.T, -1.0, 1.0)
-    curves = aggregate_contribution_curves(S, tau, mode="pooled")
+    curves = aggregate_contribution_curves(S, tau)
     write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
 
     coords, _ = pca_project(feats, components=3)
@@ -173,8 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.encoder.batch_size > train.n:
         raise ConfigError(f"encoder.batch_size = {cfg.encoder.batch_size} exceeds the "
                           f"{train.n} rows of the long-tail train set")
-    schedule = (cfg.coarse_config(train.num_classes) if cfg.schedule.coarse
-                else cfg.schedule_config())
+    schedule = cfg.schedule_for(train.num_classes)
     # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Temperature as a function of the training epoch.
+"""The temperature each anchor gets at each epoch.
 
 Provides the oscillating cosine schedule plus the alternatives it is
 compared against (triangle wave, step function, per-epoch random draws,
@@ -8,14 +8,14 @@ epoch.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "SCHEDULE_KINDS",
     "ScheduleConfig",
-    "CoarseTauConfig",
     "tau_at",
     "tau_series",
     "per_anchor_tau",
@@ -27,20 +27,30 @@ SCHEDULE_KINDS = ("constant", "cosine", "linear_oscillation", "step", "random")
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Parameters of an epoch-indexed temperature schedule.
+    """Which temperature each anchor gets at each epoch.
 
-    ``tau_minus``/``tau_plus`` bound every kind.  ``period_T`` drives the
-    cosine and triangle kinds, ``step_length`` the step kind, ``seed`` the
-    random kind, and ``constant_tau`` the constant kind.
+    By default every anchor of an epoch gets the one temperature of an
+    epoch-indexed schedule (:func:`tau_at`).  ``tau_minus``/``tau_plus``
+    bound every kind.  ``period_T`` drives the cosine and triangle kinds,
+    ``step_length`` the step kind, ``seed`` the random kind, and
+    ``constant_tau`` the constant kind.
+
+    With ``coarse`` set, temperatures come from the anchor's class instead
+    (:func:`per_anchor_tau`): ``tau_head`` for classes in ``head_classes``,
+    ``tau_tail`` for all others.
     """
 
-    kind: str = "cosine"
+    kind: Literal[SCHEDULE_KINDS] = "cosine"
     tau_minus: float = 0.1
     tau_plus: float = 1.0
     period_T: int = 400
     step_length: int = 200
     seed: int = 0
     constant_tau: float = 0.2
+    coarse: bool = False
+    tau_head: float = 1.0
+    tau_tail: float = 0.1
+    head_classes: tuple = ()
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -57,6 +67,8 @@ class ScheduleConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (self.constant_tau > 0.0 and math.isfinite(self.constant_tau)):
             raise ValueError(f"constant_tau must be finite and > 0, got {self.constant_tau}")
+        if self.tau_head <= 0.0 or self.tau_tail <= 0.0:
+            raise ValueError("tau_head and tau_tail must be > 0")
 
 
 def tau_at(config: ScheduleConfig, t: int) -> float:
@@ -94,29 +106,13 @@ def tau_series(config: ScheduleConfig, epochs: int) -> np.ndarray:
     return np.array([tau_at(config, t) for t in range(epochs + 1)])
 
 
-@dataclass(frozen=True)
-class CoarseTauConfig:
-    """Coarse label supervision: one temperature for frequent-class anchors,
-    another for everything else."""
-
-    head_classes: frozenset = field(default_factory=frozenset)
-    tau_head: float = 1.0
-    tau_tail: float = 0.1
-
-    def __post_init__(self):
-        object.__setattr__(self, "head_classes", frozenset(int(c) for c in self.head_classes))
-        if not self.head_classes:
-            raise ValueError("head_classes must be non-empty")
-        if self.tau_head <= 0.0 or self.tau_tail <= 0.0:
-            raise ValueError("tau_head and tau_tail must be > 0")
-
-
-def per_anchor_tau(labels, coarse: CoarseTauConfig) -> np.ndarray:
-    """Per-anchor temperature vector: tau_head where the anchor's class is
-    in ``head_classes``, tau_tail otherwise."""
-    labels = np.asarray(labels)
-    head = np.isin(labels, list(coarse.head_classes))
-    return np.where(head, coarse.tau_head, coarse.tau_tail).astype(np.float64)
+def per_anchor_tau(labels, config: ScheduleConfig) -> np.ndarray:
+    """Per-anchor temperature vector of coarse supervision: tau_head where
+    the anchor's class is in ``head_classes``, tau_tail otherwise."""
+    if not config.head_classes:
+        raise ValueError("coarse supervision needs a non-empty head_classes")
+    head = np.isin(np.asarray(labels), config.head_classes)
+    return np.where(head, config.tau_head, config.tau_tail).astype(np.float64)
 
 
 def recommended_eval_epoch(total_epochs: int, T: int) -> int:

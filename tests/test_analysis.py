@@ -185,20 +185,12 @@ class TestAggregateCurves:
 
     def test_pooled_equals_offdiagonal_pool(self):
         S = self.square_sims()
-        agg = aggregate_contribution_curves(S, 0.3, mode="pooled")
+        agg = aggregate_contribution_curves(S, 0.3)
         off = S[~np.eye(6, dtype=bool)]
         direct = contribution_curves(off, 0.3)
         np.testing.assert_array_equal(agg.cumulative, direct.cumulative)
         assert agg.histogram.sum() == 30
 
-    def test_mean_mode_normalized(self):
-        agg = aggregate_contribution_curves(self.square_sims(), 0.3, mode="mean")
-        assert agg.cumulative.max() == 1.0
-        assert agg.histogram.sum() == 30
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            aggregate_contribution_curves(self.square_sims(), 0.3, mode="median")
 
 
 class TestPositiveFactor:

@@ -50,6 +50,24 @@ def test_train_then_eval_and_analyze(trained, capsys):
     assert "coverage_cv = " in capsys.readouterr().out
 
 
+def test_final_checkpoint_is_labelled_run_epochs(trained, tmp_path):
+    """Without --epoch, eval and analyze of checkpoint_final.tclp reproduce
+    the final snapshot (run.epochs = 2 in TINY), not epoch 0."""
+    config, out = trained
+    args = ["--config", config, "--checkpoint", str(out / "checkpoint_final.tclp"),
+            "--output", str(tmp_path)]
+    assert main(["eval", *args]) == 0
+    assert main(["analyze", *args]) == 0
+    final = [line for line in (out / "metrics.csv").read_text().splitlines(keepends=True)
+             if line.startswith("2,") and ",train_loss," not in line]
+    written = (tmp_path / "eval_epoch00002.csv").read_text().splitlines(keepends=True)
+    assert final and written[1:] == final
+    for kind in ("coverage", "curves", "pca"):
+        name = f"{kind}_epoch00002.csv"
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    assert not list(tmp_path.glob("*epoch00000*"))
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     config = write_config(tmp_path, extra="run.nope = 1\n")
     assert main(["train", "--config", config]) == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Tests for the config format: the render/parse round trip, line-numbered
 errors, and the cross-field rules."""
 
+import dataclasses
 from dataclasses import fields
 
 import pytest
@@ -81,6 +82,7 @@ class TestErrors:
         ("data.flip_prob = 1.5\n", "data: flip_prob must be in"),
         ("data.dropout_prob = 1\n", "data: dropout_prob must be in"),
         ("eval.probe_epochs = 0\n", "eval: need epochs >= 1"),
+        ("schedule.tau_head = 0\n", "schedule: tau_head and tau_tail must be > 0"),
     ])
     def test_value_object_rules_carry_the_section(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -121,7 +123,7 @@ class TestKeysAreFields:
     def test_value_objects_take_the_section_values(self):
         cfg = parse_config("schedule.kind = step\nschedule.step_length = 7\n"
                            "schedule.seed = 3\ndata.flip_prob = 0.25\n")
-        sched = cfg.schedule_config()
+        sched = cfg.schedule_for(10)
         assert (sched.kind, sched.step_length, sched.seed) == ("step", 7, 3)
         assert cfg.augmentation_policy().flip_prob == 0.25
 
@@ -131,14 +133,20 @@ class TestHeadClasses:
         # data.classes describes the synthetic generator only; loaded data
         # may have more classes
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,50\n")
-        assert cfg.coarse_config(100).head_classes == frozenset({0, 50})
+        assert cfg.schedule_for(100).head_classes == (0, 50)
         with pytest.raises(ConfigError, match=r"must lie in \[0, 40\)"):
-            cfg.coarse_config(40)
+            cfg.schedule_for(40)
 
     def test_strict_subset(self):
-        cfg = parse_config("schedule.head_classes = 0,1,2\n")
+        cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,1,2\n")
         with pytest.raises(ConfigError, match="strict subset"):
-            cfg.coarse_config(3)
+            cfg.schedule_for(3)
 
     def test_default_is_the_frequent_half(self):
-        assert parse_config("").coarse_config(5).head_classes == frozenset({0, 1, 2})
+        cfg = parse_config("schedule.coarse = true\n")
+        assert cfg.schedule_for(5) == dataclasses.replace(cfg.schedule, head_classes=(0, 1, 2))
+
+    def test_unread_without_coarse_supervision(self):
+        # only coarse supervision reads the head set
+        cfg = parse_config("schedule.head_classes = 0,1,2\n")
+        assert cfg.schedule_for(3) is cfg.schedule

@@ -24,7 +24,7 @@ from tempcl.encoder import (
     train_epoch,
 )
 from tempcl.loss import info_nce, info_nce_grad, similarity_matrix
-from tempcl.schedule import CoarseTauConfig, ScheduleConfig
+from tempcl.schedule import ScheduleConfig
 
 
 def flat(params: EncoderParams) -> np.ndarray:
@@ -436,8 +436,7 @@ class TestTrainEpoch:
 
     def test_coarse_supervision_accepted(self):
         ds, params, state, source, policy, _ = toy_setup()
-        coarse = CoarseTauConfig(head_classes=frozenset({0, 1}), tau_head=1.0,
-                                 tau_tail=0.1)
+        coarse = ScheduleConfig(coarse=True, head_classes=(0, 1), tau_head=1.0, tau_tail=0.1)
         _, loss = train_epoch(ds, params, state, coarse, source, policy,
                               seed=2, epoch=0, batch_size=8)
         assert np.isfinite(loss)

@@ -6,7 +6,6 @@ import pytest
 
 from tempcl.schedule import (
     SCHEDULE_KINDS,
-    CoarseTauConfig,
     ScheduleConfig,
     per_anchor_tau,
     recommended_eval_epoch,
@@ -121,20 +120,27 @@ class TestConfigValidation:
 class TestPerAnchorTau:
     def test_head_tail_assignment(self):
         """Anchors in head classes take tau_head, all others tau_tail."""
-        coarse = CoarseTauConfig(head_classes=frozenset(range(5)), tau_head=1.0, tau_tail=0.1)
+        coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(5)), tau_head=1.0,
+                                tau_tail=0.1)
         np.testing.assert_array_equal(per_anchor_tau([0, 7], coarse), [1.0, 0.1])
 
     def test_degenerate_supervision(self):
-        coarse = CoarseTauConfig(head_classes=frozenset({0}), tau_head=0.3, tau_tail=0.3)
+        coarse = ScheduleConfig(coarse=True, head_classes=(0,), tau_head=0.3, tau_tail=0.3)
         np.testing.assert_array_equal(per_anchor_tau([0, 1, 2], coarse), [0.3, 0.3, 0.3])
 
     def test_all_head(self):
-        coarse = CoarseTauConfig(head_classes=frozenset(range(4)), tau_head=0.8, tau_tail=0.1)
+        coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(4)), tau_head=0.8,
+                                tau_tail=0.1)
         np.testing.assert_array_equal(per_anchor_tau([2, 0, 3], coarse), [0.8, 0.8, 0.8])
 
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            CoarseTauConfig(head_classes=frozenset())
+            per_anchor_tau([0, 1], ScheduleConfig(coarse=True))
+
+    @pytest.mark.parametrize("taus", [{"tau_head": 0.0}, {"tau_tail": 0.0}])
+    def test_non_positive_temperature_rejected(self, taus):
+        with pytest.raises(ValueError, match="tau_head and tau_tail must be > 0"):
+            ScheduleConfig(coarse=True, head_classes=(0,), **taus)
 
 
 class TestRecommendedEvalEpoch:
