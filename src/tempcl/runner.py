@@ -147,7 +147,7 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     tag = f"epoch{epoch:05d}"
     write_atomic(out_dir / f"coverage_{tag}.csv", coverage_csv(hist))
 
-    tau = cfg.schedule.tau_tail if cfg.schedule.coarse else _tau_label(cfg, epoch)
+    tau = cfg.schedule.tau_tail if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
     S = np.clip(emb @ emb.T, -1.0, 1.0)
     curves = aggregate_contribution_curves(S, tau)
     write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))

@@ -112,6 +112,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="kind"):
             ScheduleConfig(kind="sawtooth")
 
+    @pytest.mark.parametrize("taus", [{"tau_head": 0.0}, {"tau_tail": 0.0}])
+    def test_positive_coarse_temperatures(self, taus):
+        with pytest.raises(ValueError, match="tau_head and tau_tail must be > 0"):
+            ScheduleConfig(coarse=True, **taus)
+
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             tau_at(DEFAULTS, -1)
@@ -136,11 +141,6 @@ class TestPerAnchorTau:
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             per_anchor_tau([0, 1], ScheduleConfig(coarse=True))
-
-    @pytest.mark.parametrize("taus", [{"tau_head": 0.0}, {"tau_tail": 0.0}])
-    def test_non_positive_temperature_rejected(self, taus):
-        with pytest.raises(ValueError, match="tau_head and tau_tail must be > 0"):
-            ScheduleConfig(coarse=True, head_classes=(0,), **taus)
 
 
 class TestRecommendedEvalEpoch:
