@@ -1,10 +1,12 @@
 """Golden end-to-end runs of the experiment runner, and the checkpoint
 entry points checked against them.
 
-The three runs are seconds-scale (150 training rows, 6 epochs of period 3).
-Two cover the negative sources under the cosine schedule; the third runs
-the momentum queue under coarse head/tail temperature supervision.  Their ``metrics.csv`` files are kept
-under ``tests/golden/``; the final checkpoint and the analysis CSVs are
+The four runs are seconds-scale (6 epochs of period 3).  Two cover the
+negative sources under the cosine schedule on 150 synthetic training rows;
+the third runs the momentum queue under coarse head/tail temperature
+supervision; the fourth trains on CIFAR-10-format images with pixel
+augmentation.  Their ``metrics.csv`` files are kept under
+``tests/golden/``; the final checkpoint and the analysis CSVs are
 pinned by sha256.  A change that moves any of these outputs must say why
 and regenerate them on purpose.
 
@@ -22,6 +24,7 @@ import pytest
 
 from tempcl.config import parse_config
 from tempcl.runner import analyze_checkpoint, eval_checkpoint, run_experiment, snapshot_epochs
+from test_data import cifar10_fixture_bytes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # run name -> its config overrides
@@ -29,6 +32,10 @@ RUNS = {
     "in_batch": {"encoder__negatives": "in_batch"},
     "momentum_queue": {"encoder__negatives": "momentum_queue"},
     "coarse_momentum_queue": {"encoder__negatives": "momentum_queue", "schedule__coarse": "true"},
+    "pixel": {"data__kind": "cifar10", "data__augment": "pixel",
+              "data__path": "{data_dir}/train.bin", "data__test_path": "{data_dir}/test.bin",
+              "data__n_max": 12, "data__imbalance": 3,
+              "encoder__hidden_dims": 32, "encoder__batch_size": 16},
 }
 EPOCHS = 6
 
@@ -56,12 +63,18 @@ HASHES = {
         "checkpoint": "aaaa17d1dfb7a1b24d3f4424176d2076ce081cd95f22510f1f08b985a602bf1c",
         "analysis": "fab400e350bd308f3f4a24af92da5d99a9c2fee2416f1549bbc3ad537cd1f18a",
     },
+    "pixel": {
+        "checkpoint": "47cb3efbba89e7e0f31cc68e37c9f6bbae831b6d39ce123fe1e3e075f4a9c8b0",
+        "analysis": "2d025c687d2a4ccd0a9d1bb128e7d7c85004b7b1e90251f521a3d168c8f9b8b1",
+    },
 }
 
 
-def config(out_dir, **overrides):
-    """The base config with ``section__key=value`` overrides."""
-    keys = {**BASE, **{k.replace("__", "."): str(v) for k, v in overrides.items()}}
+def config(out_dir, data_dir="", **overrides):
+    """The base config with ``section__key=value`` overrides; ``{data_dir}``
+    in a value becomes ``data_dir``."""
+    keys = {**BASE, **{k.replace("__", "."): str(v).format(data_dir=data_dir)
+                       for k, v in overrides.items()}}
     keys["run.output_dir"] = str(out_dir)
     return parse_config("".join(f"{k} = {v}\n" for k, v in keys.items()))
 
@@ -85,11 +98,20 @@ def analysis_digest(out_dir: Path) -> str:
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def data_dir(tmp_path_factory):
+    """CIFAR-10-format train and test files for the pixel run."""
+    d = tmp_path_factory.mktemp("cifar10")
+    (d / "train.bin").write_bytes(cifar10_fixture_bytes(n=300, seed=11))
+    (d / "test.bin").write_bytes(cifar10_fixture_bytes(n=100, seed=12))
+    return d
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory, data_dir):
     out = {}
     for name, overrides in RUNS.items():
         out_dir = tmp_path_factory.mktemp(name)
-        cfg = config(out_dir, **overrides)
+        cfg = config(out_dir, data_dir, **overrides)
         out[name] = (cfg, out_dir, run_experiment(cfg))
     return out
 
@@ -135,9 +157,9 @@ def _final_lines(out_dir: Path) -> list:
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_eval_checkpoint_reproduces_the_final_snapshot(runs, name, tmp_path):
+def test_eval_checkpoint_reproduces_the_final_snapshot(runs, data_dir, name, tmp_path):
     _, out_dir, _ = runs[name]
-    cfg = config(tmp_path, **RUNS[name])
+    cfg = config(tmp_path, data_dir, **RUNS[name])
     rows = eval_checkpoint(cfg, out_dir / "checkpoint_final.tclp", EPOCHS)
     written = (tmp_path / f"eval_epoch{EPOCHS:05d}.csv").read_text().splitlines(keepends=True)
     assert written[0] == "epoch,tau,metric,scope,value\n"
@@ -146,9 +168,9 @@ def test_eval_checkpoint_reproduces_the_final_snapshot(runs, name, tmp_path):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_analyze_checkpoint_reproduces_the_final_analysis(runs, name, tmp_path):
+def test_analyze_checkpoint_reproduces_the_final_analysis(runs, data_dir, name, tmp_path):
     _, out_dir, _ = runs[name]
-    cfg = config(tmp_path, **RUNS[name])
+    cfg = config(tmp_path, data_dir, **RUNS[name])
     cv = analyze_checkpoint(cfg, out_dir / "checkpoint_final.tclp", EPOCHS)
     cv_line = next(line for line in _final_lines(out_dir) if ",coverage_cv," in line)
     assert repr(cv) == cv_line.rstrip("\n").rsplit(",", 1)[1]
