@@ -24,7 +24,6 @@ from tempcl.data import (
     AugmentationPolicy,
     GroupPartition,
     LongTailDataset,
-    augment,
     head_mid_tail_split,
     load_cifar10_bin,
     load_cifar100_bin,

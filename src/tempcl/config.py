@@ -7,11 +7,12 @@ round-trips through :func:`parse_config`.
 
 Each key is one field of a section dataclass; its type alone decides how
 the value is parsed.  The ``schedule.*`` section is
-:class:`ScheduleConfig` itself.  Every number in the format is finite and
->= 0, and the parser rejects any other.  Each section is built once from
-its values, and a range its constructor refuses is reported against the
-section, as are the ranges :class:`AugmentationPolicy` and
-:class:`ProbeConfig` check.  Rules that need the loaded data, such as the
+:class:`ScheduleConfig` itself, and the ``data.*`` section is an
+:class:`AugmentationPolicy` that adds the dataset keys.  Every number in
+the format is finite and >= 0, and the parser rejects any other.  Each
+section is built once from its values, and a range its constructor
+refuses is reported against the section, as are the ranges
+:class:`ProbeConfig` checks.  Rules that need the loaded data, such as the
 coarse head set (:meth:`ExperimentConfig.schedule_for`), are checked once
 it is loaded.
 """
@@ -46,8 +47,10 @@ class RunSection:
     output_dir: str = "tempcl_out"
 
 
-@dataclass
-class DataSection:
+@dataclass(frozen=True)
+class DataSection(AugmentationPolicy):
+    """The dataset keys; the augmentation keys are the policy's fields."""
+
     kind: Literal["synthetic", "tcld", "cifar10", "cifar100"] = "synthetic"
     classes: int = 10
     dim: int = 32
@@ -58,12 +61,6 @@ class DataSection:
     test_per_class: int = 100
     path: str = ""
     test_path: str = ""
-    augment: Literal["embedding_noise", "pixel"] = "embedding_noise"
-    noise_sigma: float = 0.1
-    dropout_prob: float = 0.0
-    flip_prob: float = 0.5
-    crop_padding: int = 4
-    pixel_noise_sigma: float = 0.02
     permutation_seed: int | None = None
 
 
@@ -120,12 +117,6 @@ class ExperimentConfig:
         _require(len(set(head)) < num_classes,
                  "schedule.head_classes must be a strict subset of all classes")
         return dataclasses.replace(s, head_classes=head)
-
-    def augmentation_policy(self) -> AugmentationPolicy:
-        d = self.data
-        shared = {f.name: getattr(d, f.name) for f in dc_fields(AugmentationPolicy)
-                  if f.name != "mode"}
-        return AugmentationPolicy(mode=d.augment, **shared)
 
     def probe_config(self, mode: str) -> ProbeConfig:
         ev = self.eval
@@ -238,12 +229,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     here."""
     r, d, e, s = cfg.run, cfg.data, cfg.encoder, cfg.schedule
 
-    for section, build in (("data", cfg.augmentation_policy),
-                           ("eval", lambda: cfg.probe_config("LT_LP"))):
-        try:
-            build()
-        except ValueError as err:
-            raise ConfigError(f"{section}: {err}") from None
+    try:
+        cfg.probe_config("LT_LP")
+    except ValueError as err:
+        raise ConfigError(f"eval: {err}") from None
 
     _require(r.eval_every >= 1, "run.eval_every must be >= 1")
 

@@ -5,6 +5,12 @@ balanced dataset into a long-tail one, a synthetic Gaussian mixture with
 unit-sphere class means, CIFAR-10/100 binary ingestion with bit-exact
 re-serialization, view augmentation, and the head/mid/tail class split
 used by the evaluation breakdowns.
+
+A CIFAR dataset carries the per-channel standardization constants of its
+parse (``LongTailDataset.channel_stats``).  They let it be written back
+byte for byte and let :func:`augment_batch` make pixel views of its
+standardized rows.  :class:`AugmentationPolicy` is also the augmentation
+part of the config's ``data.*`` section, defaults included.
 """
 
 import math
@@ -12,6 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -28,10 +35,8 @@ __all__ = [
     "load_cifar100_bin",
     "serialize_cifar10_bin",
     "serialize_cifar100_bin",
-    "channel_stats",
     "standardize_pixels",
     "destandardize_pixels",
-    "augment",
     "augment_batch",
     "head_mid_tail_split",
     "save_dataset",
@@ -55,6 +60,8 @@ class LongTailDataset:
     ``class_sizes[k]`` is the number of samples labelled ``k``.  The
     long-tail constructors order classes by decreasing frequency (class 0
     largest); raw file loaders keep the file's labelling.
+    ``channel_stats`` is the (mean, std) pair of per-channel constants
+    that standardized a CIFAR parse's pixels, and None for other data.
     """
 
     features: np.ndarray
@@ -62,6 +69,7 @@ class LongTailDataset:
     class_sizes: np.ndarray
     provenance: str = ""
     coarse_labels: np.ndarray | None = None
+    channel_stats: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
@@ -162,6 +170,7 @@ def subsample_longtail(
         class_sizes=sizes,
         provenance=f"{balanced.provenance}|longtail(seed={seed})",
         coarse_labels=coarse,
+        channel_stats=balanced.channel_stats,
     )
 
 
@@ -241,25 +250,6 @@ def _standardize(pixels01: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return standardize_pixels(pixels01, mean, std), mean, std
 
 
-def _stats_tag(mean: np.ndarray, std: np.ndarray) -> str:
-    ms = ",".join(repr(float(v)) for v in mean)
-    ss = ",".join(repr(float(v)) for v in std)
-    return f"mean=({ms})|std=({ss})"
-
-
-def channel_stats(provenance: str) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the per-channel standardization constants recorded by the
-    CIFAR loaders in a dataset's provenance string."""
-    try:
-        mean_part = provenance.split("mean=(")[1].split(")")[0]
-        std_part = provenance.split("std=(")[1].split(")")[0]
-    except IndexError:
-        raise ValueError(f"no channel statistics recorded in provenance {provenance!r}")
-    mean = np.array([float(v) for v in mean_part.split(",")])
-    std = np.array([float(v) for v in std_part.split(",")])
-    return mean, std
-
-
 def standardize_pixels(pixels01: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     planes = np.asarray(pixels01, dtype=np.float64).reshape(-1, 3, 1024)
     return ((planes - mean[None, :, None]) / std[None, :, None]).reshape(-1, _PIXELS)
@@ -274,8 +264,8 @@ def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
     (``label_limits`` gives each byte's largest value; the last is the
     dataset label, a leading one the coarse label) then 3072 channel-major
     pixel bytes.  Pixels are scaled to [0, 1] and standardized per channel;
-    the constants are recorded in the provenance string so the dataset can
-    be re-serialized bit-exactly."""
+    the dataset keeps the constants as ``channel_stats``, so it can be
+    re-serialized bit-exactly."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
     n_labels = len(label_limits)
@@ -303,8 +293,9 @@ def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
         features=feats,
         labels=labels,
         class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
-        provenance=f"{name}-bin({names})|{_stats_tag(mean, std)}",
+        provenance=f"{name}-bin({names})",
         coarse_labels=recs[:, 0].astype(np.int64) if n_labels == 2 else None,
+        channel_stats=(mean, std),
     )
 
 
@@ -322,8 +313,9 @@ def load_cifar100_bin(path) -> LongTailDataset:
 
 
 def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
-    mean, std = channel_stats(ds.provenance)
-    px = destandardize_pixels(ds.features, mean, std)
+    if ds.channel_stats is None:
+        raise ValueError("dataset carries no channel statistics; not a CIFAR parse")
+    px = destandardize_pixels(ds.features, *ds.channel_stats)
     px = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
     return np.hstack([np.stack(label_columns, axis=1).astype(np.uint8), px]).tobytes()
 
@@ -342,25 +334,26 @@ def serialize_cifar100_bin(ds: LongTailDataset) -> bytes:
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Random view generation parameters.
+    """Random view generation parameters; the ``data.*`` config keys of
+    the same names, with the same defaults.
 
-    ``embedding_noise`` adds isotropic Gaussian noise and independent
-    coordinate dropout to a feature row.  ``pixel`` operates on [0, 1]
-    pixel rows of shape 3x32x32: horizontal flip, random crop after
-    reflect-padding, Gaussian noise, then a clamp back to [0, 1]
-    (standardization, when used, happens downstream).
+    ``embedding_noise`` adds isotropic Gaussian noise (``noise_sigma``) and
+    independent coordinate dropout (``dropout_prob``) to a feature row.
+    ``pixel`` makes a view of a standardized CIFAR row in [0, 1] pixel
+    space: horizontal flip, random crop after reflect-padding, Gaussian
+    noise, a clamp back to [0, 1], then standardization again.
     """
 
-    mode: str = "embedding_noise"
-    noise_sigma: float = 0.0
+    augment: Literal["embedding_noise", "pixel"] = "embedding_noise"
+    noise_sigma: float = 0.1
     dropout_prob: float = 0.0
     flip_prob: float = 0.5
-    crop_padding: int = 0
-    pixel_noise_sigma: float = 0.0
+    crop_padding: int = 4
+    pixel_noise_sigma: float = 0.02
 
     def __post_init__(self):
-        if self.mode not in ("embedding_noise", "pixel"):
-            raise ValueError(f"unknown augmentation mode {self.mode!r}")
+        if self.augment not in ("embedding_noise", "pixel"):
+            raise ValueError(f"unknown augmentation {self.augment!r}")
         if self.noise_sigma < 0 or self.pixel_noise_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
         if not (0.0 <= self.dropout_prob < 1.0):
@@ -369,15 +362,6 @@ class AugmentationPolicy:
             raise ValueError("flip_prob must be in [0, 1]")
         if self.crop_padding < 0:
             raise ValueError("crop_padding must be >= 0")
-
-
-def augment(policy: AugmentationPolicy, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One random view of a single feature row; deterministic in the
-    generator state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"augment expects a single row, got shape {x.shape}")
-    return augment_batch(policy, x[None], rng)[0]
 
 
 def _augment_pixel_row(policy: AugmentationPolicy, x: np.ndarray,
@@ -396,11 +380,14 @@ def _augment_pixel_row(policy: AugmentationPolicy, x: np.ndarray,
     return np.clip(img, 0.0, 1.0).reshape(_PIXELS)
 
 
-def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized augmentation of a feature matrix (embedding mode) or a
-    row-by-row application (pixel mode), consuming ``rng`` sequentially."""
+def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator,
+                  channel_stats: tuple | None = None) -> np.ndarray:
+    """One random view of each row of ``X``, consuming ``rng``
+    sequentially: vectorized in embedding mode, row by row in pixel mode.
+    Pixel mode needs the (mean, std) ``channel_stats`` that standardized
+    the rows; it destandardizes them, augments, and standardizes again."""
     X = np.asarray(X, dtype=np.float64)
-    if policy.mode == "embedding_noise":
+    if policy.augment == "embedding_noise":
         Y = X.copy()
         if policy.noise_sigma > 0:
             Y += policy.noise_sigma * rng.standard_normal(X.shape)
@@ -409,7 +396,11 @@ def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gene
         return Y
     if X.shape[1] != _PIXELS:
         raise ValueError(f"pixel augmentation needs D={_PIXELS}, got {X.shape[1]}")
-    return np.stack([_augment_pixel_row(policy, row, rng) for row in X])
+    if channel_stats is None:
+        raise ValueError("pixel augmentation needs the channel statistics of a CIFAR parse")
+    pixels = destandardize_pixels(X, *channel_stats)
+    views = np.stack([_augment_pixel_row(policy, row, rng) for row in pixels])
+    return standardize_pixels(views, *channel_stats)
 
 
 @dataclass(frozen=True)

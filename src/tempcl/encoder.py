@@ -372,7 +372,6 @@ def train_epoch(
     epoch: int,
     batch_size: int = 128,
     symmetrize: bool = False,
-    view_transform=None,
 ) -> tuple[EncoderParams, float]:
     """One pass over the dataset; returns the updated parameters and the
     mean batch loss.
@@ -381,9 +380,8 @@ def train_epoch(
     (:func:`per_anchor_tau`) when ``schedule.coarse`` is set, and otherwise
     the epoch's one temperature (:func:`tau_at`).  Shuffling and
     augmentation are keyed by (seed, epoch); the final undersized batch is
-    dropped.  An optional
-    ``view_transform`` maps each augmented view before the encoder (used to
-    standardize pixel views, which are augmented in [0, 1] space).
+    dropped.  Views come from :func:`augment_batch` with the dataset's
+    ``channel_stats``, which pixel augmentation needs.
     """
     n = dataset.n
     n_batches = n // batch_size
@@ -400,11 +398,8 @@ def train_epoch(
     for b in range(n_batches):
         idx = order[b * batch_size : (b + 1) * batch_size]
         X = dataset.features[idx]
-        v1 = augment_batch(policy, X, rng)
-        v2 = augment_batch(policy, X, rng)
-        if view_transform is not None:
-            v1 = view_transform(v1)
-            v2 = view_transform(v2)
+        v1 = augment_batch(policy, X, rng, dataset.channel_stats)
+        v2 = augment_batch(policy, X, rng, dataset.channel_stats)
         if schedule.coarse:
             tau = per_anchor_tau(dataset.labels[idx], schedule)
         else:

@@ -6,7 +6,6 @@ checkpoints, and emits a deterministic metrics.csv.  Also provides the
 checkpoint-based evaluation and analysis entry points used by the CLI.
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +22,11 @@ from tempcl.analysis import (
 from tempcl.config import ConfigError, ExperimentConfig, render_config
 from tempcl.data import (
     DataFormatError,
-    channel_stats,
-    destandardize_pixels,
     load_cifar10_bin,
     load_cifar100_bin,
     load_dataset,
     longtail_sizes,
     head_mid_tail_split,
-    standardize_pixels,
     subsample_longtail,
     synth_balanced,
     synth_mixture,
@@ -178,16 +174,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     write_atomic(out_dir / "config.resolved", render_config(cfg))
 
     partition = head_mid_tail_split(train.class_sizes)
-    policy = cfg.augmentation_policy()
-
-    view_transform = None
-    train_ds = train
-    if policy.mode == "pixel":
-        # views are augmented in [0, 1] pixel space, then standardized again
-        mean, std = channel_stats(train.provenance)
-        train_ds = dataclasses.replace(
-            train, features=destandardize_pixels(train.features, mean, std))
-        view_transform = lambda V: standardize_pixels(V, mean, std)
 
     E = cfg.run.epochs
     params = init_encoder(train.dim, cfg.encoder.hidden_dims, cfg.encoder.embed_dim,
@@ -223,11 +209,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                  sgd_momentum=cfg.encoder.sgd_momentum)
         for epoch in range(E):
             try:
-                _, loss = train_epoch(train_ds, params, state, schedule, source,
-                                      policy, seed=cfg.run.seed, epoch=epoch,
+                _, loss = train_epoch(train, params, state, schedule, source,
+                                      cfg.data, seed=cfg.run.seed, epoch=epoch,
                                       batch_size=cfg.encoder.batch_size,
-                                      symmetrize=cfg.encoder.symmetrize,
-                                      view_transform=view_transform)
+                                      symmetrize=cfg.encoder.symmetrize)
             except FloatingPointError as e:
                 raise NumericDivergenceError(str(e)) from e
             done = epoch + 1

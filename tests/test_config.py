@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from tempcl.config import ConfigError, ExperimentConfig, parse_config, render_config
+from tempcl.data import AugmentationPolicy
 
 NON_DEFAULT = """\
 # every kind of value: int, float, str, bool, choice, int list, optional int
@@ -107,7 +108,7 @@ class TestPixelAugmentation:
     def test_accepted_with_cifar_data(self, kind):
         cfg = parse_config(f"data.kind = {kind}\ndata.path = a\ndata.test_path = b\n"
                            "data.augment = pixel\n")
-        assert cfg.augmentation_policy().mode == "pixel"
+        assert cfg.data.augment == "pixel"
 
 
 class TestKeysAreFields:
@@ -125,7 +126,7 @@ class TestKeysAreFields:
                            "schedule.seed = 3\ndata.flip_prob = 0.25\n")
         sched = cfg.schedule_for(10)
         assert (sched.kind, sched.step_length, sched.seed) == ("step", 7, 3)
-        assert cfg.augmentation_policy().flip_prob == 0.25
+        assert isinstance(cfg.data, AugmentationPolicy) and cfg.data.flip_prob == 0.25
 
 
 class TestHeadClasses:

@@ -10,9 +10,7 @@ from tempcl.data import (
     AugmentationPolicy,
     DataFormatError,
     LongTailDataset,
-    augment,
     augment_batch,
-    channel_stats,
     head_mid_tail_split,
     load_cifar10_bin,
     load_cifar100_bin,
@@ -224,7 +222,7 @@ class TestCifarLoaders:
         p = tmp_path / "s.bin"
         p.write_bytes(cifar10_fixture_bytes(n=8, seed=7))
         ds = load_cifar10_bin(p)
-        mean, std = channel_stats(ds.provenance)
+        mean, std = ds.channel_stats
         assert mean.shape == (3,) and std.shape == (3,)
         planes = ds.features.reshape(-1, 3, 1024)
         np.testing.assert_allclose(planes.mean(axis=(0, 2)), 0.0, atol=1e-12)
@@ -239,52 +237,56 @@ class TestCifarLoaders:
             load_cifar100_bin(p)
 
 
+# channel statistics under which standardized rows are the [0, 1] pixels
+IDENTITY_STATS = (np.zeros(3), np.ones(3))
+
+
 class TestAugment:
     def test_identity_when_disabled(self):
-        policy = AugmentationPolicy(mode="embedding_noise", noise_sigma=0.0, dropout_prob=0.0)
+        policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=0.0, dropout_prob=0.0)
         x = np.arange(5.0)
-        out = augment(policy, x, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, x)
+        out = augment_batch(policy, x[None], np.random.default_rng(0))
+        np.testing.assert_array_equal(out, x[None])
 
     def test_deterministic_given_rng_state(self):
-        policy = AugmentationPolicy(mode="embedding_noise", noise_sigma=0.3, dropout_prob=0.2)
+        policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=0.3, dropout_prob=0.2)
         x = np.linspace(-1, 1, 8)
-        a = augment(policy, x, np.random.default_rng(12))
-        b = augment(policy, x, np.random.default_rng(12))
+        a = augment_batch(policy, x[None], np.random.default_rng(12))
+        b = augment_batch(policy, x[None], np.random.default_rng(12))
         np.testing.assert_array_equal(a, b)
 
     def test_flip_involution(self):
         """Flipping twice with no crop or noise restores the image."""
-        policy = AugmentationPolicy(mode="pixel", flip_prob=1.0, crop_padding=0,
+        policy = AugmentationPolicy(augment="pixel", flip_prob=1.0, crop_padding=0,
                                     pixel_noise_sigma=0.0)
         x = np.random.default_rng(3).random(3072)
-        once = augment(policy, x, np.random.default_rng(0))
-        twice = augment(policy, once, np.random.default_rng(0))
-        np.testing.assert_array_equal(twice, x)
-        assert not np.array_equal(once, x)
+        once = augment_batch(policy, x[None], np.random.default_rng(0), IDENTITY_STATS)
+        twice = augment_batch(policy, once, np.random.default_rng(0), IDENTITY_STATS)
+        np.testing.assert_array_equal(twice[0], x)
+        assert not np.array_equal(once[0], x)
 
     def test_pixel_clamped_to_unit_interval(self):
-        policy = AugmentationPolicy(mode="pixel", flip_prob=0.5, crop_padding=2,
+        policy = AugmentationPolicy(augment="pixel", flip_prob=0.5, crop_padding=2,
                                     pixel_noise_sigma=0.5)
         x = np.random.default_rng(4).random(3072)
-        out = augment(policy, x, np.random.default_rng(5))
+        out = augment_batch(policy, x[None], np.random.default_rng(5), IDENTITY_STATS)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_pixel_dim_checked(self):
-        policy = AugmentationPolicy(mode="pixel")
+        policy = AugmentationPolicy(augment="pixel")
         with pytest.raises(ValueError, match="3072"):
-            augment(policy, np.zeros(10), np.random.default_rng(0))
+            augment_batch(policy, np.zeros((1, 10)), np.random.default_rng(0), IDENTITY_STATS)
 
     def test_batch_matches_distributional_params(self):
-        policy = AugmentationPolicy(mode="embedding_noise", noise_sigma=0.1)
+        policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=0.1)
         X = np.zeros((200, 50))
         out = augment_batch(policy, X, np.random.default_rng(6))
         assert abs(out.std() - 0.1) < 0.005
 
     def test_dropout_zeroes_coordinates(self):
-        policy = AugmentationPolicy(mode="embedding_noise", dropout_prob=0.5)
+        policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=0.0, dropout_prob=0.5)
         x = np.ones(2000)
-        out = augment(policy, x, np.random.default_rng(7))
+        out = augment_batch(policy, x[None], np.random.default_rng(7))
         frac = (out == 0.0).mean()
         assert 0.4 < frac < 0.6
 

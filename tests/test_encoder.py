@@ -372,7 +372,7 @@ def toy_setup(seed=0, n_max=16, batch=8, negatives="in_batch", noise=0.05):
         source = NegativeSource.in_batch()
     else:
         source = NegativeSource.momentum_queue(params, capacity=16)
-    policy = AugmentationPolicy(mode="embedding_noise", noise_sigma=noise)
+    policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=noise)
     sched = ScheduleConfig(kind="constant", constant_tau=0.5)
     return ds, params, state, source, policy, sched
 
@@ -458,7 +458,7 @@ class TestTrainEpoch:
                                      total_epochs=50, weight_decay=1e-4,
                                      sgd_momentum=0.9)
             source = NegativeSource.in_batch()
-            policy = AugmentationPolicy(mode="embedding_noise", noise_sigma=0.05)
+            policy = AugmentationPolicy(augment="embedding_noise", noise_sigma=0.05)
             sched = ScheduleConfig(kind="constant", constant_tau=0.2)
             first = last = None
             for epoch in range(50):
