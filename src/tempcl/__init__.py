@@ -67,7 +67,6 @@ from tempcl.analysis import (
     contribution_curves,
     coverage_histogram,
     pca_project,
-    positive_factor,
     uniformity_stat,
 )
 

@@ -2,8 +2,7 @@
 
 Hypersphere coverage histograms (how evenly the embeddings fill randomly
 sampled directions), individual vs. cumulative negative-contribution
-curves as a function of anchor similarity, the positive-pair amplification
-factor, and PCA projections.  Each diagnostic has a CSV renderer; plotting
+curves as a function of anchor similarity, and PCA projections.  Each diagnostic has a CSV renderer; plotting
 is left to external tooling.
 """
 
@@ -18,7 +17,6 @@ __all__ = [
     "uniformity_stat",
     "contribution_curves",
     "aggregate_contribution_curves",
-    "positive_factor",
     "pca_project",
     "coverage_csv",
     "curves_csv",
@@ -128,22 +126,6 @@ def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurv
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 2:
         raise ValueError("need a square similarity matrix with N >= 2")
     return contribution_curves(S[~np.eye(S.shape[0], dtype=bool)], tau)
-
-
-def positive_factor(S: np.ndarray, tau) -> np.ndarray:
-    """Per-anchor amplification of the whole negative sum by the positive
-    pair: exp((1 - s_ii) / tau_i)."""
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] < S.shape[0]:
-        raise ValueError(f"need a matrix with a key column per anchor, got {S.shape}")
-    n = S.shape[0]
-    taus = np.asarray(tau, dtype=np.float64)
-    if taus.ndim == 0:
-        taus = np.full(n, float(taus))
-    if taus.shape != (n,) or np.any(taus <= 0):
-        raise ValueError("tau must be a positive scalar or length-N vector")
-    diag = S[np.arange(n), np.arange(n)]
-    return np.exp((1.0 - diag) / taus)
 
 
 def pca_project(embeddings: np.ndarray, components: int = 3, return_basis: bool = False):

@@ -17,7 +17,6 @@ __all__ = [
     "SCHEDULE_KINDS",
     "ScheduleConfig",
     "tau_at",
-    "tau_series",
     "per_anchor_tau",
     "recommended_eval_epoch",
 ]
@@ -99,11 +98,6 @@ def tau_at(config: ScheduleConfig, t: int) -> float:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
         value = float(rng.uniform(lo, hi))
     return min(max(value, lo), hi)
-
-
-def tau_series(config: ScheduleConfig, epochs: int) -> np.ndarray:
-    """Temperatures for epochs 0..epochs inclusive."""
-    return np.array([tau_at(config, t) for t in range(epochs + 1)])
 
 
 def per_anchor_tau(labels, config: ScheduleConfig) -> np.ndarray:

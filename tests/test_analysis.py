@@ -1,5 +1,4 @@
-"""Tests for coverage histograms, negative-contribution curves, the
-positive-pair factor, and PCA."""
+"""Tests for coverage histograms, negative-contribution curves, and PCA."""
 
 import math
 
@@ -17,7 +16,6 @@ from tempcl.analysis import (
     curves_csv,
     pca_csv,
     pca_project,
-    positive_factor,
     uniformity_stat,
 )
 
@@ -191,32 +189,6 @@ class TestAggregateCurves:
         np.testing.assert_array_equal(agg.cumulative, direct.cumulative)
         assert agg.histogram.sum() == 30
 
-
-
-class TestPositiveFactor:
-    def test_perfect_alignment_gives_one(self):
-        S = np.eye(3) * 1.0
-        np.testing.assert_allclose(positive_factor(S, 0.5), 1.0)
-
-    def test_hand_value(self):
-        """s_ii = 0.5 at tau = 0.5 gives e."""
-        S = np.full((2, 2), 0.5)
-        np.testing.assert_allclose(positive_factor(S, 0.5), math.e, rtol=1e-12)
-
-    def test_monotone_in_tau(self):
-        S = np.full((2, 2), 0.3)
-        values = [positive_factor(S, tau)[0] for tau in (1.0, 0.5, 0.2, 0.1)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_per_anchor_tau(self):
-        S = np.diag([0.5, 0.5]) + 0.1
-        out = positive_factor(S, np.array([0.5, 1.0]))
-        np.testing.assert_allclose(out[0], math.exp((1 - 0.6) / 0.5), rtol=1e-12)
-        np.testing.assert_allclose(out[1], math.exp((1 - 0.6) / 1.0), rtol=1e-12)
-
-    def test_bad_tau(self):
-        with pytest.raises(ValueError, match="positive"):
-            positive_factor(np.eye(2), -1.0)
 
 
 class TestPcaProject:
