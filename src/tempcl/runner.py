@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+KNN_K = (1, 10)  # the neighbour counts of every snapshot's kNN accuracy
+
+
 class NumericDivergenceError(RuntimeError):
     """Training produced non-finite values."""
 
@@ -75,21 +78,27 @@ def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple:
-    """The (long-tail train, balanced test) pair described by the config."""
+    """The (long-tail train, balanced test) pair described by the config.
+    A train set that a snapshot cannot score is a ConfigError."""
     d = cfg.data
     if d.kind == "synthetic":
-        return synthetic_datasets(cfg)
-    if d.kind == "tcld":
-        return load_dataset(d.path), load_dataset(d.test_path)
-    loader = load_cifar10_bin if d.kind == "cifar10" else load_cifar100_bin
-    balanced = loader(_paths(d.path))
-    try:
-        sizes = longtail_sizes(balanced.num_classes, d.n_max, d.imbalance)
-        train = subsample_longtail(balanced, sizes, cfg.run.seed,
-                                   class_permutation_seed=d.permutation_seed)
-    except ValueError as err:
-        raise ConfigError(f"data.n_max = {d.n_max} does not fit {d.path}: {err}") from None
-    return train, loader(_paths(d.test_path))
+        train, test = synthetic_datasets(cfg)
+    elif d.kind == "tcld":
+        train, test = load_dataset(d.path), load_dataset(d.test_path)
+    else:
+        loader = load_cifar10_bin if d.kind == "cifar10" else load_cifar100_bin
+        balanced = loader(_paths(d.path))
+        try:
+            sizes = longtail_sizes(balanced.num_classes, d.n_max, d.imbalance)
+            train = subsample_longtail(balanced, sizes, cfg.run.seed,
+                                       class_permutation_seed=d.permutation_seed)
+        except ValueError as err:
+            raise ConfigError(f"data.n_max = {d.n_max} does not fit {d.path}: {err}") from None
+        test = loader(_paths(d.test_path))
+    if train.num_classes < 3 or train.n < max(KNN_K):
+        raise ConfigError(f"the train set has {train.n} rows of {train.num_classes} classes; a "
+                          f"snapshot needs {max(KNN_K)} rows (kNN) and 3 classes (head/mid/tail)")
+    return train, test
 
 
 def _recommended_points(cfg: ExperimentConfig) -> set:
@@ -128,7 +137,7 @@ def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
     """(metric, scope, value) rows for one evaluation snapshot."""
     test_feat = _unit_rows(forward(params, test.features).features)[0]
     report = knn_report(train_feat, train.labels, test_feat, test.labels,
-                        k_values=(1, 10), partition=partition)
+                        k_values=KNN_K, partition=partition)
     if cfg.eval.run_probes:
         for mode in ("FS_LP", "LT_LP"):
             probe = linear_probe(train_feat, train.labels, test_feat, test.labels,
@@ -235,9 +244,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def _load_checkpoint_run(cfg, checkpoint_path):
     """(output dir, train set, test set, encoder, train embedding) for a
     saved encoder evaluated on the config's data."""
+    train, test = build_datasets(cfg)  # a refused config writes nothing
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers()[0][0].shape[0]
     if in_dim != train.dim:

@@ -123,6 +123,23 @@ def test_batch_larger_than_the_train_set_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("text", [
+    TINY.replace("data.classes = 4", "data.classes = 2"),
+    # 4 classes, n_max 2, imbalance 2: 6 long-tail training rows
+    TINY.replace("data.n_max = 20", "data.n_max = 2").replace("batch_size = 16", "batch_size = 2"),
+], ids=["two-classes", "six-rows"])
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_train_set_a_snapshot_cannot_score_exits_1(trained, tmp_path, capsys, text, command):
+    """The head/mid/tail split needs 3 classes and kNN-10 needs 10 rows."""
+    _, out = trained
+    args = [command, "--config", write_config(tmp_path, text=text)]
+    if command != "train":
+        args += ["--checkpoint", str(out / "checkpoint_final.tclp")]
+    assert main(args) == EXIT_CONFIG
+    assert "config error: the train set has" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # nothing written
+
+
 def test_negative_seed_override_exits_1(tmp_path, capsys):
     assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
     assert "config error: --seed must be >= 0" in capsys.readouterr().err
