@@ -2,8 +2,8 @@
 
 Hypersphere coverage histograms (how evenly the embeddings fill randomly
 sampled directions), individual vs. cumulative negative-contribution
-curves as a function of anchor similarity, and PCA projections.  Each diagnostic has a CSV renderer; plotting
-is left to external tooling.
+curves as a function of anchor similarity, and PCA projections.  Each
+diagnostic has a CSV renderer; plotting is left to external tooling.
 """
 
 from dataclasses import dataclass

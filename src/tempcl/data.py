@@ -6,11 +6,9 @@ unit-sphere class means, CIFAR-10/100 binary ingestion with bit-exact
 re-serialization, view augmentation, and the head/mid/tail class split
 used by the evaluation breakdowns.
 
-A CIFAR dataset carries the per-channel standardization constants of its
-parse (``LongTailDataset.channel_stats``).  They let it be written back
-byte for byte and let :func:`augment_batch` make pixel views of its
-standardized rows.  :class:`AugmentationPolicy` is also the augmentation
-part of the config's ``data.*`` section, defaults included.
+A CIFAR parse keeps its per-channel standardization constants
+(``channel_stats``): they write it back byte for byte and let
+:func:`augment_batch` make pixel views of its standardized rows.
 """
 
 import math
@@ -240,16 +238,6 @@ def synth_balanced(
     )
 
 
-def _standardize(pixels01: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-channel standardization of [0, 1] pixel rows; returns
-    (features, mean, std) with degenerate channels falling back to std 1."""
-    planes = pixels01.reshape(-1, 3, 1024)
-    mean = planes.mean(axis=(0, 2))
-    std = planes.std(axis=(0, 2))
-    std = np.where(std > 0.0, std, 1.0)
-    return standardize_pixels(pixels01, mean, std), mean, std
-
-
 def standardize_pixels(pixels01: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     planes = np.asarray(pixels01, dtype=np.float64).reshape(-1, 3, 1024)
     return ((planes - mean[None, :, None]) / std[None, :, None]).reshape(-1, _PIXELS)
@@ -287,10 +275,13 @@ def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
         chunks.append(recs)
     recs = np.vstack(chunks)
     labels = recs[:, n_labels - 1].astype(np.int64)
-    feats, mean, std = _standardize(recs[:, n_labels:].astype(np.float64) / 255.0)
+    pixels01 = recs[:, n_labels:].astype(np.float64) / 255.0
+    planes = pixels01.reshape(-1, 3, 1024)
+    mean, std = planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
+    std = np.where(std > 0.0, std, 1.0)  # a constant channel keeps std 1
     names = ",".join(Path(p).name for p in paths)
     return LongTailDataset(
-        features=feats,
+        features=standardize_pixels(pixels01, mean, std),
         labels=labels,
         class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
         provenance=f"{name}-bin({names})",

@@ -228,6 +228,26 @@ class TestCifarLoaders:
         np.testing.assert_allclose(planes.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(planes.std(axis=(0, 2)), 1.0, atol=1e-12)
 
+    def test_longtail_subset_keeps_its_source_records(self, tmp_path):
+        raw = cifar10_fixture_bytes(n=60, seed=9)
+        p = tmp_path / "lt.bin"
+        p.write_bytes(raw)
+        ds = load_cifar10_bin(p)
+        sub = subsample_longtail(ds, (ds.class_sizes + 1) // 2, seed=3)
+        assert 0 < sub.n < ds.n and sub.channel_stats is ds.channel_stats
+        kept = [int(np.flatnonzero((ds.features == row).all(axis=1))[0]) for row in sub.features]
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
+        assert serialize_cifar10_bin(sub) == records[kept].tobytes()
+
+    def test_synthetic_set_has_no_channel_stats(self):
+        ds = synth_mixture(3, 3072, 4, 2.0, seed=0)
+        assert ds.channel_stats is None
+        pixel = AugmentationPolicy(augment="pixel")
+        with pytest.raises(ValueError, match="channel statistics"):
+            augment_batch(pixel, ds.features, np.random.default_rng(0), ds.channel_stats)
+        with pytest.raises(ValueError, match="channel statistics"):
+            serialize_cifar10_bin(ds)
+
     def test_cifar100_fine_label_out_of_range(self, tmp_path):
         raw = bytearray(cifar100_fixture_bytes(n=2))
         raw[3074 + 1] = 130
