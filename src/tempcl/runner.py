@@ -244,14 +244,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def _load_checkpoint_run(cfg, checkpoint_path):
     """(output dir, train set, test set, encoder, train embedding) for a
     saved encoder evaluated on the config's data."""
-    train, test = build_datasets(cfg)  # a refused config writes nothing
-    out_dir = Path(cfg.run.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers()[0][0].shape[0]
     if in_dim != train.dim:
         raise DataFormatError(f"{checkpoint_path}: checkpoint input width {in_dim} "
                               f"does not match the dataset's dim {train.dim}")
+    out_dir = Path(cfg.run.output_dir)  # made only once the inputs are accepted
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, train, test, params, _embed_train(cfg, params, train)
 
 

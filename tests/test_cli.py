@@ -77,8 +77,11 @@ def test_bad_config_exits_1(tmp_path, capsys):
 def test_missing_checkpoint_exits_2(trained, tmp_path, capsys):
     config, _ = trained
     missing = str(tmp_path / "none.tclp")
-    assert main(["eval", "--config", config, "--checkpoint", missing]) == EXIT_DATA
+    output = tmp_path / "eval"
+    assert main(["eval", "--config", config, "--checkpoint", missing,
+                 "--output", str(output)]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+    assert not output.exists()  # a refused run writes nothing
 
 
 @pytest.mark.parametrize("cut", [
