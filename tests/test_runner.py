@@ -1,11 +1,11 @@
 """Golden end-to-end runs of the experiment runner, and the checkpoint
 entry points checked against them.
 
-The four runs are seconds-scale (6 epochs of period 3).  Two cover the
+The five runs are seconds-scale (6 epochs of period 3).  Two cover the
 negative sources under the cosine schedule on 150 synthetic training rows;
 the third runs the momentum queue under coarse head/tail temperature
 supervision; the fourth trains on CIFAR-10-format images with pixel
-augmentation.  Their ``metrics.csv`` files are kept under
+augmentation; the fifth takes the symmetrized in-batch loss.  Their ``metrics.csv`` files are kept under
 ``tests/golden/``; the final checkpoint and the analysis CSVs are
 pinned by sha256.  A change that moves any of these outputs must say why
 and regenerate them on purpose.
@@ -36,6 +36,7 @@ RUNS = {
               "data__path": "{data_dir}/train.bin", "data__test_path": "{data_dir}/test.bin",
               "data__n_max": 12, "data__imbalance": 3,
               "encoder__hidden_dims": 32, "encoder__batch_size": 16},
+    "symmetrized": {"encoder__symmetrize": "true"},
 }
 EPOCHS = 6
 
@@ -66,6 +67,10 @@ HASHES = {
     "pixel": {
         "checkpoint": "47cb3efbba89e7e0f31cc68e37c9f6bbae831b6d39ce123fe1e3e075f4a9c8b0",
         "analysis": "2d025c687d2a4ccd0a9d1bb128e7d7c85004b7b1e90251f521a3d168c8f9b8b1",
+    },
+    "symmetrized": {
+        "checkpoint": "bffda4060598f1324c6b0c8fdfc978326913aba81415c66906314be45078eb9c",
+        "analysis": "75e30e1ca132f24e2b95b6b67a8cb4f385fd0281f62129d771c3d188a0e152e6",
     },
 }
 
