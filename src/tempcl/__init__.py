@@ -10,7 +10,6 @@ from tempcl.loss import (
     LossBreakdown,
     info_nce,
     info_nce_distance_form,
-    info_nce_grad,
     info_nce_symmetrized,
     similarity_matrix,
 )
@@ -46,7 +45,6 @@ from tempcl.encoder import (
     init_optim_state,
     lr_at,
     momentum_update,
-    queue_negatives,
     queue_push,
     sgd_step,
     train_epoch,

@@ -29,7 +29,6 @@ from tempcl.loss import (
     _check_unit_rows,
     _unit_rows,
     info_nce,
-    info_nce_grad,
     info_nce_symmetrized,
     similarity_matrix,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "sgd_step",
     "momentum_update",
     "queue_push",
-    "queue_negatives",
     "train_epoch",
     "save_checkpoint",
     "load_checkpoint",
@@ -329,16 +327,11 @@ def queue_push(source: NegativeSource, keys: np.ndarray) -> None:
     source.queue = np.vstack([source.queue, keys])[-source.capacity :]
 
 
-def queue_negatives(source: NegativeSource) -> np.ndarray:
-    """Current queue contents, oldest first."""
-    if source.kind != "momentum_queue":
-        raise ValueError("queue_negatives needs a momentum_queue source")
-    return source.queue
-
-
 def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     """Loss and parameter gradients for one batch; returns (grads, loss,
-    keys) where keys is None for in-batch mode."""
+    keys) where keys is None for in-batch mode.  Anchor i's key is row i of
+    the other view (in-batch) or of the key encoder's output, whose rows
+    are followed by the queued keys (momentum queue)."""
     r1 = forward(params, v1)
     U = r1.embeddings
     if source.kind == "in_batch":
@@ -346,18 +339,14 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
         V = r2.embeddings
         S = similarity_matrix(U, V)
         bd = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
-        G = info_nce_grad(S, tau, symmetrize=symmetrize)
-        grads = backward(params, v1, G @ V, r1)
-        grads = _accumulate(grads, backward(params, v2, G.T @ U, r2))
+        grads = backward(params, v1, bd.grad @ V, r1)
+        grads = _accumulate(grads, backward(params, v2, bd.grad.T @ U, r2))
         return grads, bd.mean, None
 
     keys = forward(source.key_params, v2).embeddings
-    negs = queue_negatives(source)
-    cols = keys if negs.shape[0] == 0 else np.vstack([keys, negs])
-    S = np.clip(U @ cols.T, -1.0, 1.0)
-    bd = info_nce(S, tau)
-    G = info_nce_grad(S, tau)
-    grads = backward(params, v1, G @ cols, r1)
+    V = np.vstack([keys, source.queue])
+    bd = info_nce(similarity_matrix(U, V), tau)
+    grads = backward(params, v1, bd.grad @ V, r1)
     return grads, bd.mean, keys
 
 

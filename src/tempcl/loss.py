@@ -1,10 +1,12 @@
 """Temperature-scaled contrastive (InfoNCE) loss on cosine-similarity matrices.
 
-The loss is computed in two algebraically equivalent forms: directly from
-similarities through a softmax, and through exponentiated distances
-d_ij = (1 - s_ij) / tau_i.  Both forms reduce to softplus of the same
-log-sum-exp; they are kept as genuinely separate code paths so that one can
-serve as a cross-check of the other.
+:func:`info_nce` returns the loss and its gradient with respect to each
+similarity, from the softmax over similarities.  The gradient is where the
+temperature acts: a small tau puts the weight on the hardest negatives, a
+large one spreads it.  :func:`info_nce_distance_form` recomputes the loss
+through exponentiated distances d_ij = (1 - s_ij) / tau_i; both forms reduce
+to softplus of the same log-sum-exp, and the distance form is kept as a
+separate code path so that it can serve as a cross-check of the first.
 
 Conventions: row i of a similarity matrix belongs to anchor i, column j to
 key j, and the diagonal entry (i, i) holds the positive-pair similarity.
@@ -22,7 +24,6 @@ __all__ = [
     "similarity_matrix",
     "info_nce",
     "info_nce_distance_form",
-    "info_nce_grad",
     "info_nce_symmetrized",
 ]
 
@@ -32,16 +33,19 @@ _SIM_BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-anchor contrastive loss and its mean.
+    """Per-anchor contrastive loss, its mean, and the gradient of the mean.
 
     per_anchor[i] = -log(exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i)), which
     equals log(1 + exp(d_ii) * sum_{j != i} exp(-d_ij)) with
     d_ij = (1 - s_ij) / tau_i; it is always computed through a stable
-    log-space path.  ``mean`` is the arithmetic mean of ``per_anchor``.
+    log-space path.  ``mean`` is the arithmetic mean of ``per_anchor``, and
+    ``grad`` its gradient with respect to the similarity matrix (None from
+    the distance form).
     """
 
     per_anchor: np.ndarray
     mean: float
+    grad: np.ndarray | None = None
 
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,13 +73,14 @@ def _check_unit_rows(X: np.ndarray, name: str) -> None:
 def similarity_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Cosine similarities between two batches of unit-norm row vectors.
 
-    Returns the N x N matrix with entry (i, j) = dot(U[i], V[j]), clamped
-    to [-1, 1].  Both inputs must have identical shape and unit-norm rows
-    (within 1e-6).
+    Returns the N x M matrix with entry (i, j) = dot(U[i], V[j]), clamped
+    to [-1, 1].  V holds the key of each row of U, then any negatives shared
+    by every anchor, so it needs U's width and at least U's rows.  All rows
+    must be unit-norm (within 1e-6).
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    if U.ndim != 2 or V.ndim != 2 or U.shape != V.shape:
+    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1] or V.shape[0] < U.shape[0]:
         raise ValueError(f"shape mismatch: U is {U.shape}, V is {V.shape}")
     _check_unit_rows(U, "U")
     _check_unit_rows(V, "V")
@@ -121,17 +126,25 @@ def _offdiag_mask(n: int, m: int) -> np.ndarray:
 
 
 def info_nce(S: np.ndarray, tau) -> LossBreakdown:
-    """Contrastive loss from a similarity matrix, softmax form.
+    """Contrastive loss from a similarity matrix, softmax form, with its
+    gradient.
 
     per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ),
     evaluated as softplus of a max-shifted log-sum-exp over the negatives
     so the value stays accurate even when the loss is vanishingly small.
+
+    With w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient
+    is (w_ij - [i == j]) / tau_i; ``grad`` divides it by the number of
+    anchors to match the mean loss.  Off-diagonal entries are positive
+    (negatives are repelled in proportion to their softmax weight), diagonal
+    entries negative.
     """
     S = _validate_similarities(S)
     n, m = S.shape
     taus = _as_tau_vector(tau, n)
+    idx = np.arange(n)
 
-    diag = S[np.arange(n), np.arange(n)]
+    diag = S[idx, idx]
     z = (S - diag[:, None]) / taus[:, None]
     off = _offdiag_mask(n, m)
     # log-sum-exp over negatives with row-max subtraction
@@ -139,7 +152,15 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
     zmax = z_neg.max(axis=1)
     lse = zmax + np.log(np.sum(np.exp(z_neg - zmax[:, None]), axis=1, where=off))
     per_anchor = np.logaddexp(0.0, lse)
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
+    # gradient from the softmax over each full row, with row-max subtraction
+    z = S / taus[:, None]
+    z -= z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    w /= w.sum(axis=1, keepdims=True)
+    grad = w / taus[:, None]
+    grad[idx, idx] = (w[idx, idx] - 1.0) / taus
+    grad /= n
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()), grad=grad)
 
 
 def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
@@ -163,43 +184,11 @@ def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
     return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
 
 
-def info_nce_grad(S: np.ndarray, tau, symmetrize: bool = False) -> np.ndarray:
-    """Gradient of the mean contrastive loss with respect to each similarity.
-
-    With w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient
-    is (w_ij - [i == j]) / tau_i; the result is divided by the number of
-    anchors to match the mean loss.  Off-diagonal entries are positive
-    (negatives are repelled in proportion to their softmax weight), diagonal
-    entries negative.
-
-    ``symmetrize=True`` (square matrices only) averages with the gradient of
-    the transposed-roles loss.
-    """
-    S = _validate_similarities(S)
-    n, m = S.shape
-    taus = _as_tau_vector(tau, n)
-
-    z = S / taus[:, None]
-    z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    w /= w.sum(axis=1, keepdims=True)
-    grad = w / taus[:, None]
-    idx = np.arange(n)
-    grad[idx, idx] = (w[idx, idx] - 1.0) / taus
-    grad /= n
-
-    if symmetrize:
-        if n != m:
-            raise ValueError("symmetrize requires a square similarity matrix")
-        grad = 0.5 * (grad + info_nce_grad(S.T, tau).T)
-    return grad
-
-
 def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
     """Average of the loss and its transposed-roles counterpart.
 
-    Square matrices only.  ``per_anchor`` and ``mean`` are the per-index
-    averages of the two directions.
+    Square matrices only.  ``per_anchor``, ``mean`` and ``grad`` are the
+    per-index averages of the two directions.
     """
     S = _validate_similarities(S)
     if S.shape[0] != S.shape[1]:
@@ -207,4 +196,5 @@ def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
     fwd = info_nce(S, tau)
     rev = info_nce(S.T, tau)
     per_anchor = 0.5 * (fwd.per_anchor + rev.per_anchor)
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()),
+                         grad=0.5 * (fwd.grad + rev.grad.T))

@@ -17,13 +17,12 @@ from tempcl.encoder import (
     load_checkpoint,
     lr_at,
     momentum_update,
-    queue_negatives,
     queue_push,
     save_checkpoint,
     sgd_step,
     train_epoch,
 )
-from tempcl.loss import info_nce, info_nce_grad, similarity_matrix
+from tempcl.loss import info_nce, similarity_matrix
 from tempcl.schedule import ScheduleConfig
 
 
@@ -43,7 +42,7 @@ def batch_grads(params, X1, X2, tau) -> EncoderParams:
     r1 = forward(params, X1)
     r2 = forward(params, X2)
     U, V = r1.embeddings, r2.embeddings
-    G = info_nce_grad(similarity_matrix(U, V), tau)
+    G = info_nce(similarity_matrix(U, V), tau).grad
     g1 = backward(params, X1, G @ V, r1)
     g2 = backward(params, X2, G.T @ U, r2)
     for (W, b), (dW, db) in zip(g1.layers(), g2.layers()):
@@ -335,17 +334,17 @@ class TestQueue:
         keys = unit_rows(rng, 6, 3)
         for row in keys:
             queue_push(src, row[None, :])
-        np.testing.assert_array_equal(queue_negatives(src), keys[2:])
+        np.testing.assert_array_equal(src.queue, keys[2:])
 
     def test_empty_queue(self):
         src = self.make_source()
-        assert queue_negatives(src).shape == (0, 3)
+        assert src.queue.shape == (0, 3)
 
     def test_oversized_batch_keeps_tail(self):
         src = self.make_source(capacity=4)
         keys = unit_rows(np.random.default_rng(13), 7, 3)
         queue_push(src, keys)
-        np.testing.assert_array_equal(queue_negatives(src), keys[-4:])
+        np.testing.assert_array_equal(src.queue, keys[-4:])
 
     def test_non_normalized_rejected(self):
         src = self.make_source()
@@ -357,7 +356,7 @@ class TestQueue:
         rng = np.random.default_rng(14)
         for _ in range(30):
             queue_push(src, unit_rows(rng, int(rng.integers(1, 8)), 3))
-            q = queue_negatives(src)
+            q = src.queue
             assert q.shape[0] <= 5
             np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-9)
 
@@ -424,7 +423,7 @@ class TestTrainEpoch:
         ds, params, state, source, policy, sched = toy_setup(negatives="momentum_queue")
         train_epoch(ds, params, state, sched, source, policy,
                     seed=7, epoch=0, batch_size=8)
-        q = queue_negatives(source)
+        q = source.queue
         assert q.shape[0] == min(source.capacity, (ds.n // 8) * 8)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-9)
 

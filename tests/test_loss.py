@@ -9,7 +9,6 @@ import pytest
 from tempcl.loss import (
     info_nce,
     info_nce_distance_form,
-    info_nce_grad,
     info_nce_symmetrized,
     similarity_matrix,
 )
@@ -64,6 +63,22 @@ class TestSimilarityMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             similarity_matrix(np.eye(2), np.eye(3))
+
+    def test_shared_negative_rows_match_clamped_product(self):
+        """A V with more rows than U (keys, then a queue) gives the clamped
+        U @ V.T."""
+        rng = np.random.default_rng(12)
+        U = rng.standard_normal((3, 4))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        V = rng.standard_normal((7, 4))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        np.testing.assert_array_equal(similarity_matrix(U, V), np.clip(U @ V.T, -1.0, 1.0))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["fewer-rows", "other-width"])
+    def test_v_needs_a_key_per_row_and_the_same_width(self, shape):
+        V = np.eye(*shape)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            similarity_matrix(np.eye(3, 4), V)
 
     def test_non_normalized_row_named(self):
         U = np.eye(3)
@@ -228,7 +243,7 @@ class TestLossProperties:
 class TestInfoNceGrad:
     def test_uniform_matrix_frozen_values(self):
         """All-equal similarities: off-diagonal 0.125, diagonal -0.375."""
-        G = info_nce_grad(np.full((4, 4), 0.2), 0.5)
+        G = info_nce(np.full((4, 4), 0.2), 0.5).grad
         off = G[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, 0.125, rtol=1e-12)
         np.testing.assert_allclose(np.diag(G), -0.375, rtol=1e-12)
@@ -239,7 +254,7 @@ class TestInfoNceGrad:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             S = random_similarities(rng, n)
-            G = info_nce_grad(S, rng.uniform(0.05, 2.0, size=n))
+            G = info_nce(S, rng.uniform(0.05, 2.0, size=n)).grad
             np.testing.assert_allclose(G.sum(axis=1), 0.0, atol=1e-14)
 
     def test_signs(self):
@@ -248,7 +263,7 @@ class TestInfoNceGrad:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             S = random_similarities(rng, n)
-            G = info_nce_grad(S, float(rng.uniform(0.05, 2.0)))
+            G = info_nce(S, float(rng.uniform(0.05, 2.0))).grad
             off = ~np.eye(n, dtype=bool)
             assert np.all(G[off] > 0.0)
             assert np.all(np.diag(G) < 0.0)
@@ -257,7 +272,7 @@ class TestInfoNceGrad:
         """Within a row, the gradient grows with the negative's similarity."""
         rng = np.random.default_rng(42)
         S = random_similarities(rng, 8)
-        G = info_nce_grad(S, 0.2)
+        G = info_nce(S, 0.2).grad
         for i in range(8):
             cols = [j for j in range(8) if j != i]
             order = np.argsort(S[i, cols])
@@ -273,7 +288,7 @@ class TestInfoNceGrad:
                   for _ in range(11)]
         for n, tau in cases:
             S = rng.uniform(-0.9, 0.9, size=(n, n))
-            G = info_nce_grad(S, tau)
+            G = info_nce(S, tau).grad
             fd = np.zeros_like(G)
             for i in range(n):
                 for j in range(n):
@@ -286,7 +301,7 @@ class TestInfoNceGrad:
 
     def test_symmetrize_requires_square(self):
         with pytest.raises(ValueError, match="square"):
-            info_nce_grad(np.zeros((2, 4)), 1.0, symmetrize=True)
+            info_nce_symmetrized(np.zeros((2, 4)), 1.0)
 
 
 class TestSymmetrized:
@@ -313,7 +328,7 @@ class TestSymmetrized:
         rng = np.random.default_rng(52)
         S = rng.uniform(-0.9, 0.9, size=(5, 5))
         tau = 0.3
-        G = info_nce_grad(S, tau, symmetrize=True)
+        G = info_nce_symmetrized(S, tau).grad
         h = 1e-5
         fd = np.zeros_like(G)
         for i in range(5):
