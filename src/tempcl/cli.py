@@ -50,6 +50,8 @@ def _load_config(args):
 def _checkpoint_epoch(cfg, args):
     """--epoch, else the file name's epoch, else run.epochs (checkpoint_final)."""
     if args.epoch is not None:
+        if args.epoch < 0:
+            raise ConfigError(f"--epoch must be >= 0, got {args.epoch}")
         return args.epoch
     m = re.search(r"epoch(\d+)", Path(args.checkpoint).name)
     return int(m.group(1)) if m else cfg.run.epochs

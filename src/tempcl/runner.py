@@ -79,7 +79,8 @@ def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
 
 def build_datasets(cfg: ExperimentConfig) -> tuple:
     """The (long-tail train, balanced test) pair described by the config.
-    A train set that a snapshot cannot score is a ConfigError."""
+    A train set that a snapshot cannot score (fewer than 3 classes or 10
+    rows, or an empty class) is a ConfigError."""
     d = cfg.data
     if d.kind == "synthetic":
         train, test = synthetic_datasets(cfg)
@@ -98,6 +99,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple:
     if train.num_classes < 3 or train.n < max(KNN_K):
         raise ConfigError(f"the train set has {train.n} rows of {train.num_classes} classes; a "
                           f"snapshot needs {max(KNN_K)} rows (kNN) and 3 classes (head/mid/tail)")
+    empty = np.flatnonzero(train.class_sizes == 0)
+    if empty.size:
+        raise ConfigError(f"class {empty[0]} of the train set has no rows; the few-shot "
+                          f"probe needs a row of every class")
     return train, test
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from tempcl.data import LongTailDataset, save_dataset
 from test_data import cifar10_fixture_bytes
 
 TINY = """\
@@ -146,6 +147,40 @@ def test_train_set_a_snapshot_cannot_score_exits_1(trained, tmp_path, capsys, te
 def test_negative_seed_override_exits_1(tmp_path, capsys):
     assert main(["train", "--config", write_config(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
     assert "config error: --seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_negative_epoch_exits_1(trained, tmp_path, capsys, command):
+    config, out = trained
+    output = tmp_path / "out"
+    assert main([command, "--config", config, "--checkpoint", str(out / "checkpoint_final.tclp"),
+                 "--epoch", "-1", "--output", str(output)]) == EXIT_CONFIG
+    assert "config error: --epoch must be >= 0, got -1" in capsys.readouterr().err
+    assert not output.exists()  # a refused run writes nothing
+
+
+def tcld(path, class_sizes, dim=8, seed=0):
+    labels = np.repeat(np.arange(len(class_sizes)), class_sizes)
+    features = np.random.default_rng(seed).standard_normal((labels.size, dim))
+    save_dataset(LongTailDataset(features, labels, class_sizes), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_train_set_with_an_empty_class_exits_1(trained, tmp_path, capsys, command):
+    """The few-shot probe needs a train row of every class."""
+    _, out = trained
+    data = tmp_path / "data"
+    data.mkdir()
+    train = tcld(data / "train.tcld", [20, 12, 0, 6])
+    test = tcld(data / "test.tcld", [5, 5, 5, 5], seed=1)
+    args = [command, "--config", write_config(tmp_path, extra=f"data.kind = tcld\n"
+                                              f"data.path = {train}\ndata.test_path = {test}\n")]
+    if command != "train":
+        args += ["--checkpoint", str(out / "checkpoint_final.tclp")]
+    assert main(args) == EXIT_CONFIG
+    assert "config error: class 2 of the train set has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
 @pytest.fixture(scope="module")
