@@ -65,7 +65,6 @@ class LongTailDataset:
     features: np.ndarray
     labels: np.ndarray
     class_sizes: np.ndarray
-    provenance: str = ""
     coarse_labels: np.ndarray | None = None
     channel_stats: tuple | None = None
 
@@ -95,13 +94,6 @@ class LongTailDataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_sizes)
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """Size of the largest class over the smallest (first over last)."""
-        if self.class_sizes[-1] <= 0:
-            raise ValueError("imbalance ratio undefined: last class is empty")
-        return float(self.class_sizes[0]) / float(self.class_sizes[-1])
 
 
 def _round_half_up(x: float) -> int:
@@ -166,7 +158,6 @@ def subsample_longtail(
         features=balanced.features[keep],
         labels=np.concatenate(new_labels),
         class_sizes=sizes,
-        provenance=f"{balanced.provenance}|longtail(seed={seed})",
         coarse_labels=coarse,
         channel_stats=balanced.channel_stats,
     )
@@ -212,7 +203,6 @@ def synth_mixture(
         features=feats,
         labels=labels,
         class_sizes=sizes,
-        provenance=f"synth(K={K},D={D},n_max={n_max},imb={imb:g},seed={seed})",
     )
 
 
@@ -234,7 +224,6 @@ def synth_balanced(
         features=feats,
         labels=labels,
         class_sizes=sizes,
-        provenance=f"synth-balanced(K={K},D={D},n={n_per_class},seed={seed})",
     )
 
 
@@ -247,7 +236,7 @@ def destandardize_pixels(features: np.ndarray, mean: np.ndarray, std: np.ndarray
     return (planes * std[None, :, None] + mean[None, :, None]).reshape(-1, _PIXELS)
 
 
-def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
+def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
     """Parse CIFAR binary files whose records are one byte per label
     (``label_limits`` gives each byte's largest value; the last is the
     dataset label, a leading one the coarse label) then 3072 channel-major
@@ -279,12 +268,10 @@ def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
     planes = pixels01.reshape(-1, 3, 1024)
     mean, std = planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
     std = np.where(std > 0.0, std, 1.0)  # a constant channel keeps std 1
-    names = ",".join(Path(p).name for p in paths)
     return LongTailDataset(
         features=standardize_pixels(pixels01, mean, std),
         labels=labels,
         class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
-        provenance=f"{name}-bin({names})",
         coarse_labels=recs[:, 0].astype(np.int64) if n_labels == 2 else None,
         channel_stats=(mean, std),
     )
@@ -293,14 +280,14 @@ def _load_cifar_bin(paths, label_limits, name) -> LongTailDataset:
 def load_cifar10_bin(paths) -> LongTailDataset:
     """Parse CIFAR-10 binary batches (3073-byte records: label byte then
     3072 channel-major pixel bytes), concatenated in order."""
-    return _load_cifar_bin(paths, (9,), "cifar10")
+    return _load_cifar_bin(paths, (9,))
 
 
 def load_cifar100_bin(path) -> LongTailDataset:
     """Parse CIFAR-100 binary files (3074-byte records: coarse byte, fine
     byte, 3072 pixel bytes).  Fine labels become the dataset labels; coarse
     labels are retained for re-serialization."""
-    return _load_cifar_bin(path, (19, 99), "cifar100")
+    return _load_cifar_bin(path, (19, 99))
 
 
 def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
@@ -471,7 +458,6 @@ def load_dataset(path) -> LongTailDataset:
         features=recs["feat"].astype(np.float64),
         labels=labels,
         class_sizes=np.bincount(labels, minlength=K),
-        provenance=f"tcld({Path(path).name})",
     )
 
 

@@ -67,21 +67,6 @@ class EvalReport:
 
     metrics: dict
 
-    @property
-    def knn1(self):
-        return self.metrics["knn1"].overall if "knn1" in self.metrics else None
-
-    @property
-    def knn10(self):
-        return self.metrics["knn10"].overall if "knn10" in self.metrics else None
-
-    @property
-    def probe_accuracy(self):
-        for name in ("fs_lp", "lt_lp"):
-            if name in self.metrics:
-                return self.metrics[name].overall
-        return None
-
     def rows(self):
         """(metric, scope, value) triples: overall, groups, then classes."""
         out = []
