@@ -11,6 +11,7 @@ from tempcl.data import (
     DataFormatError,
     LongTailDataset,
     augment_batch,
+    destandardize_pixels,
     head_mid_tail_split,
     load_cifar10_bin,
     load_cifar100_bin,
@@ -19,6 +20,7 @@ from tempcl.data import (
     save_dataset,
     serialize_cifar10_bin,
     serialize_cifar100_bin,
+    standardize_pixels,
     subsample_longtail,
     synth_balanced,
     synth_mixture,
@@ -308,6 +310,47 @@ class TestAugment:
         out = augment_batch(policy, x[None], np.random.default_rng(7))
         frac = (out == 0.0).mean()
         assert 0.4 < frac < 0.6
+
+
+def augment_pixel_rows_oracle(policy, X, rng, channel_stats):
+    """Pixel views made one row at a time: flip, reflect-pad and crop, add
+    noise and clamp each row in turn, drawing its flip, its crop offsets
+    and its noise from ``rng`` just before use."""
+    def view(x):
+        img = x.reshape(3, 32, 32)
+        if rng.random() < policy.flip_prob:
+            img = img[:, :, ::-1]
+        p = policy.crop_padding
+        if p > 0:
+            padded = np.pad(img, ((0, 0), (p, p), (p, p)), mode="reflect")
+            r, c = rng.integers(0, 2 * p + 1, size=2)
+            img = padded[:, r : r + 32, c : c + 32]
+        img = np.ascontiguousarray(img, dtype=np.float64)
+        if policy.pixel_noise_sigma > 0:
+            img += policy.pixel_noise_sigma * rng.standard_normal(img.shape)
+        return np.clip(img, 0.0, 1.0).reshape(3072)
+
+    pixels = destandardize_pixels(X, *channel_stats)
+    return standardize_pixels(np.stack([view(row) for row in pixels]), *channel_stats)
+
+
+class TestPixelViewsMatchRowOracle:
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    @pytest.mark.parametrize("padding", [0, 1, 4, 40])
+    @pytest.mark.parametrize("flip", [0.0, 0.5, 1.0])
+    def test_byte_equal_views_and_rng_state(self, flip, padding, sigma):
+        """Batched views equal the row-by-row oracle byte for byte, and both
+        leave the generator in the same state."""
+        policy = AugmentationPolicy(augment="pixel", flip_prob=flip, crop_padding=padding,
+                                    pixel_noise_sigma=sigma)
+        data = np.random.default_rng(60)
+        stats = (data.uniform(0.3, 0.6, size=3), data.uniform(0.15, 0.3, size=3))
+        X = standardize_pixels(data.random((9, 3072)), *stats)
+        rng, oracle_rng = np.random.default_rng(61), np.random.default_rng(61)
+        views = augment_batch(policy, X, rng, stats)
+        expect = augment_pixel_rows_oracle(policy, X, oracle_rng, stats)
+        assert views.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestHeadMidTailSplit:

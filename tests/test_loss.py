@@ -2,6 +2,7 @@
 finite-difference gradient checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,15 +129,85 @@ class TestInfoNce:
         with pytest.raises(ValueError, match="> 0"):
             info_nce(S, [0.5, -0.1])
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
         S = np.zeros((2, 2))
-        S[0, 1] = np.nan
+        S[0, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
             info_nce(S, 1.0)
+
+    def test_underflowing_negatives_give_zero_without_warning(self):
+        """Negatives 2/tau below the positive underflow to zero weight; the
+        loss, below the smallest double, is exactly 0 and nothing warns."""
+        S = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bd = info_nce(S, 0.001)
+        np.testing.assert_array_equal(bd.per_anchor, 0.0)
+        assert np.all(np.isfinite(bd.grad))
 
     def test_rejects_single_column(self):
         with pytest.raises(ValueError, match="negative"):
             info_nce(np.ones((1, 1)), 1.0)
+
+
+def two_softmax_oracle(S, tau):
+    """(per_anchor, grad) from two softmaxes over S: a log-sum-exp over each
+    row's negatives, shifted by their own maximum, for the loss, and the
+    full-row softmax for the gradient."""
+    n, m = S.shape
+    taus = np.broadcast_to(np.asarray(tau, dtype=np.float64), (n,))
+    idx = np.arange(n)
+    diag = S[idx, idx]
+    z = (S - diag[:, None]) / taus[:, None]
+    off = ~np.eye(n, m, dtype=bool)
+    z_neg = np.where(off, z, -np.inf)
+    zmax = z_neg.max(axis=1)
+    lse = zmax + np.log(np.sum(np.exp(z_neg - zmax[:, None]), axis=1, where=off))
+    per_anchor = np.logaddexp(0.0, lse)
+    z = S / taus[:, None]
+    z -= z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    w /= w.sum(axis=1, keepdims=True)
+    grad = w / taus[:, None]
+    grad[idx, idx] = (w[idx, idx] - 1.0) / taus
+    grad /= n
+    return per_anchor, grad
+
+
+def unit_rows(rng, n, d):
+    X = rng.standard_normal((n, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+class TestTwoSoftmaxOracle:
+    def test_queue_shaped_with_per_anchor_tau(self):
+        """128 anchors against their keys and a 1024-row queue, with a
+        temperature per anchor: the gradient is bitwise the oracle's and the
+        loss agrees to 1e-13 relative."""
+        rng = np.random.default_rng(70)
+        U = unit_rows(rng, 128, 32)
+        keys = U + 0.3 * unit_rows(rng, 128, 32)
+        keys /= np.linalg.norm(keys, axis=1, keepdims=True)
+        S = similarity_matrix(U, np.vstack([keys, unit_rows(rng, 1024, 32)]))
+        taus = rng.choice([0.07, 0.2, 0.5], size=128)
+        per_anchor, grad = two_softmax_oracle(S, taus)
+        bd = info_nce(S, taus)
+        assert np.array_equal(bd.grad, grad)
+        np.testing.assert_allclose(bd.per_anchor, per_anchor, rtol=1e-13)
+        np.testing.assert_allclose(bd.mean, per_anchor.mean(), rtol=1e-13)
+
+    def test_square_at_a_small_tau_with_vanishing_losses(self):
+        """At tau = 0.005 with positives well above every negative the
+        losses fall to ~1e-70 and still agree to 1e-13 relative."""
+        rng = np.random.default_rng(71)
+        S = rng.uniform(-1.0, 0.2, size=(64, 64))
+        np.fill_diagonal(S, rng.uniform(0.9, 1.0, size=64))
+        per_anchor, grad = two_softmax_oracle(S, 0.005)
+        bd = info_nce(S, 0.005)
+        assert per_anchor.min() < 1e-60
+        assert np.array_equal(bd.grad, grad)
+        np.testing.assert_allclose(bd.per_anchor, per_anchor, rtol=1e-13)
 
 
 class TestDistanceForm:

@@ -8,7 +8,9 @@ supervision; the fourth trains on CIFAR-10-format images with pixel
 augmentation; the fifth takes the symmetrized in-batch loss.  Their ``metrics.csv`` files are kept under
 ``tests/golden/``; the final checkpoint and the analysis CSVs are
 pinned by sha256.  A change that moves any of these outputs must say why
-and regenerate them on purpose.
+and regenerate them on purpose.  The momentum-queue and pixel runs are
+repeated in a fresh process with two BLAS threads, which must give the
+same ``metrics.csv`` and checkpoint.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -17,7 +19,10 @@ checkpoint do not, and are compared exactly.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +187,29 @@ def test_analyze_checkpoint_reproduces_the_final_analysis(runs, data_dir, name, 
     for kind in ("coverage", "curves", "pca"):
         name = f"{kind}_epoch{EPOCHS:05d}.csv"
         assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+# runs one golden config given (output dir, data dir, run name)
+_RUN_ONE = (
+    "import sys\n"
+    "from test_runner import RUNS, config\n"
+    "from tempcl.runner import run_experiment\n"
+    "run_experiment(config(sys.argv[1], sys.argv[2], **RUNS[sys.argv[3]]))\n"
+)
+
+
+@pytest.mark.parametrize("name", ["momentum_queue", "pixel"])
+def test_two_blas_threads_give_the_golden_outputs(data_dir, name, tmp_path):
+    """metrics.csv and the final checkpoint do not depend on the BLAS
+    thread count: a fresh process with two threads reproduces the goldens."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    subprocess.run([sys.executable, "-c", _RUN_ONE, str(tmp_path), str(data_dir), name],
+                   env=env, check=True, capture_output=True)
+    golden = (GOLDEN / f"metrics_{name}.csv").read_text()
+    assert (tmp_path / "metrics.csv").read_text() == golden
+    assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
 
 
 @pytest.mark.parametrize("overrides, expected", [
