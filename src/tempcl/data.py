@@ -342,28 +342,42 @@ class AugmentationPolicy:
             raise ValueError("crop_padding must be >= 0")
 
 
-def _augment_pixel_row(policy: AugmentationPolicy, x: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    img = x.reshape(3, 32, 32)
-    if rng.random() < policy.flip_prob:
-        img = img[:, :, ::-1]
-    p = policy.crop_padding
+def _pixel_views(policy: AugmentationPolicy, pixels: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    imgs = pixels.reshape(-1, 3, 32, 32)
+    n, p = imgs.shape[0], policy.crop_padding
     if p > 0:
-        padded = np.pad(img, ((0, 0), (p, p), (p, p)), mode="reflect")
-        r, c = rng.integers(0, 2 * p + 1, size=2)
-        img = padded[:, r : r + 32, c : c + 32]
-    img = np.ascontiguousarray(img, dtype=np.float64)
-    if policy.pixel_noise_sigma > 0:
-        img += policy.pixel_noise_sigma * rng.standard_normal(img.shape)
-    return np.clip(img, 0.0, 1.0).reshape(_PIXELS)
+        # reflect-padding commutes with the flip, so pad the whole batch once
+        pad = np.pad(np.arange(32), p, mode="reflect")
+        imgs = imgs[:, :, pad[:, None], pad]
+    views = np.empty((n, 3, 32, 32))
+    noise = np.empty((n, _PIXELS)) if policy.pixel_noise_sigma > 0 else None
+    for i in range(n):
+        flip = rng.random() < policy.flip_prob
+        r, c = rng.integers(0, 2 * p + 1, size=2) if p > 0 else (0, 0)
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+        if flip:
+            # the crop at column c of the flipped padded image
+            views[i] = imgs[i, :, r : r + 32, 2 * p - c : 2 * p - c + 32][:, :, ::-1]
+        else:
+            views[i] = imgs[i, :, r : r + 32, c : c + 32]
+    views = views.reshape(n, _PIXELS)
+    if noise is not None:
+        noise *= policy.pixel_noise_sigma
+        views += noise
+    return np.clip(views, 0.0, 1.0, out=views)
 
 
 def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator,
                   channel_stats: tuple | None = None) -> np.ndarray:
     """One random view of each row of ``X``, consuming ``rng``
-    sequentially: vectorized in embedding mode, row by row in pixel mode.
-    Pixel mode needs the (mean, std) ``channel_stats`` that standardized
-    the rows; it destandardizes them, augments, and standardizes again."""
+    sequentially: vectorized in embedding mode.  In pixel mode each row
+    draws its flip, then its two crop offsets, then its noise, in row
+    order; the padding, crops, noise, clamp and standardization then run
+    over the whole batch.  Pixel mode needs the (mean, std)
+    ``channel_stats`` that standardized the rows; it destandardizes them,
+    augments, and standardizes again."""
     X = np.asarray(X, dtype=np.float64)
     if policy.augment == "embedding_noise":
         Y = X.copy()
@@ -377,8 +391,7 @@ def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gene
     if channel_stats is None:
         raise ValueError("pixel augmentation needs the channel statistics of a CIFAR parse")
     pixels = destandardize_pixels(X, *channel_stats)
-    views = np.stack([_augment_pixel_row(policy, row, rng) for row in pixels])
-    return standardize_pixels(views, *channel_stats)
+    return standardize_pixels(_pixel_views(policy, pixels, rng), *channel_stats)
 
 
 @dataclass(frozen=True)

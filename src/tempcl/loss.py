@@ -1,9 +1,10 @@
 """Temperature-scaled contrastive (InfoNCE) loss on cosine-similarity matrices.
 
 :func:`info_nce` returns the loss and its gradient with respect to each
-similarity, from the softmax over similarities.  The gradient is where the
-temperature acts: a small tau puts the weight on the hardest negatives, a
-large one spreads it.  :func:`info_nce_distance_form` recomputes the loss
+similarity, both from one set of exponentials of the softmax over
+similarities.  The gradient is where the temperature acts: a small tau puts
+the weight on the hardest negatives, a large one spreads it.
+:func:`info_nce_distance_form` recomputes the loss
 through exponentiated distances d_ij = (1 - s_ij) / tau_i; both forms reduce
 to softplus of the same log-sum-exp, and the distance form is kept as a
 separate code path so that it can serve as a cross-check of the first.
@@ -98,12 +99,12 @@ def _validate_similarities(S: np.ndarray) -> np.ndarray:
         )
     if m < 2:
         raise ValueError("loss undefined without at least one negative (need >= 2 columns)")
-    if not np.all(np.isfinite(S)):
+    # a NaN or an infinity makes the minimum or the maximum non-finite
+    lo, hi = S.min(), S.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("similarity matrix contains non-finite entries")
-    if S.min() < -1.0 - _SIM_BOUND_SLACK or S.max() > 1.0 + _SIM_BOUND_SLACK:
-        raise ValueError(
-            f"similarities out of [-1, 1]: min {S.min():.6g}, max {S.max():.6g}"
-        )
+    if lo < -1.0 - _SIM_BOUND_SLACK or hi > 1.0 + _SIM_BOUND_SLACK:
+        raise ValueError(f"similarities out of [-1, 1]: min {lo:.6g}, max {hi:.6g}")
     return S
 
 
@@ -129,34 +130,42 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
     """Contrastive loss from a similarity matrix, softmax form, with its
     gradient.
 
-    per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ),
-    evaluated as softplus of a max-shifted log-sum-exp over the negatives
-    so the value stays accurate even when the loss is vanishingly small.
-
-    With w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient
-    is (w_ij - [i == j]) / tau_i; ``grad`` divides it by the number of
+    per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ).  With
+    w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient is
+    (w_ij - [i == j]) / tau_i; ``grad`` divides it by the number of
     anchors to match the mean loss.  Off-diagonal entries are positive
     (negatives are repelled in proportion to their softmax weight), diagonal
     entries negative.
+
+    The loss comes from the gradient's exponentials e_ij = exp(z_ij - m_i),
+    z = S/tau shifted by its row maximum m_i, as
+    softplus(log(sum_{j != i} e_ij) - (z_ii - m_i)).  The negatives are
+    summed on their own rather than as the row sum less e_ii, so nothing
+    cancels, and softplus of a very negative argument is its exponential:
+    a vanishing loss keeps its full relative accuracy.  Only when every
+    negative underflows, a loss below the smallest double, is it exactly 0.
     """
     S = _validate_similarities(S)
-    n, m = S.shape
-    taus = _as_tau_vector(tau, n)
-    idx = np.arange(n)
+    return _info_nce(S, _as_tau_vector(tau, S.shape[0]))
 
-    diag = S[idx, idx]
-    z = (S - diag[:, None]) / taus[:, None]
-    off = _offdiag_mask(n, m)
-    # log-sum-exp over negatives with row-max subtraction
-    z_neg = np.where(off, z, -np.inf)
-    zmax = z_neg.max(axis=1)
-    lse = zmax + np.log(np.sum(np.exp(z_neg - zmax[:, None]), axis=1, where=off))
-    per_anchor = np.logaddexp(0.0, lse)
-    # gradient from the softmax over each full row, with row-max subtraction
+
+def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
+    """:func:`info_nce` of a validated S and temperature vector."""
+    n = S.shape[0]
+    idx = np.arange(n)
     z = S / taus[:, None]
     z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    w /= w.sum(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    positive = e[idx, idx]
+    e[idx, idx] = 0.0
+    negative = e.sum(axis=1)
+    e[idx, idx] = positive
+    with np.errstate(divide="ignore"):
+        per_anchor = np.logaddexp(0.0, np.log(negative) - z[idx, idx])
+    # the gradient from the full-row softmax
+    w = e
+    w /= total
     grad = w / taus[:, None]
     grad[idx, idx] = (w[idx, idx] - 1.0) / taus
     grad /= n
@@ -193,8 +202,9 @@ def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
     S = _validate_similarities(S)
     if S.shape[0] != S.shape[1]:
         raise ValueError("symmetrized loss requires a square similarity matrix")
-    fwd = info_nce(S, tau)
-    rev = info_nce(S.T, tau)
+    taus = _as_tau_vector(tau, S.shape[0])
+    fwd = _info_nce(S, taus)
+    rev = _info_nce(S.T, taus)
     per_anchor = 0.5 * (fwd.per_anchor + rev.per_anchor)
     return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()),
                          grad=0.5 * (fwd.grad + rev.grad.T))

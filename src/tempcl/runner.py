@@ -42,7 +42,7 @@ from tempcl.encoder import (
     train_epoch,
 )
 from tempcl.evaluation import knn_report, linear_probe
-from tempcl.loss import _unit_rows
+from tempcl.loss import _unit_rows, similarity_matrix
 from tempcl.schedule import recommended_eval_epoch, tau_at
 
 __all__ = [
@@ -158,8 +158,7 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     write_atomic(out_dir / f"coverage_{tag}.csv", coverage_csv(hist))
 
     tau = cfg.schedule.tau_tail if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
-    S = np.clip(emb @ emb.T, -1.0, 1.0)
-    curves = aggregate_contribution_curves(S, tau)
+    curves = aggregate_contribution_curves(similarity_matrix(emb, emb), tau)
     write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
 
     coords, _ = pca_project(feats, components=3)
