@@ -372,12 +372,13 @@ def _pixel_views(policy: AugmentationPolicy, pixels: np.ndarray,
 def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator,
                   channel_stats: tuple | None = None) -> np.ndarray:
     """One random view of each row of ``X``, consuming ``rng``
-    sequentially: vectorized in embedding mode.  In pixel mode each row
-    draws its flip, then its two crop offsets, then its noise, in row
-    order; the padding, crops, noise, clamp and standardization then run
-    over the whole batch.  Pixel mode needs the (mean, std)
-    ``channel_stats`` that standardized the rows; it destandardizes them,
-    augments, and standardizes again."""
+    sequentially: vectorized in embedding mode.  In pixel mode the draws
+    are per row, in row order (flip, then two crop offsets, then noise),
+    and the image operations are batched: one reflect-padding gather, one
+    slice copy per row for flip and crop, then noise, clamp and
+    standardization over the whole batch.  Pixel mode needs the (mean,
+    std) ``channel_stats`` that standardized the rows; it destandardizes
+    them, augments, and standardizes again."""
     X = np.asarray(X, dtype=np.float64)
     if policy.augment == "embedding_noise":
         Y = X.copy()

@@ -155,16 +155,14 @@ def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
     idx = np.arange(n)
     z = S / taus[:, None]
     z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    positive = e[idx, idx]
-    e[idx, idx] = 0.0
-    negative = e.sum(axis=1)
-    e[idx, idx] = positive
+    w = np.exp(z)  # the exponentials, normalized below into the softmax
+    total = w.sum(axis=1, keepdims=True)
+    positive = w[idx, idx]
+    w[idx, idx] = 0.0
+    negative = w.sum(axis=1)
+    w[idx, idx] = positive
     with np.errstate(divide="ignore"):
         per_anchor = np.logaddexp(0.0, np.log(negative) - z[idx, idx])
-    # the gradient from the full-row softmax
-    w = e
     w /= total
     grad = w / taus[:, None]
     grad[idx, idx] = (w[idx, idx] - 1.0) / taus
