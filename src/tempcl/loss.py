@@ -120,12 +120,6 @@ def _as_tau_vector(tau, n: int) -> np.ndarray:
     return taus
 
 
-def _offdiag_mask(n: int, m: int) -> np.ndarray:
-    mask = np.ones((n, m), dtype=bool)
-    mask[np.arange(n), np.arange(n)] = False
-    return mask
-
-
 def info_nce(S: np.ndarray, tau) -> LossBreakdown:
     """Contrastive loss from a similarity matrix, softmax form, with its
     gradient.
@@ -182,7 +176,7 @@ def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
     taus = _as_tau_vector(tau, n)
 
     d = (1.0 - S) / taus[:, None]
-    off = _offdiag_mask(n, m)
+    off = ~np.eye(n, m, dtype=bool)
     neg = np.where(off, -d, -np.inf)
     nmax = neg.max(axis=1)
     lse = nmax + np.log(np.sum(np.exp(neg - nmax[:, None]), axis=1, where=off))
