@@ -136,6 +136,17 @@ class TestInfoNce:
         with pytest.raises(ValueError, match="non-finite"):
             info_nce(S, 1.0)
 
+    @pytest.mark.parametrize("value", [1.5, -1.5])
+    def test_rejects_similarities_out_of_range(self, value):
+        S = np.zeros((2, 3))
+        S[1, 2] = value
+        with pytest.raises(ValueError, match="out of"):
+            info_nce(S, 1.0)
+
+    def test_accepts_rounding_past_the_unit_bound(self):
+        S = np.array([[1.0 + 1e-12, 0.0], [0.0, -1.0 - 1e-12]])
+        assert np.all(np.isfinite(info_nce(S, 1.0).per_anchor))
+
     def test_underflowing_negatives_give_zero_without_warning(self):
         """Negatives 2/tau below the positive underflow to zero weight; the
         loss, below the smallest double, is exactly 0 and nothing warns."""
