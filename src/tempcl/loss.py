@@ -85,7 +85,8 @@ def similarity_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: U is {U.shape}, V is {V.shape}")
     _check_unit_rows(U, "U")
     _check_unit_rows(V, "V")
-    return np.clip(U @ V.T, -1.0, 1.0)
+    S = U @ V.T
+    return np.clip(S, -1.0, 1.0, out=S)
 
 
 def _validate_similarities(S: np.ndarray) -> np.ndarray:
@@ -144,24 +145,31 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
 
 
 def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
-    """:func:`info_nce` of a validated S and temperature vector."""
+    """:func:`info_nce` of a validated S and temperature vector.
+
+    One n x m buffer holds the shifted logits z, then their exponentials,
+    the softmax and the gradient in turn: each step works in place, which
+    at the queue's shape costs less than the allocations it saves.
+    """
     n = S.shape[0]
     idx = np.arange(n)
-    z = S / taus[:, None]
-    z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)  # the exponentials, normalized below into the softmax
-    total = w.sum(axis=1, keepdims=True)
-    positive = w[idx, idx]
-    w[idx, idx] = 0.0
-    negative = w.sum(axis=1)
-    w[idx, idx] = positive
+    g = S / taus[:, None]
+    g -= g.max(axis=1, keepdims=True)
+    z_pos = g[idx, idx]
+    np.exp(g, out=g)
+    total = g.sum(axis=1, keepdims=True)
+    positive = g[idx, idx]
+    g[idx, idx] = 0.0
+    negative = g.sum(axis=1)
+    g[idx, idx] = positive
     with np.errstate(divide="ignore"):
-        per_anchor = np.logaddexp(0.0, np.log(negative) - z[idx, idx])
-    w /= total
-    grad = w / taus[:, None]
-    grad[idx, idx] = (w[idx, idx] - 1.0) / taus
-    grad /= n
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()), grad=grad)
+        per_anchor = np.logaddexp(0.0, np.log(negative) - z_pos)
+    g /= total
+    w_pos = g[idx, idx]
+    g /= taus[:, None]
+    g[idx, idx] = (w_pos - 1.0) / taus
+    g /= n
+    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()), grad=g)
 
 
 def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
