@@ -145,12 +145,9 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
 
 
 def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
-    """:func:`info_nce` of a validated S and temperature vector.
-
-    One n x m buffer holds the shifted logits z, then their exponentials,
-    the softmax and the gradient in turn: each step works in place, which
-    at the queue's shape costs less than the allocations it saves.
-    """
+    """:func:`info_nce` of a validated S and temperature vector, worked in
+    place in one n x m buffer (fresh ones cost more than the arithmetic):
+    the shifted logits, their exponentials, the softmax, then the gradient."""
     n = S.shape[0]
     idx = np.arange(n)
     g = S / taus[:, None]
