@@ -342,43 +342,46 @@ class AugmentationPolicy:
             raise ValueError("crop_padding must be >= 0")
 
 
-def _pixel_views(policy: AugmentationPolicy, pixels: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    imgs = pixels.reshape(-1, 3, 32, 32)
-    n, p = imgs.shape[0], policy.crop_padding
-    if p > 0:
-        # reflect-padding commutes with the flip, so pad the whole batch once
-        pad = np.pad(np.arange(32), p, mode="reflect")
-        imgs = imgs[:, :, pad[:, None], pad]
-    views = np.empty((n, 3, 32, 32))
+def _pixel_views(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator,
+                 mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    n, p = X.shape[0], policy.crop_padding
+    planes = X.reshape(n, 3, 1024)
+    # reflect-padding is an index map, so each view gathers its crop and
+    # flip straight from the standardized row
+    pad = np.pad(np.arange(32), p, mode="reflect")
+    views = np.empty((n, _PIXELS))
     noise = np.empty((n, _PIXELS)) if policy.pixel_noise_sigma > 0 else None
     for i in range(n):
         flip = rng.random() < policy.flip_prob
         r, c = rng.integers(0, 2 * p + 1, size=2) if p > 0 else (0, 0)
         if noise is not None:
             rng.standard_normal(out=noise[i])
-        if flip:
-            # the crop at column c of the flipped padded image
-            views[i] = imgs[i, :, r : r + 32, 2 * p - c : 2 * p - c + 32][:, :, ::-1]
-        else:
-            views[i] = imgs[i, :, r : r + 32, c : c + 32]
-    views = views.reshape(n, _PIXELS)
+        # the crop at column c of the flipped padded image
+        cols = pad[2 * p - c : 2 * p - c + 32][::-1] if flip else pad[c : c + 32]
+        index = (pad[r : r + 32, None] * 32 + cols).ravel()
+        np.take(planes[i], index, axis=1, out=views[i].reshape(3, 1024), mode="clip")
+    # rows of per-pixel channel constants broadcast faster than (3, 1) columns
+    mean, std = np.repeat(mean, 1024), np.repeat(std, 1024)
+    views *= std
+    views += mean
     if noise is not None:
         noise *= policy.pixel_noise_sigma
         views += noise
-    return np.clip(views, 0.0, 1.0, out=views)
+    np.clip(views, 0.0, 1.0, out=views)
+    views -= mean
+    views /= std
+    return views
 
 
 def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Generator,
                   channel_stats: tuple | None = None) -> np.ndarray:
     """One random view of each row of ``X``, consuming ``rng``
     sequentially: vectorized in embedding mode.  In pixel mode the draws
-    are per row, in row order (flip, then two crop offsets, then noise),
-    and the image operations are batched: one reflect-padding gather, one
-    slice copy per row for flip and crop, then noise, clamp and
-    standardization over the whole batch.  Pixel mode needs the (mean,
-    std) ``channel_stats`` that standardized the rows; it destandardizes
-    them, augments, and standardizes again."""
+    are per row, in row order (flip, then two crop offsets, then noise).
+    Each view's flip and crop is one gather from its standardized row into
+    a single batch buffer, in which destandardization, noise, the clamp
+    and standardization then run in place.  Pixel mode needs the (mean,
+    std) ``channel_stats`` that standardized the rows."""
     X = np.asarray(X, dtype=np.float64)
     if policy.augment == "embedding_noise":
         Y = X.copy()
@@ -391,8 +394,7 @@ def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gene
         raise ValueError(f"pixel augmentation needs D={_PIXELS}, got {X.shape[1]}")
     if channel_stats is None:
         raise ValueError("pixel augmentation needs the channel statistics of a CIFAR parse")
-    pixels = destandardize_pixels(X, *channel_stats)
-    return standardize_pixels(_pixel_views(policy, pixels, rng), *channel_stats)
+    return _pixel_views(policy, X, rng, *channel_stats)
 
 
 @dataclass(frozen=True)

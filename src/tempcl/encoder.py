@@ -9,7 +9,12 @@ schedule, and either in-batch negatives or a momentum encoder feeding a
 FIFO key queue.
 
 All arrays are float64 and every update is performed in a fixed order, so
-training is bitwise reproducible for a given seed.
+training is bitwise reproducible for a given seed.  The SGD update is
+memory-bound: at D=3072 the first layer, its momentum buffer and each
+view's gradient are 6.3 MB apiece, larger than a core's L2, and each update
+operation is one multiply or add per element.  :func:`sgd_step` therefore
+works through every array in row blocks that fit in L2, doing all of its
+operations on one block before the next.
 """
 
 import struct
@@ -53,6 +58,10 @@ __all__ = [
 ]
 
 TCLP_MAGIC = b"TCLP"
+# sgd_step's block size.  Five blocks are live at once (parameter, momentum,
+# two gradients, scratch), within a core's L2; on the 3072 x 256 layer,
+# 64-row blocks ran faster than both 32-row blocks and whole arrays.
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -219,13 +228,6 @@ def backward(
     return EncoderParams(backbone=grads[:n_back], projection=grads[n_back:])
 
 
-def _accumulate(into: EncoderParams, other: EncoderParams) -> EncoderParams:
-    for (W, b), (dW, db) in zip(into.layers(), other.layers()):
-        W += dW
-        b += db
-    return into
-
-
 @dataclass
 class OptimState:
     """SGD-with-momentum state and the learning-rate schedule parameters."""
@@ -261,19 +263,46 @@ def lr_at(state: OptimState, epoch: int) -> float:
     return 0.5 * state.base_lr * (1.0 + np.cos(np.pi * (epoch - state.warmup_epochs) / span))
 
 
-def sgd_step(params: EncoderParams, grads: EncoderParams, state: OptimState) -> EncoderParams:
-    """In-place SGD update: g <- grad + wd * p; buf <- mom * buf + g;
-    p <- p - lr * buf."""
+def sgd_step(params: EncoderParams, grads: EncoderParams | list,
+             state: OptimState) -> EncoderParams:
+    """In-place SGD update from the sum of the batch's gradient sets:
+    g <- grad_1 + grad_2 + ... + wd * p; buf <- mom * buf + g;
+    p <- p - lr * buf.
+
+    ``grads`` is one :class:`EncoderParams` or a list of them (one per
+    view); the sum is formed in place in the first.  Each array is worked
+    through in row blocks of about ``_BLOCK_BYTES`` with one block-sized
+    scratch buffer, so it crosses memory about once per step rather than
+    once per operation, with the same operations, in the same order, on
+    every element.
+    """
+    sets = [grads] if isinstance(grads, EncoderParams) else list(grads)
+    arrays = params.arrays()
+    for g in sets:
+        g_arrays = g.arrays()
+        if len(g_arrays) != len(arrays):
+            raise ValueError(f"{len(g_arrays)} gradient arrays for {len(arrays)} parameters")
+        for p, g_a in zip(arrays, g_arrays):
+            if p.shape != g_a.shape:
+                raise ValueError(f"gradient shape {g_a.shape} does not match parameter {p.shape}")
     lr = lr_at(state, state.epoch)
-    for (p_W, p_b), (g_W, g_b), (m_W, m_b) in zip(
-        params.layers(), grads.layers(), state.buffers.layers()
-    ):
-        for p, g, m in ((p_W, g_W, m_W), (p_b, g_b, m_b)):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-            m *= state.sgd_momentum
-            m += g + state.weight_decay * p
-            p -= lr * m
+    wd, mom = state.weight_decay, state.sgd_momentum
+    scratch = np.empty(max([_BLOCK_BYTES // 8] + [p[:1].size for p in arrays]))
+    for p, m, gs in zip(arrays, state.buffers.arrays(), zip(*(g.arrays() for g in sets))):
+        row = p[:1].size
+        rows = max(1, min(len(p), scratch.size // max(row, 1)))
+        block = scratch[: rows * row].reshape((rows,) + p.shape[1:])
+        for i in range(0, len(p), rows):
+            g, pb, mb = gs[0][i : i + rows], p[i : i + rows], m[i : i + rows]
+            for other in gs[1:]:
+                g += other[i : i + rows]
+            s = block[: len(pb)]
+            np.multiply(pb, wd, out=s)
+            np.add(g, s, out=s)
+            mb *= mom
+            mb += s
+            np.multiply(mb, lr, out=s)
+            pb -= s
     return params
 
 
@@ -328,10 +357,12 @@ def queue_push(source: NegativeSource, keys: np.ndarray) -> None:
 
 
 def _batch_gradients(params, v1, v2, tau, source, symmetrize):
-    """Loss and parameter gradients for one batch; returns (grads, loss,
-    keys) where keys is None for in-batch mode.  Anchor i's key is row i of
-    the other view (in-batch) or of the key encoder's output, whose rows
-    are followed by the queued keys (momentum queue)."""
+    """Loss and parameter gradients for one batch; returns (grad_sets,
+    loss) with one gradient set per view that carries one.  Anchor i's key
+    is row i of the other view (in-batch) or of the key encoder's output,
+    whose rows are followed by the queued keys (momentum queue).  The
+    momentum queue takes the batch's keys here, after the loss's V is
+    built from the queue as it was."""
     r1 = forward(params, v1)
     U = r1.embeddings
     if source.kind == "in_batch":
@@ -339,15 +370,14 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
         V = r2.embeddings
         S = similarity_matrix(U, V)
         bd = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
-        grads = backward(params, v1, bd.grad @ V, r1)
-        grads = _accumulate(grads, backward(params, v2, bd.grad.T @ U, r2))
-        return grads, bd.mean, None
+        grads = [backward(params, v1, bd.grad @ V, r1), backward(params, v2, bd.grad.T @ U, r2)]
+        return grads, bd.mean
 
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
-    bd = info_nce(similarity_matrix(U, V), tau)
-    grads = backward(params, v1, bd.grad @ V, r1)
-    return grads, bd.mean, keys
+    queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
+    bd = info_nce(similarity_matrix(U, V, v_checked=True), tau)
+    return [backward(params, v1, bd.grad @ V, r1)], bd.mean
 
 
 def train_epoch(
@@ -393,13 +423,12 @@ def train_epoch(
             tau = per_anchor_tau(dataset.labels[idx], schedule)
         else:
             tau = tau_at(schedule, epoch)
-        grads, loss, keys = _batch_gradients(params, v1, v2, tau, negative_source, symmetrize)
+        grads, loss = _batch_gradients(params, v1, v2, tau, negative_source, symmetrize)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {b}")
         sgd_step(params, grads, state)
-        if keys is not None:
+        if negative_source.kind == "momentum_queue":
             momentum_update(params, negative_source.key_params, negative_source.momentum_m)
-            queue_push(negative_source, keys)
         losses.append(loss)
     return params, float(np.mean(losses))
 

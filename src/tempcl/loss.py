@@ -71,20 +71,23 @@ def _check_unit_rows(X: np.ndarray, name: str) -> None:
         )
 
 
-def similarity_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def similarity_matrix(U: np.ndarray, V: np.ndarray, *, v_checked: bool = False) -> np.ndarray:
     """Cosine similarities between two batches of unit-norm row vectors.
 
     Returns the N x M matrix with entry (i, j) = dot(U[i], V[j]), clamped
     to [-1, 1].  V holds the key of each row of U, then any negatives shared
     by every anchor, so it needs U's width and at least U's rows.  All rows
-    must be unit-norm (within 1e-6).
+    must be unit-norm (within 1e-6).  ``v_checked`` says every row of V has
+    passed that check already, as keys in a momentum queue have in
+    ``queue_push``; only U is checked then.
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1] or V.shape[0] < U.shape[0]:
         raise ValueError(f"shape mismatch: U is {U.shape}, V is {V.shape}")
     _check_unit_rows(U, "U")
-    _check_unit_rows(V, "V")
+    if not v_checked:
+        _check_unit_rows(V, "V")
     S = U @ V.T
     return np.clip(S, -1.0, 1.0, out=S)
 

@@ -2,9 +2,13 @@
 re-evaluation and finite-difference oracles, the optimizer, the momentum
 queue, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tempcl.encoder
+import tempcl.loss
 from tempcl.data import AugmentationPolicy, synth_mixture
 from tempcl.encoder import (
     EncoderParams,
@@ -278,6 +282,90 @@ class TestSgdStep:
         assert params.projection[0][0][0, 0] == pytest.approx(-2.5, abs=1e-14)
 
 
+def sgd_step_oracle(params, grad_sets, state):
+    """The unblocked update: the gradient sets summed in place into the
+    first, then g + wd * p, the momentum and the step, one whole array at
+    a time."""
+    grads = grad_sets[0]
+    for other in grad_sets[1:]:
+        for (W, b), (dW, db) in zip(grads.layers(), other.layers()):
+            W += dW
+            b += db
+    lr = lr_at(state, state.epoch)
+    for p, g, m in zip(params.arrays(), grads.arrays(), state.buffers.arrays()):
+        m *= state.sgd_momentum
+        m += g + state.weight_decay * p
+        p -= lr * m
+    return params
+
+
+def random_like(params, rng) -> EncoderParams:
+    def draw(layers):
+        return [(rng.standard_normal(W.shape), rng.standard_normal(b.shape)) for W, b in layers]
+    return EncoderParams(backbone=draw(params.backbone), projection=draw(params.projection))
+
+
+class TestBlockedSgdStep:
+    # 3000 x 256 is 46 blocks of 64 rows and a 56-row remainder; a 17000-wide
+    # row is larger than a block, and its bias is one full block and a rest
+    SHAPES = [((3000, 256), (256,)), ((3, 17000), (17000,)), ((1000, 3), (3,))]
+
+    def make(self, seed):
+        rng = np.random.default_rng(seed)
+        params = EncoderParams(
+            backbone=[(rng.standard_normal(w), rng.standard_normal(b)) for w, b in self.SHAPES[:2]],
+            projection=[(rng.standard_normal(w), rng.standard_normal(b))
+                        for w, b in self.SHAPES[2:]],
+        )
+        state = init_optim_state(params, base_lr=0.3, warmup_epochs=2, total_epochs=6,
+                                 weight_decay=5e-4, sgd_momentum=0.9)
+        return params, state
+
+    @pytest.mark.parametrize("n_sets", [1, 2, 3])
+    def test_bitwise_equal_to_unblocked_oracle(self, n_sets):
+        """Params and momentum buffers after several steps (through warmup
+        and the cosine) are the oracle's bit for bit."""
+        params, state = self.make(80)
+        ref_params, ref_state = self.make(80)
+        rng = np.random.default_rng(81)
+        for epoch in range(4):
+            state.epoch = ref_state.epoch = epoch
+            sets = [random_like(params, rng) for _ in range(n_sets)]
+            sgd_step_oracle(ref_params, [g.copy() for g in sets], ref_state)
+            sgd_step(params, sets[0] if n_sets == 1 else sets, state)
+        for got, want in zip(params.arrays() + state.buffers.arrays(),
+                             ref_params.arrays() + ref_state.buffers.arrays()):
+            assert np.array_equal(got, want)
+
+    def test_every_gradient_set_is_shape_checked(self):
+        """A second set whose bias would broadcast is refused before any
+        parameter moves."""
+        params = init_encoder(6, (256,), embed_dim=4, seed=12)
+        before = flat(params).copy()
+        state = init_optim_state(params, warmup_epochs=0, total_epochs=5)
+        second = params.zeros_like()
+        second.backbone[0] = (second.backbone[0][0], np.zeros(1))
+        with pytest.raises(ValueError, match=r"gradient shape \(1,\) does not match parameter \(256,\)"):
+            sgd_step(params, [params.zeros_like(), second], state)
+        with pytest.raises(ValueError, match="gradient arrays"):
+            sgd_step(params, [EncoderParams(backbone=[], projection=params.projection)], state)
+        np.testing.assert_array_equal(flat(params), before)
+
+    def test_no_parameter_sized_temporaries(self):
+        """A 3072 x 256 update with two gradient sets allocates under 1 MB;
+        one parameter-sized array is 6.3 MB."""
+        params = init_encoder(3072, (256,), embed_dim=32, seed=13)
+        state = init_optim_state(params, warmup_epochs=0, total_epochs=5)
+        sets = [random_like(params, np.random.default_rng(14)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            sgd_step(params, sets, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestOptimState:
     @pytest.mark.parametrize("bad", [dict(sgd_momentum=1.0), dict(base_lr=0.0),
                                      dict(total_epochs=0), dict(warmup_epochs=-1),
@@ -426,6 +514,22 @@ class TestTrainEpoch:
         q = source.queue
         assert q.shape[0] == min(source.capacity, (ds.n // 8) * 8)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-9)
+
+    def test_momentum_queue_checks_each_key_once(self, monkeypatch):
+        """Each batch checks the unit norm of its anchors and its fresh keys
+        once; queued keys are not checked again."""
+        check, checked = tempcl.loss._check_unit_rows, []
+
+        def record(X, name):
+            checked.append(X.shape[0])
+            check(X, name)
+
+        monkeypatch.setattr(tempcl.loss, "_check_unit_rows", record)
+        monkeypatch.setattr(tempcl.encoder, "_check_unit_rows", record)
+        ds, params, state, source, policy, sched = toy_setup(negatives="momentum_queue")
+        train_epoch(ds, params, state, sched, source, policy,
+                    seed=7, epoch=0, batch_size=8)
+        assert checked == [8] * (2 * (ds.n // 8))
 
     def test_momentum_queue_deterministic(self):
         losses = []

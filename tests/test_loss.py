@@ -81,6 +81,17 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="shape mismatch"):
             similarity_matrix(np.eye(3, 4), V)
 
+    def test_checked_v_skips_only_the_v_check(self):
+        U = np.eye(3)
+        V = np.vstack([np.eye(3), np.eye(3)[:2]])  # keys, then a two-row queue
+        V[4] *= 1.5
+        np.testing.assert_array_equal(similarity_matrix(U, V, v_checked=True),
+                                      np.clip(U @ V.T, -1.0, 1.0))
+        with pytest.raises(ValueError, match="row 4 of V"):
+            similarity_matrix(U, V)
+        with pytest.raises(ValueError, match="row 0 of U"):
+            similarity_matrix(2.0 * U, V, v_checked=True)
+
     def test_non_normalized_row_named(self):
         U = np.eye(3)
         V = np.eye(3).copy()
