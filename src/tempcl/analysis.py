@@ -30,9 +30,7 @@ N_SIM_BINS = 100  # similarity axis split into bins of width 0.02 over [-1, 1]
 class CoverageHistogram:
     """Counts of embeddings assigned to their closest direction bin."""
 
-    bin_directions: np.ndarray
     counts: np.ndarray
-    seed: int
 
 
 def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> CoverageHistogram:
@@ -49,7 +47,7 @@ def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> C
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     assign = np.argmax(embeddings @ dirs.T, axis=1)
     counts = np.bincount(assign, minlength=B)
-    return CoverageHistogram(bin_directions=dirs, counts=counts, seed=int(seed))
+    return CoverageHistogram(counts=counts)
 
 
 def uniformity_stat(h: CoverageHistogram) -> float:

@@ -1,12 +1,12 @@
 """Small unit-sphere MLP encoder with manual backpropagation.
 
-The encoder is a stack of linear layers with ReLU between them (the
-"backbone", whose last activation is the evaluation representation),
-followed by a projection stack whose final output is l2-normalized row by
-row.  Training uses SGD with Nesterov-free momentum, decoupled-free weight
-decay (added to the gradient), a linear-warmup + cosine learning-rate
-schedule, and either in-batch negatives or a momentum encoder feeding a
-FIFO key queue.
+The encoder is one chain of linear layers, ReLU after every layer but the
+last, with an l2-normalized output.  The activation after the first
+``n_backbone`` layers (the backbone) is the feature tap that evaluation
+scores; the remaining layers are the projection head.  Training uses SGD
+with Nesterov-free momentum, decoupled-free weight decay (added to the
+gradient), a linear-warmup + cosine learning-rate schedule, and either
+in-batch negatives or a momentum encoder feeding a FIFO key queue.
 
 All arrays are float64 and every update is performed in a fixed order, so
 training is bitwise reproducible for a given seed.  The SGD update is
@@ -18,7 +18,7 @@ operations on one block before the next.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,39 +66,26 @@ _BLOCK_BYTES = 128 * 1024
 
 @dataclass
 class EncoderParams:
-    """Weights and biases: ``backbone`` layers (ReLU after each) and
-    ``projection`` layers (ReLU between, none after the last).  The same
-    container holds parameter gradients."""
+    """The chain's (W, b) pairs in order, ReLU after every layer but the
+    last; the first ``n_backbone`` layers are the backbone, the rest the
+    projection head.  The same container holds parameter gradients."""
 
-    backbone: list
-    projection: list
-
-    def layers(self):
-        """All (W, b) pairs in declaration order."""
-        return list(self.backbone) + list(self.projection)
+    layers: list
+    n_backbone: int
 
     def arrays(self):
-        out = []
-        for W, b in self.layers():
-            out.append(W)
-            out.append(b)
-        return out
+        return [a for pair in self.layers for a in pair]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            backbone=[(W.copy(), b.copy()) for W, b in self.backbone],
-            projection=[(W.copy(), b.copy()) for W, b in self.projection],
-        )
+        return EncoderParams([(W.copy(), b.copy()) for W, b in self.layers], self.n_backbone)
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(
-            backbone=[(np.zeros_like(W), np.zeros_like(b)) for W, b in self.backbone],
-            projection=[(np.zeros_like(W), np.zeros_like(b)) for W, b in self.projection],
-        )
+        return EncoderParams([(np.zeros_like(W), np.zeros_like(b)) for W, b in self.layers],
+                             self.n_backbone)
 
     @property
     def embed_dim(self) -> int:
-        return self.projection[-1][0].shape[1]
+        return self.layers[-1][0].shape[1]
 
 
 def init_encoder(
@@ -119,72 +106,57 @@ def init_encoder(
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         W = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
         layers.append((W, np.zeros(d_out)))
-    n_back = len(hidden_dims)
-    return EncoderParams(backbone=layers[:n_back], projection=layers[n_back:])
+    return EncoderParams(layers, len(hidden_dims))
 
 
 @dataclass
 class ForwardResult:
-    """Projected unit-norm embeddings plus the pre-projection features used
-    for evaluation.  ``zero_rows`` flags rows whose projection output was
-    exactly zero and was replaced by the first basis vector."""
+    """Unit-norm embeddings and the features at the backbone's tap (for
+    evaluation); ``zero_rows`` flags zero projection outputs, replaced by
+    the first basis vector.  Backprop reads each layer's ``inputs`` and
+    pre-activation (``pre``) and the output's row ``norms``."""
 
     embeddings: np.ndarray
     features: np.ndarray
     zero_rows: np.ndarray
-    cache: dict = field(default_factory=dict, repr=False)
+    inputs: list
+    pre: list
+    norms: np.ndarray
 
 
-def _linear_checked(a, W, b, label):
-    if a.shape[1] != W.shape[0]:
-        raise ValueError(
-            f"{label}: input width {a.shape[1]} does not match weight shape {W.shape}"
-        )
-    z = a @ W + b
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError(f"non-finite activations in {label}")
-    return z
+def _layer_name(params: EncoderParams, i: int) -> str:
+    n = params.n_backbone
+    return f"backbone layer {i}" if i < n else f"projection layer {i - n}"
 
 
 def forward(params: EncoderParams, X: np.ndarray) -> ForwardResult:
     """Forward pass returning embeddings (training head) and features
-    (evaluation representation) with the intermediate cache for backprop."""
+    (evaluation representation) with what backprop needs."""
     a = np.asarray(X, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D input batch, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("input contains non-finite values")
 
-    backbone_in = []
-    backbone_pre = []
-    for i, (W, b) in enumerate(params.backbone):
-        backbone_in.append(a)
-        z = _linear_checked(a, W, b, f"backbone layer {i}")
-        backbone_pre.append(z)
-        a = np.maximum(z, 0.0)
     features = a
+    inputs, pre = [], []
+    last = len(params.layers) - 1
+    for i, (W, b) in enumerate(params.layers):
+        if a.shape[1] != W.shape[0]:
+            raise ValueError(f"{_layer_name(params, i)}: input width {a.shape[1]} "
+                             f"does not match weight shape {W.shape}")
+        inputs.append(a)
+        z = a @ W + b
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError(f"non-finite activations in {_layer_name(params, i)}")
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < last else z
+        if i == params.n_backbone - 1:
+            features = a
 
-    proj_in = []
-    proj_pre = []
-    p = features
-    n_proj = len(params.projection)
-    for i, (W, b) in enumerate(params.projection):
-        proj_in.append(p)
-        y = _linear_checked(p, W, b, f"projection layer {i}")
-        proj_pre.append(y)
-        p = np.maximum(y, 0.0) if i < n_proj - 1 else y
-
-    U, norms = _unit_rows(p)
-    zero_rows = norms == 0.0
-    cache = {
-        "backbone_in": backbone_in,
-        "backbone_pre": backbone_pre,
-        "proj_in": proj_in,
-        "proj_pre": proj_pre,
-        "norms": norms,
-        "U": U,
-    }
-    return ForwardResult(embeddings=U, features=features, zero_rows=zero_rows, cache=cache)
+    U, norms = _unit_rows(a)
+    return ForwardResult(embeddings=U, features=features, zero_rows=norms == 0.0,
+                         inputs=inputs, pre=pre, norms=norms)
 
 
 def backward(
@@ -202,30 +174,25 @@ def backward(
     """
     if result is None:
         result = forward(params, X)
-    cache = result.cache
     dU = np.asarray(upstream, dtype=np.float64)
-    U = cache["U"]
+    U = result.embeddings
     if dU.shape != U.shape:
         raise ValueError(f"upstream shape {dU.shape} does not match embeddings {U.shape}")
 
-    safe = np.where(result.zero_rows, 1.0, cache["norms"])
+    safe = np.where(result.zero_rows, 1.0, result.norms)
     dz = (dU - np.sum(dU * U, axis=1, keepdims=True) * U) / safe[:, None]
     dz[result.zero_rows] = 0.0
 
-    # every layer but the last projection layer is followed by a ReLU
-    layers = params.layers()
-    inputs = cache["backbone_in"] + cache["proj_in"]
-    pre = cache["backbone_pre"] + cache["proj_pre"]
-    grads = [None] * len(layers)
+    last = len(params.layers) - 1
+    grads = [None] * (last + 1)
     d = dz
-    for i in range(len(layers) - 1, -1, -1):
-        if i < len(layers) - 1:
-            d = d * (pre[i] > 0.0)
-        grads[i] = (inputs[i].T @ d, d.sum(axis=0))
+    for i in range(last, -1, -1):
+        if i < last:
+            d = d * (result.pre[i] > 0.0)
+        grads[i] = (result.inputs[i].T @ d, d.sum(axis=0))
         if i > 0:  # the gradient of the encoder's input is never used
-            d = d @ layers[i][0].T
-    n_back = len(params.backbone)
-    return EncoderParams(backbone=grads[:n_back], projection=grads[n_back:])
+            d = d @ params.layers[i][0].T
+    return EncoderParams(grads, params.n_backbone)
 
 
 @dataclass
@@ -310,12 +277,11 @@ def momentum_update(f_params: EncoderParams, key_params: EncoderParams, m: float
     """key <- m * key + (1 - m) * f, elementwise and in place."""
     if not (0.0 < m <= 1.0):
         raise ValueError(f"momentum must be in (0, 1], got {m}")
-    for (f_W, f_b), (k_W, k_b) in zip(f_params.layers(), key_params.layers()):
-        if f_W.shape != k_W.shape or f_b.shape != k_b.shape:
+    for f, k in zip(f_params.arrays(), key_params.arrays()):
+        if f.shape != k.shape:
             raise ValueError("parameter shapes of the two encoders differ")
-        for f, k in ((f_W, k_W), (f_b, k_b)):
-            k *= m
-            k += (1.0 - m) * f
+        k *= m
+        k += (1.0 - m) * f
     return key_params
 
 
@@ -437,8 +403,9 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     """Binary checkpoint: magic "TCLP", u32 backbone and projection layer
     counts, per-layer (u32 d_in, u32 d_out), then all weights and biases as
     little-endian float64 in declaration order."""
-    header = [TCLP_MAGIC, struct.pack("<II", len(params.backbone), len(params.projection))]
-    for W, _ in params.layers():
+    n_proj = len(params.layers) - params.n_backbone
+    header = [TCLP_MAGIC, struct.pack("<II", params.n_backbone, n_proj)]
+    for W, _ in params.layers:
         header.append(struct.pack("<II", W.shape[0], W.shape[1]))
     body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
     write_atomic(path, b"".join(header) + b"".join(body))
@@ -469,4 +436,4 @@ def load_checkpoint(path) -> EncoderParams:
         b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off)
         off += 8 * d_out
         layers.append((W.copy(), b.copy()))
-    return EncoderParams(backbone=layers[:n_back], projection=layers[n_back:])
+    return EncoderParams(layers, n_back)

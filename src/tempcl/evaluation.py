@@ -13,8 +13,10 @@ similarity matrix picks k candidates per test row, and a lexsort by
 (similarity desc, index asc) orders them.  The candidates are the exact top
 k unless the k-th similarity also occurs outside them, in which case the
 partition may have kept a larger train index than the rule allows; those
-rare rows are re-ranked with a full stable sort.  Votes for all rows are
-then counted at once.
+rare rows are re-ranked with a full stable sort.  One ranking serves every
+k: the exact top k under that order is the first k columns of the exact
+top max(k), so the similarity product is formed, checked and ranked once
+and each k votes on its prefix.  Votes for all rows are counted at once.
 """
 
 from dataclasses import dataclass
@@ -78,11 +80,6 @@ class EvalReport:
                 out.append((name, f"class_{k}", float(acc)))
         return out
 
-    def merged_with(self, other: "EvalReport") -> "EvalReport":
-        merged = dict(self.metrics)
-        merged.update(other.metrics)
-        return EvalReport(metrics=merged)
-
 
 def _rank_neighbours(sims: np.ndarray, k: int) -> tuple:
     """(indices, similarities) of each row's k nearest train rows, ordered
@@ -104,9 +101,10 @@ def knn_classify(
     train_emb: np.ndarray,
     train_labels: np.ndarray,
     test_emb: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Majority vote over the k nearest training embeddings per test row."""
+    k_values,
+) -> list:
+    """Majority vote over the k nearest training embeddings per test row:
+    one prediction array for each k in ``k_values``, in order."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -114,23 +112,27 @@ def knn_classify(
         raise ValueError(
             f"dimension mismatch: train D={train_emb.shape[1]}, test D={test_emb.shape[1]}"
         )
-    if not (1 <= k <= train_emb.shape[0]):
-        raise ValueError(f"k={k} outside [1, {train_emb.shape[0]}]")
+    for k in k_values:
+        if not (1 <= k <= train_emb.shape[0]):
+            raise ValueError(f"k={k} outside [1, {train_emb.shape[0]}]")
     _check_unit_rows(train_emb, "train embeddings")
     _check_unit_rows(test_emb, "test embeddings")
-    idx, top = _rank_neighbours(test_emb @ train_emb.T, k)
+    idx, top = _rank_neighbours(test_emb @ train_emb.T, max(k_values))
     votes = train_labels[idx]
     rows = np.arange(idx.shape[0])
     shape = (idx.shape[0], int(train_labels.max()) + 1)
-    counts = np.zeros(shape, dtype=np.int64)
-    nearest = np.full(shape, -np.inf)
-    # last to first, so each class keeps the similarity of its nearest member
-    for j in reversed(range(k)):
-        counts[rows, votes[:, j]] += 1
-        nearest[rows, votes[:, j]] = top[:, j]
-    # among the most-voted classes: the nearest member, then the smaller id
-    tied = counts == counts.max(axis=1, keepdims=True)
-    return np.argmax(np.where(tied, nearest, -np.inf), axis=1)
+    preds = []
+    for k in k_values:  # the first k of the ranked neighbours
+        counts = np.zeros(shape, dtype=np.int64)
+        nearest = np.full(shape, -np.inf)
+        # last to first, so each class keeps the similarity of its nearest member
+        for j in reversed(range(k)):
+            counts[rows, votes[:, j]] += 1
+            nearest[rows, votes[:, j]] = top[:, j]
+        # among the most-voted classes: the nearest member, then the smaller id
+        tied = counts == counts.max(axis=1, keepdims=True)
+        preds.append(np.argmax(np.where(tied, nearest, -np.inf), axis=1))
+    return preds
 
 
 def _breakdown(
@@ -164,11 +166,9 @@ def knn_report(
     K = int(max(train_labels.max(), test_labels.max())) + 1
     if partition is None:
         partition = head_mid_tail_split(np.bincount(train_labels, minlength=K))
-    metrics = {}
-    for k in k_values:
-        pred = knn_classify(train_emb, train_labels, test_emb, k)
-        metrics[f"knn{k}"] = _breakdown(test_labels, pred, partition, K)
-    return EvalReport(metrics=metrics)
+    preds = knn_classify(train_emb, train_labels, test_emb, k_values)
+    return EvalReport(metrics={f"knn{k}": _breakdown(test_labels, pred, partition, K)
+                               for k, pred in zip(k_values, preds)})
 
 
 def fewshot_subset(labels, seed: int) -> np.ndarray:

@@ -80,7 +80,8 @@ def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
 def build_datasets(cfg: ExperimentConfig) -> tuple:
     """The (long-tail train, balanced test) pair described by the config.
     A train set that a snapshot cannot score (fewer than 3 classes or 10
-    rows, or an empty class) is a ConfigError."""
+    rows, or an empty class) or an empty test set is a ConfigError; a test
+    set of another width than the train set is a DataFormatError."""
     d = cfg.data
     if d.kind == "synthetic":
         train, test = synthetic_datasets(cfg)
@@ -103,6 +104,11 @@ def build_datasets(cfg: ExperimentConfig) -> tuple:
     if empty.size:
         raise ConfigError(f"class {empty[0]} of the train set has no rows; the few-shot "
                           f"probe needs a row of every class")
+    if test.n == 0:
+        raise ConfigError("the test set has no rows; every snapshot is scored on it")
+    if test.dim != train.dim:
+        raise DataFormatError(f"{d.test_path}: test set width {test.dim} does not match "
+                              f"the train set's width {train.dim}")
     return train, test
 
 
@@ -145,10 +151,9 @@ def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
                         k_values=KNN_K, partition=partition)
     if cfg.eval.run_probes:
         for mode in ("FS_LP", "LT_LP"):
-            probe = linear_probe(train_feat, train.labels, test_feat, test.labels,
-                                 cfg.probe_config(mode), partition=partition)
-            report = report.merged_with(probe)
-    rows = list(report.rows())
+            report.metrics.update(linear_probe(train_feat, train.labels, test_feat, test.labels,
+                                               cfg.probe_config(mode), partition=partition).metrics)
+    rows = report.rows()
     rows.append(("coverage_cv", "all", uniformity_stat(hist)))
     return rows
 
@@ -250,7 +255,7 @@ def _load_checkpoint_run(cfg, checkpoint_path):
     saved encoder evaluated on the config's data."""
     train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
-    in_dim = params.layers()[0][0].shape[0]
+    in_dim = params.layers[0][0].shape[0]
     if in_dim != train.dim:
         raise DataFormatError(f"{checkpoint_path}: checkpoint input width {in_dim} "
                               f"does not match the dataset's dim {train.dim}")

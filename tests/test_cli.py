@@ -183,6 +183,28 @@ def test_train_set_with_an_empty_class_exits_1(trained, tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("test_set, code, message", [
+    (dict(class_sizes=[5, 5, 5, 5], dim=16), EXIT_DATA,
+     "test set width 16 does not match the train set's width 8"),
+    (dict(class_sizes=[0, 0, 0, 0]), EXIT_CONFIG, "config error: the test set has no rows"),
+], ids=["other-width", "no-rows"])
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_test_set_a_snapshot_cannot_score_is_refused(trained, tmp_path, capsys, command,
+                                                      test_set, code, message):
+    _, out = trained
+    data = tmp_path / "data"
+    data.mkdir()
+    train = tcld(data / "train.tcld", [20, 12, 8, 6])
+    test = tcld(data / "test.tcld", seed=1, **test_set)
+    args = [command, "--config", write_config(tmp_path, extra=f"data.kind = tcld\n"
+                                              f"data.path = {train}\ndata.test_path = {test}\n")]
+    if command != "train":
+        args += ["--checkpoint", str(out / "checkpoint_final.tclp")]
+    assert main(args) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
 @pytest.fixture(scope="module")
 def cifar100_files(tmp_path_factory):
     """CIFAR-100 train and test files in which all 100 fine classes occur,

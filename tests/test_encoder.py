@@ -49,7 +49,7 @@ def batch_grads(params, X1, X2, tau) -> EncoderParams:
     G = info_nce(similarity_matrix(U, V), tau).grad
     g1 = backward(params, X1, G @ V, r1)
     g2 = backward(params, X2, G.T @ U, r2)
-    for (W, b), (dW, db) in zip(g1.layers(), g2.layers()):
+    for (W, b), (dW, db) in zip(g1.layers, g2.layers):
         W += dW
         b += db
     return g1
@@ -59,10 +59,9 @@ def smooth_neighbourhood(params, X, kink_margin=1e-3, norm_floor=0.3) -> bool:
     """True when no activation is near a ReLU kink and no projection row is
     near zero norm, so central differences probe a smooth region."""
     res = forward(params, X)
-    pres = res.cache["backbone_pre"] + res.cache["proj_pre"][:-1]
-    if any(np.abs(z).min() < kink_margin for z in pres):
+    if any(np.abs(z).min() < kink_margin for z in res.pre[:-1]):
         return False
-    return res.cache["norms"].min() > norm_floor
+    return res.norms.min() > norm_floor
 
 
 def fd_grads(params, X1, X2, tau, h=1e-5) -> np.ndarray:
@@ -87,7 +86,7 @@ def fd_grads(params, X1, X2, tau, h=1e-5) -> np.ndarray:
 class TestForward:
     def test_identity_projection_returns_input(self):
         """No hidden layers and an identity projection pass unit rows through."""
-        params = EncoderParams(backbone=[], projection=[(np.eye(3), np.zeros(3))])
+        params = EncoderParams([(np.eye(3), np.zeros(3))], 0)
         X = np.eye(3)
         res = forward(params, X)
         np.testing.assert_allclose(res.embeddings, X, atol=1e-15)
@@ -108,12 +107,13 @@ class TestForward:
         res = forward(params, X)
 
         a = X
-        for W, b in params.backbone:
+        for W, b in params.layers[: params.n_backbone]:
             a = np.maximum(a @ W + b, 0.0)
         feats = a
-        for i, (W, b) in enumerate(params.projection):
+        head = params.layers[params.n_backbone :]
+        for i, (W, b) in enumerate(head):
             a = a @ W + b
-            if i < len(params.projection) - 1:
+            if i < len(head) - 1:
                 a = np.maximum(a, 0.0)
         expect = a / np.linalg.norm(a, axis=1, keepdims=True)
         np.testing.assert_allclose(res.embeddings, expect, atol=1e-12)
@@ -121,22 +121,25 @@ class TestForward:
 
     def test_two_layer_projection_head(self):
         params = init_encoder(4, (8,), embed_dim=3, projection_layers=2, seed=4)
-        assert len(params.projection) == 2
-        assert params.projection[0][0].shape == (8, 8)
+        assert (len(params.layers), params.n_backbone) == (3, 1)
+        assert params.layers[1][0].shape == (8, 8)
         res = forward(params, np.random.default_rng(5).standard_normal((6, 4)))
         np.testing.assert_allclose(np.linalg.norm(res.embeddings, axis=1), 1.0, atol=1e-9)
 
     def test_zero_projection_row_replaced_and_flagged(self):
-        params = EncoderParams(backbone=[], projection=[(np.eye(2), np.zeros(2))])
+        params = EncoderParams([(np.eye(2), np.zeros(2))], 0)
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
         res = forward(params, X)
         np.testing.assert_array_equal(res.zero_rows, [True, False])
         np.testing.assert_array_equal(res.embeddings[0], [1.0, 0.0])
 
     def test_width_mismatch_diagnostic(self):
-        params = init_encoder(4, (8,), embed_dim=3)
+        params = init_encoder(4, (8,), embed_dim=3, projection_layers=2)
         with pytest.raises(ValueError, match="backbone layer 0"):
             forward(params, np.zeros((2, 5)))
+        params.layers[2] = (np.zeros((7, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="projection layer 1: input width 8"):
+            forward(params, np.zeros((2, 4)))
 
     def test_non_finite_input_rejected(self):
         params = init_encoder(2, (4,), embed_dim=2)
@@ -157,31 +160,31 @@ class TestBackward:
         W1 = np.array([[0.7, 1.1]])
         b1 = np.array([0.5, 0.6])
         W2 = np.array([[1.0, 0.2], [-0.3, 0.9]])
-        params = EncoderParams(backbone=[(W1, b1)], projection=[(W2, np.zeros(2))])
+        params = EncoderParams([(W1, b1), (W2, np.zeros(2))], 1)
         X = np.array([[1.0]])  # preactivations 1.2 and 1.7, both > 0
         res = forward(params, X)
-        assert np.all(res.cache["backbone_pre"][0] > 0)
+        assert np.all(res.pre[0] > 0)
         du = np.array([[0.3, -0.4]])
         grads = backward(params, X, du, res)
 
-        z = res.cache["proj_pre"][0]
+        z = res.pre[1]
         u = res.embeddings
         dz = (du - np.sum(du * u, axis=1, keepdims=True) * u) / np.linalg.norm(z)
         dfeat = dz @ W2.T  # no relu mask: derivative exactly 1
-        np.testing.assert_allclose(grads.backbone[0][0], X.T @ dfeat, atol=1e-14)
-        np.testing.assert_allclose(grads.backbone[0][1], dfeat.sum(axis=0), atol=1e-14)
+        np.testing.assert_allclose(grads.layers[0][0], X.T @ dfeat, atol=1e-14)
+        np.testing.assert_allclose(grads.layers[0][1], dfeat.sum(axis=0), atol=1e-14)
 
     def test_normalization_gradient_orthogonal_to_output(self):
         """Pre-normalization gradient rows are orthogonal to the embedding."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4) * 2.0
-        params = EncoderParams(backbone=[], projection=[(np.eye(4), np.zeros(4))])
+        params = EncoderParams([(np.eye(4), np.zeros(4))], 0)
         res = forward(params, x[None, :])
         du = rng.standard_normal((1, 4))
         grads = backward(params, x[None, :], du, res)
         # with identity projection and a single row, dW = x^T dz (rank one)
         i = int(np.argmax(np.abs(x)))
-        dz = grads.projection[0][0][i] / x[i]
+        dz = grads.layers[0][0][i] / x[i]
         assert abs(float(res.embeddings[0] @ dz)) < 1e-9
 
     def test_finite_difference_random_configs(self):
@@ -243,7 +246,7 @@ class TestLrAt:
 
 
 def scalar_params(value: float) -> EncoderParams:
-    return EncoderParams(backbone=[], projection=[(np.array([[value]]), np.zeros(1))])
+    return EncoderParams([(np.array([[value]]), np.zeros(1))], 0)
 
 
 def scalar_state(params, lr, momentum=0.0, wd=0.0) -> OptimState:
@@ -265,13 +268,13 @@ class TestSgdStep:
         params = scalar_params(1.0)
         grads = scalar_params(2.0)
         sgd_step(params, grads, scalar_state(params, lr=0.1))
-        assert params.projection[0][0][0, 0] == pytest.approx(0.8, abs=1e-15)
+        assert params.layers[0][0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
         params = scalar_params(2.0)
         sgd_step(params, params.zeros_like(), scalar_state(params, lr=0.1, wd=0.5))
         # g = 0 + 0.5 * 2 = 1; w = 2 - 0.1 * 1
-        assert params.projection[0][0][0, 0] == pytest.approx(1.9, abs=1e-15)
+        assert params.layers[0][0][0, 0] == pytest.approx(1.9, abs=1e-15)
 
     def test_momentum_accumulates(self):
         params = scalar_params(0.0)
@@ -279,7 +282,7 @@ class TestSgdStep:
         grads = scalar_params(1.0)
         sgd_step(params, grads, state)   # buf = 1, w = -1
         sgd_step(params, grads, state)   # buf = 1.5, w = -2.5
-        assert params.projection[0][0][0, 0] == pytest.approx(-2.5, abs=1e-14)
+        assert params.layers[0][0][0, 0] == pytest.approx(-2.5, abs=1e-14)
 
 
 def sgd_step_oracle(params, grad_sets, state):
@@ -288,7 +291,7 @@ def sgd_step_oracle(params, grad_sets, state):
     a time."""
     grads = grad_sets[0]
     for other in grad_sets[1:]:
-        for (W, b), (dW, db) in zip(grads.layers(), other.layers()):
+        for (W, b), (dW, db) in zip(grads.layers, other.layers):
             W += dW
             b += db
     lr = lr_at(state, state.epoch)
@@ -300,9 +303,8 @@ def sgd_step_oracle(params, grad_sets, state):
 
 
 def random_like(params, rng) -> EncoderParams:
-    def draw(layers):
-        return [(rng.standard_normal(W.shape), rng.standard_normal(b.shape)) for W, b in layers]
-    return EncoderParams(backbone=draw(params.backbone), projection=draw(params.projection))
+    return EncoderParams([(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
+                          for W, b in params.layers], params.n_backbone)
 
 
 class TestBlockedSgdStep:
@@ -312,11 +314,8 @@ class TestBlockedSgdStep:
 
     def make(self, seed):
         rng = np.random.default_rng(seed)
-        params = EncoderParams(
-            backbone=[(rng.standard_normal(w), rng.standard_normal(b)) for w, b in self.SHAPES[:2]],
-            projection=[(rng.standard_normal(w), rng.standard_normal(b))
-                        for w, b in self.SHAPES[2:]],
-        )
+        params = EncoderParams([(rng.standard_normal(w), rng.standard_normal(b))
+                                for w, b in self.SHAPES], 2)
         state = init_optim_state(params, base_lr=0.3, warmup_epochs=2, total_epochs=6,
                                  weight_decay=5e-4, sgd_momentum=0.9)
         return params, state
@@ -344,11 +343,11 @@ class TestBlockedSgdStep:
         before = flat(params).copy()
         state = init_optim_state(params, warmup_epochs=0, total_epochs=5)
         second = params.zeros_like()
-        second.backbone[0] = (second.backbone[0][0], np.zeros(1))
+        second.layers[0] = (second.layers[0][0], np.zeros(1))
         with pytest.raises(ValueError, match=r"gradient shape \(1,\) does not match parameter \(256,\)"):
             sgd_step(params, [params.zeros_like(), second], state)
         with pytest.raises(ValueError, match="gradient arrays"):
-            sgd_step(params, [EncoderParams(backbone=[], projection=params.projection)], state)
+            sgd_step(params, [EncoderParams(params.layers[1:], 0)], state)
         np.testing.assert_array_equal(flat(params), before)
 
     def test_no_parameter_sized_temporaries(self):
@@ -393,17 +392,17 @@ class TestMomentumUpdate:
     def test_m_one_keeps_key(self):
         f, k = scalar_params(2.0), scalar_params(5.0)
         momentum_update(f, k, 1.0)
-        assert k.projection[0][0][0, 0] == 5.0
+        assert k.layers[0][0][0, 0] == 5.0
 
     def test_m_zero_copies(self):
         f, k = scalar_params(2.0), scalar_params(5.0)
         momentum_update(f, k, 1e-300)
-        assert k.projection[0][0][0, 0] == pytest.approx(2.0)
+        assert k.layers[0][0][0, 0] == pytest.approx(2.0)
 
     def test_midpoint(self):
         f, k = scalar_params(2.0), scalar_params(0.0)
         momentum_update(f, k, 0.5)
-        assert k.projection[0][0][0, 0] == pytest.approx(1.0)
+        assert k.layers[0][0][0, 0] == pytest.approx(1.0)
 
 
 def unit_rows(rng, n, d):
@@ -578,15 +577,19 @@ class TestTrainEpoch:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        params = init_encoder(7, (9, 5), embed_dim=3, projection_layers=2, seed=20)
+    @pytest.mark.parametrize("projection_layers", [1, 2])
+    @pytest.mark.parametrize("hidden_dims", [(), (9,), (9, 5)],
+                             ids=["no-hidden", "one-hidden", "two-hidden"])
+    def test_round_trip(self, tmp_path, hidden_dims, projection_layers):
+        params = init_encoder(7, hidden_dims, embed_dim=3,
+                              projection_layers=projection_layers, seed=20)
         p = tmp_path / "enc.tclp"
         save_checkpoint(params, p)
         back = load_checkpoint(p)
-        assert len(back.backbone) == 2 and len(back.projection) == 2
-        for (W, b), (W2, b2) in zip(params.layers(), back.layers()):
-            np.testing.assert_array_equal(W, W2)
-            np.testing.assert_array_equal(b, b2)
+        assert back.n_backbone == len(hidden_dims)
+        assert len(back.layers) == len(hidden_dims) + projection_layers
+        for a, b in zip(params.arrays(), back.arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.tclp"

@@ -53,13 +53,13 @@ class TestKnnClassify:
     def test_single_train_sample(self):
         train = circle([0.0])
         test = circle([10.0, 180.0, 90.0])
-        pred = knn_classify(train, [3], test, k=1)
+        (pred,) = knn_classify(train, [3], test, (1,))
         np.testing.assert_array_equal(pred, [3, 3, 3])
 
     def test_majority_vote(self):
         """Neighbours labelled [5, 5, 9] elect 5."""
         train = circle([0.0, 5.0, 10.0])
-        pred = knn_classify(train, [5, 5, 9], circle([2.0]), k=3)
+        (pred,) = knn_classify(train, [5, 5, 9], circle([2.0]), (3,))
         assert pred[0] == 5
 
     def test_matches_brute_force_oracle(self):
@@ -71,16 +71,18 @@ class TestKnnClassify:
             train = unit_rows(rng, n, d)
             labels = rng.integers(0, 5, size=n)
             test = unit_rows(rng, 20, d)
-            for k in (1, 3, 10):
-                mine = knn_classify(train, labels, test, k)
-                oracle = brute_force_knn(train, labels, test, k)
-                np.testing.assert_array_equal(mine, oracle)
+            k_values = (1, 3, 10)
+            for k, mine in zip(k_values, knn_classify(train, labels, test, k_values),
+                               strict=True):
+                np.testing.assert_array_equal(mine, brute_force_knn(train, labels, test, k))
 
     def test_matches_brute_force_oracle_with_boundary_ties(self):
         """Exact predictions when the k-th similarity is shared with rows
         outside the top k.  Train rows are drawn with repeats from a grid of
         unit vectors (four entries of +-1/2, the rest 0), so similarities and
-        distances are exact and ties are everywhere."""
+        distances are exact and ties are everywhere.  One call ranks at the
+        largest k, so each smaller k votes on a prefix of that ranking, cut
+        exactly where the boundary repair fires."""
         rng = np.random.default_rng(31)
         D = 6
         grid = []
@@ -95,35 +97,35 @@ class TestKnnClassify:
             labels = rng.integers(0, 6, size=n)
             test = grid[rng.integers(0, len(grid), size=12)]
             sims = test @ train.T
-            for k in (1, 3, 10, n):
+            k_values = (1, 3, 10, n)
+            for k, mine in zip(k_values, knn_classify(train, labels, test, k_values),
+                               strict=True):
                 kth = -np.sort(-sims, axis=1)[:, k - 1:k]
                 if k < n:
                     assert ((sims >= kth).sum(axis=1) > k).any()  # a boundary tie occurs
-                mine = knn_classify(train, labels, test, k)
-                oracle = brute_force_knn(train, labels, test, k)
-                np.testing.assert_array_equal(mine, oracle)
+                np.testing.assert_array_equal(mine, brute_force_knn(train, labels, test, k))
 
     def test_vote_tie_nearest_member_wins(self):
         """1-1 vote ties go to the class with the closer member."""
         train = circle([0.0, 10.0])
-        pred = knn_classify(train, [7, 3], circle([4.0]), k=2)
+        (pred,) = knn_classify(train, [7, 3], circle([4.0]), (2,))
         assert pred[0] == 7
-        pred = knn_classify(train, [7, 3], circle([6.0]), k=2)
+        (pred,) = knn_classify(train, [7, 3], circle([6.0]), (2,))
         assert pred[0] == 3
 
     def test_exact_distance_tie_smallest_class(self):
         """Equidistant tied classes fall back to the smaller class id."""
         train = np.eye(3)[:2]
         test = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-        pred = knn_classify(train, [9, 4], test, k=2)
+        (pred,) = knn_classify(train, [9, 4], test, (2,))
         assert pred[0] == 4
 
     def test_neighbour_selection_tie_by_train_index(self):
         """Equal-similarity neighbours are ranked by train index."""
         train = np.eye(3)[:2]
         test = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-        assert knn_classify(train, [8, 2], test, k=1)[0] == 8
-        assert knn_classify(train[::-1], [2, 8], test, k=1)[0] == 2
+        assert knn_classify(train, [8, 2], test, (1,))[0][0] == 8
+        assert knn_classify(train[::-1], [2, 8], test, (1,))[0][0] == 2
 
     def test_rotation_invariance(self):
         """A common orthogonal rotation changes no prediction."""
@@ -132,10 +134,9 @@ class TestKnnClassify:
         labels = rng.integers(0, 4, size=40)
         test = unit_rows(rng, 15, 6)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        for k in (1, 5):
-            base = knn_classify(train, labels, test, k)
-            rotated = knn_classify(train @ Q, labels, test @ Q, k)
-            np.testing.assert_array_equal(base, rotated)
+        base = knn_classify(train, labels, test, (1, 5))
+        rotated = knn_classify(train @ Q, labels, test @ Q, (1, 5))
+        np.testing.assert_array_equal(base, rotated)
 
     def test_euclidean_equals_cosine_ordering(self):
         """For unit vectors, ascending distance is descending similarity."""
@@ -149,13 +150,13 @@ class TestKnnClassify:
     def test_k_out_of_range(self):
         train = circle([0.0, 10.0])
         with pytest.raises(ValueError, match="k="):
-            knn_classify(train, [0, 1], circle([5.0]), k=3)
+            knn_classify(train, [0, 1], circle([5.0]), (1, 3))
         with pytest.raises(ValueError, match="k="):
-            knn_classify(train, [0, 1], circle([5.0]), k=0)
+            knn_classify(train, [0, 1], circle([5.0]), (0,))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            knn_classify(np.eye(3), [0, 1, 2], np.eye(2), k=1)
+            knn_classify(np.eye(3), [0, 1, 2], np.eye(2), (1,))
 
 
 class TestKnnReport:
