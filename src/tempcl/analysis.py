@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CoverageHistogram",
     "ContributionCurves",
     "coverage_histogram",
     "uniformity_stat",
@@ -26,17 +25,10 @@ __all__ = [
 N_SIM_BINS = 100  # similarity axis split into bins of width 0.02 over [-1, 1]
 
 
-@dataclass(frozen=True)
-class CoverageHistogram:
-    """Counts of embeddings assigned to their closest direction bin."""
-
-    counts: np.ndarray
-
-
-def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> CoverageHistogram:
-    """Assign every embedding to the direction bin of maximum cosine
-    similarity; bins are seeded normalized Gaussian draws, ties go to the
-    lowest bin index."""
+def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> np.ndarray:
+    """Counts of embeddings per direction bin: each embedding goes to the
+    bin of maximum cosine similarity; bins are seeded normalized Gaussian
+    draws, ties go to the lowest bin index."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need a non-empty 2-D embedding matrix")
@@ -46,14 +38,13 @@ def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> C
     dirs = rng.standard_normal((B, embeddings.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     assign = np.argmax(embeddings @ dirs.T, axis=1)
-    counts = np.bincount(assign, minlength=B)
-    return CoverageHistogram(counts=counts)
+    return np.bincount(assign, minlength=B)
 
 
-def uniformity_stat(h: CoverageHistogram) -> float:
+def uniformity_stat(counts: np.ndarray) -> float:
     """Coefficient of variation of the bin counts; 0 for perfectly even
     coverage, sqrt(B - 1) for a single-bin point mass."""
-    counts = np.asarray(h.counts, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     return float(counts.std() / counts.mean())
 
 
@@ -126,14 +117,12 @@ def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurv
     return contribution_curves(S[~np.eye(S.shape[0], dtype=bool)], tau)
 
 
-def pca_project(embeddings: np.ndarray, components: int = 3, return_basis: bool = False):
+def pca_project(embeddings: np.ndarray, components: int = 3) -> tuple:
     """Leading principal components of mean-centered data.
 
     Returns (coordinates, explained_variance_ratios).  Components are
     ordered by descending eigenvalue of the covariance matrix, with each
     direction's sign fixed so its largest-magnitude loading is positive.
-    With ``return_basis`` the full orthonormal eigenvector matrix is
-    appended to the result (columns in component order).
     """
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2:
@@ -155,10 +144,7 @@ def pca_project(embeddings: np.ndarray, components: int = 3, return_basis: bool 
             eigvecs[:, j] = -eigvecs[:, j]
     total = eigvals.sum()
     ratios = eigvals[:components] / total if total > 0 else np.zeros(components)
-    coords = centered @ eigvecs[:, :components]
-    if return_basis:
-        return coords, ratios, eigvecs
-    return coords, ratios
+    return centered @ eigvecs[:, :components], ratios
 
 
 def _csv(header: str, rows) -> str:
@@ -166,8 +152,8 @@ def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def coverage_csv(h: CoverageHistogram) -> str:
-    return _csv("bin,count", ((i, int(c)) for i, c in enumerate(h.counts)))
+def coverage_csv(counts: np.ndarray) -> str:
+    return _csv("bin,count", ((i, int(c)) for i, c in enumerate(counts)))
 
 
 def curves_csv(c: ContributionCurves) -> str:

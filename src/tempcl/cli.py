@@ -15,13 +15,12 @@ from pathlib import Path
 from tempcl.config import ConfigError, parse_config, render_config
 from tempcl.data import DataFormatError, save_dataset, write_atomic
 from tempcl.runner import (
-    NumericDivergenceError,
+    _tau_label,
     analyze_checkpoint,
     eval_checkpoint,
     run_experiment,
     synthetic_datasets,
 )
-from tempcl.schedule import tau_at
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -84,7 +83,7 @@ def cmd_schedule_preview(args) -> int:
     cfg = _load_config(args)
     print("epoch,tau")
     for t in range(cfg.run.epochs + 1):
-        print(f"{t},{tau_at(cfg.schedule, t)!r}")
+        print(f"{t},{_tau_label(cfg, t)!r}")
     return 0
 
 
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except NumericDivergenceError as e:
+    except FloatingPointError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -33,8 +33,6 @@ __all__ = [
     "load_cifar100_bin",
     "serialize_cifar10_bin",
     "serialize_cifar100_bin",
-    "standardize_pixels",
-    "destandardize_pixels",
     "augment_batch",
     "head_mid_tail_split",
     "save_dataset",
@@ -227,13 +225,12 @@ def synth_balanced(
     )
 
 
-def standardize_pixels(pixels01: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    planes = np.asarray(pixels01, dtype=np.float64).reshape(-1, 3, 1024)
-    return ((planes - mean[None, :, None]) / std[None, :, None]).reshape(-1, _PIXELS)
-
-def destandardize_pixels(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    planes = np.asarray(features, dtype=np.float64).reshape(-1, 3, 1024)
-    return (planes * std[None, :, None] + mean[None, :, None]).reshape(-1, _PIXELS)
+def _pixel_rows(mean: np.ndarray, std: np.ndarray) -> tuple:
+    """The per-channel constants repeated to one (mean, std) value per pixel
+    of a channel-major row: standardizing is (x - mean) / std and its
+    inverse x * std + mean.  Whole rows broadcast faster than (3, 1)
+    columns over channel planes."""
+    return np.repeat(mean, 1024), np.repeat(std, 1024)
 
 
 def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
@@ -264,12 +261,15 @@ def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
         chunks.append(recs)
     recs = np.vstack(chunks)
     labels = recs[:, n_labels - 1].astype(np.int64)
-    pixels01 = recs[:, n_labels:].astype(np.float64) / 255.0
-    planes = pixels01.reshape(-1, 3, 1024)
+    pixels = recs[:, n_labels:].astype(np.float64) / 255.0
+    planes = pixels.reshape(-1, 3, 1024)
     mean, std = planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
     std = np.where(std > 0.0, std, 1.0)  # a constant channel keeps std 1
+    row_mean, row_std = _pixel_rows(mean, std)
+    pixels -= row_mean
+    pixels /= row_std
     return LongTailDataset(
-        features=standardize_pixels(pixels01, mean, std),
+        features=pixels,
         labels=labels,
         class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
         coarse_labels=recs[:, 0].astype(np.int64) if n_labels == 2 else None,
@@ -293,7 +293,9 @@ def load_cifar100_bin(path) -> LongTailDataset:
 def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
     if ds.channel_stats is None:
         raise ValueError("dataset carries no channel statistics; not a CIFAR parse")
-    px = destandardize_pixels(ds.features, *ds.channel_stats)
+    row_mean, row_std = _pixel_rows(*ds.channel_stats)
+    px = ds.features * row_std
+    px += row_mean
     px = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
     return np.hstack([np.stack(label_columns, axis=1).astype(np.uint8), px]).tobytes()
 
@@ -360,8 +362,7 @@ def _pixel_views(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gener
         cols = pad[2 * p - c : 2 * p - c + 32][::-1] if flip else pad[c : c + 32]
         index = (pad[r : r + 32, None] * 32 + cols).ravel()
         np.take(planes[i], index, axis=1, out=views[i].reshape(3, 1024), mode="clip")
-    # rows of per-pixel channel constants broadcast faster than (3, 1) columns
-    mean, std = np.repeat(mean, 1024), np.repeat(std, 1024)
+    mean, std = _pixel_rows(mean, std)
     views *= std
     views += mean
     if noise is not None:

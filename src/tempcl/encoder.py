@@ -141,18 +141,20 @@ def forward(params: EncoderParams, X: np.ndarray) -> ForwardResult:
     features = a
     inputs, pre = [], []
     last = len(params.layers) - 1
-    for i, (W, b) in enumerate(params.layers):
-        if a.shape[1] != W.shape[0]:
-            raise ValueError(f"{_layer_name(params, i)}: input width {a.shape[1]} "
-                             f"does not match weight shape {W.shape}")
-        inputs.append(a)
-        z = a @ W + b
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"non-finite activations in {_layer_name(params, i)}")
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-        if i == params.n_backbone - 1:
-            features = a
+    # an overflow is reported by the finiteness check after its layer
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (W, b) in enumerate(params.layers):
+            if a.shape[1] != W.shape[0]:
+                raise ValueError(f"{_layer_name(params, i)}: input width {a.shape[1]} "
+                                 f"does not match weight shape {W.shape}")
+            inputs.append(a)
+            z = a @ W + b
+            if not np.all(np.isfinite(z)):
+                raise FloatingPointError(f"non-finite activations in {_layer_name(params, i)}")
+            pre.append(z)
+            a = np.maximum(z, 0.0) if i < last else z
+            if i == params.n_backbone - 1:
+                features = a
 
     U, norms = _unit_rows(a)
     return ForwardResult(embeddings=U, features=features, zero_rows=norms == 0.0,
@@ -413,7 +415,7 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint written by :func:`save_checkpoint`; a malformed
-    file raises :class:`DataFormatError`."""
+    file, or one holding a non-finite value, raises :class:`DataFormatError`."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != TCLP_MAGIC:
         raise DataFormatError(f"{path}: missing TCLP header")
@@ -436,4 +438,8 @@ def load_checkpoint(path) -> EncoderParams:
         b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off)
         off += 8 * d_out
         layers.append((W.copy(), b.copy()))
-    return EncoderParams(layers, n_back)
+    params = EncoderParams(layers, n_back)
+    for i, (W, b) in enumerate(layers):
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise DataFormatError(f"{path}: non-finite weight or bias in {_layer_name(params, i)}")
+    return params

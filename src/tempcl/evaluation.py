@@ -187,19 +187,18 @@ def fewshot_subset(labels, seed: int) -> np.ndarray:
     return np.concatenate(picks)
 
 
-def _probe_loss_grad(W, b, X, onehot, hit=None):
-    """Mean softmax cross-entropy and its gradients for a linear classifier.
-    ``hit`` is ``onehot.astype(bool)``, computed here when not given.  The
-    softmax and then the logit gradient are built in place in one buffer."""
+def _probe_grads(W, b, X, onehot):
+    """Gradients (dW, db) of the mean softmax cross-entropy of a linear
+    classifier.  The softmax and then the logit gradient are built in place
+    in one buffer."""
     P = X @ W
     P += b
     P -= P.max(axis=1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)
-    loss = -np.log(np.maximum(P[onehot.astype(bool) if hit is None else hit], 1e-300)).mean()
     P -= onehot
     P /= X.shape[0]
-    return loss, X.T @ P, P.sum(axis=0)
+    return X.T @ P, P.sum(axis=0)
 
 
 def linear_probe(
@@ -234,9 +233,8 @@ def linear_probe(
     b = np.zeros(K)
     onehot = np.zeros((X.shape[0], K))
     onehot[np.arange(X.shape[0]), y] = 1.0
-    hit = onehot.astype(bool)
     for _ in range(cfg.epochs):
-        _, dW, db = _probe_loss_grad(W, b, X, onehot, hit)
+        dW, db = _probe_grads(W, b, X, onehot)
         dW *= cfg.lr
         db *= cfg.lr
         W -= dW

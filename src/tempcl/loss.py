@@ -51,8 +51,12 @@ class LossBreakdown:
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``X`` divided by their norms, with all-zero rows mapped to the
-    first basis vector; returns (rows, norms)."""
-    norms = np.linalg.norm(X, axis=1)
+    first basis vector; returns (rows, norms).  A norm that overflows is a
+    numeric divergence and raises FloatingPointError."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise FloatingPointError(f"the norm of row {np.argmin(np.isfinite(norms))} overflows")
     zero = norms == 0.0
     U = X / np.where(zero, 1.0, norms)[:, None]
     if zero.any():
@@ -63,7 +67,7 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_unit_rows(X: np.ndarray, name: str) -> None:
     norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))  # NaN norms are bad too
     if bad.size:
         i = int(bad[0])
         raise ValueError(

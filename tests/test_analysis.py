@@ -28,34 +28,31 @@ def unit_rows(rng, n, d):
 class TestCoverageHistogram:
     def test_degenerate_mass_in_one_bin(self):
         emb = np.tile([1.0, 0.0, 0.0], (50, 1))
-        h = coverage_histogram(emb, B=20, seed=0)
-        assert h.counts.max() == 50
-        assert (h.counts > 0).sum() == 1
+        counts = coverage_histogram(emb, B=20, seed=0)
+        assert counts.max() == 50
+        assert (counts > 0).sum() == 1
 
     def test_single_bin(self):
         emb = unit_rows(np.random.default_rng(1), 17, 4)
-        h = coverage_histogram(emb, B=1, seed=0)
-        np.testing.assert_array_equal(h.counts, [17])
+        np.testing.assert_array_equal(coverage_histogram(emb, B=1, seed=0), [17])
 
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(2)
         emb = unit_rows(rng, 321, 6)
-        h = coverage_histogram(emb, B=37, seed=5)
-        assert h.counts.sum() == 321
+        assert coverage_histogram(emb, B=37, seed=5).sum() == 321
 
     def test_deterministic_in_seed(self):
         emb = unit_rows(np.random.default_rng(3), 100, 5)
         a = coverage_histogram(emb, B=50, seed=7)
         b = coverage_histogram(emb, B=50, seed=7)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a, b)
 
     def test_uniform_embeddings_low_cv(self):
         """Monte-Carlo threshold: 10k uniform points over 500 bins stay
         under CV 0.35 for three seeds."""
         for seed in range(3):
             emb = unit_rows(np.random.default_rng(200 + seed), 10_000, 8)
-            h = coverage_histogram(emb, B=500, seed=seed)
-            assert uniformity_stat(h) < 0.35
+            assert uniformity_stat(coverage_histogram(emb, B=500, seed=seed)) < 0.35
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -64,22 +61,21 @@ class TestCoverageHistogram:
 
 class TestUniformityStat:
     def test_equal_counts_zero(self):
-        h = coverage_histogram(np.eye(3), B=1, seed=0)
-        assert uniformity_stat(h) == 0.0
+        assert uniformity_stat(coverage_histogram(np.eye(3), B=1, seed=0)) == 0.0
 
     def test_point_mass_closed_form(self):
         """counts = [n, 0, ..., 0] has CV exactly sqrt(B - 1)."""
         emb = np.tile([0.0, 1.0], (123, 1))
-        h = coverage_histogram(emb, B=40, seed=3)
-        assert h.counts.max() == 123
-        np.testing.assert_allclose(uniformity_stat(h), math.sqrt(39.0), rtol=1e-12)
+        counts = coverage_histogram(emb, B=40, seed=3)
+        assert counts.max() == 123
+        np.testing.assert_allclose(uniformity_stat(counts), math.sqrt(39.0), rtol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         emb = unit_rows(rng, 200, 4)
-        h = coverage_histogram(emb, B=25, seed=1)
-        shuffled = h.counts[rng.permutation(25)]
-        cv1 = uniformity_stat(h)
+        counts = coverage_histogram(emb, B=25, seed=1)
+        shuffled = counts[rng.permutation(25)]
+        cv1 = uniformity_stat(counts)
         cv2 = float(shuffled.std() / shuffled.mean())
         np.testing.assert_allclose(cv1, cv2, rtol=1e-12)
 
@@ -189,6 +185,15 @@ class TestAggregateCurves:
         assert agg.histogram.sum() == 30
 
 
+def eigh_basis(X):
+    """(centered X, covariance eigenvectors by descending eigenvalue, each
+    signed so its largest-magnitude loading is positive)."""
+    centered = X - X.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / len(X))
+    basis = eigvecs[:, np.argsort(eigvals)[::-1]]
+    signs = np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])])
+    return centered, basis * signs
+
 
 class TestPcaProject:
     def test_collinear_data(self):
@@ -216,16 +221,18 @@ class TestPcaProject:
     def test_reconstruction_with_full_basis(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((60, 7))
-        coords, _, basis = pca_project(X, components=7, return_basis=True)
-        centered = X - X.mean(axis=0)
+        coords, _ = pca_project(X, components=7)
+        centered, basis = eigh_basis(X)
         np.testing.assert_allclose(coords @ basis.T, centered, atol=1e-8)
 
     def test_sign_convention(self):
+        """Each component is the projection on the eigenvector whose
+        largest-magnitude loading is positive."""
         rng = np.random.default_rng(12)
         X = rng.standard_normal((50, 4)) * np.array([5.0, 2.0, 1.0, 0.5])
-        _, _, basis = pca_project(X, components=3, return_basis=True)
-        for j in range(basis.shape[1]):
-            assert basis[np.argmax(np.abs(basis[:, j])), j] > 0
+        coords, _ = pca_project(X, components=3)
+        centered, basis = eigh_basis(X)
+        np.testing.assert_allclose(coords, centered @ basis[:, :3], atol=1e-10)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="more than"):
@@ -234,8 +241,7 @@ class TestPcaProject:
 
 class TestCsvRenderers:
     def test_coverage_csv(self):
-        h = coverage_histogram(np.eye(3), B=4, seed=0)
-        text = coverage_csv(h)
+        text = coverage_csv(coverage_histogram(np.eye(3), B=4, seed=0))
         lines = text.strip().splitlines()
         assert lines[0] == "bin,count"
         assert len(lines) == 5

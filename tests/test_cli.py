@@ -1,11 +1,16 @@
 """Tests for the command-line exit-code contract: 0 on success, 1 for a
 configuration error, 2 for a data error, 3 for numeric divergence."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from tempcl.config import parse_config
 from tempcl.data import LongTailDataset, save_dataset
+from tempcl.schedule import tau_at
 from test_data import cifar10_fixture_bytes
 
 TINY = """\
@@ -85,19 +90,24 @@ def test_missing_checkpoint_exits_2(trained, tmp_path, capsys):
     assert not output.exists()  # a refused run writes nothing
 
 
-@pytest.mark.parametrize("cut", [
-    lambda raw: raw[:-1],
-    lambda raw: raw[:12],
-    lambda raw: raw[:30],
-    lambda raw: raw + b"\0",
-], ids=["truncated-weights", "header-only", "truncated-layer-table", "trailing-bytes"])
+@pytest.mark.parametrize("cut, message", [
+    (lambda raw: raw[:-1], "weights need"),
+    (lambda raw: raw[:12], "overruns the file"),
+    (lambda raw: raw[:30], "weights need"),  # the 28-byte table of TINY's two layers fits
+    (lambda raw: raw + b"\0", "trailing bytes"),
+    # the last 8 bytes are the last bias of the last layer
+    (lambda raw: raw[:-8] + struct.pack("<d", math.nan),
+     "non-finite weight or bias in projection layer 0"),
+], ids=["truncated-weights", "header-only", "truncated-layer-table", "trailing-bytes",
+        "nan-bias"])
 @pytest.mark.parametrize("command", ["eval", "analyze"])
-def test_corrupt_checkpoint_exits_2(trained, tmp_path, capsys, cut, command):
+def test_corrupt_checkpoint_exits_2(trained, tmp_path, capsys, cut, message, command):
     config, out = trained
     bad = tmp_path / "bad.tclp"
     bad.write_bytes(cut((out / "checkpoint_final.tclp").read_bytes()))
     assert main([command, "--config", config, "--checkpoint", str(bad)]) == EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
 
 
 def test_checkpoint_of_another_width_exits_2(trained, tmp_path, capsys):
@@ -253,3 +263,44 @@ def test_divergence_exits_3(tmp_path, capsys):
     config = write_config(tmp_path, extra="encoder.base_lr = 1e200\n")
     assert main(["train", "--config", config]) == EXIT_NUMERIC
     assert "numeric divergence" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, base_lr, message", [
+    (TINY, "1e200", "non-finite activations in "),
+    # one batch per epoch: epoch 0's loss is finite, the snapshot after it diverges
+    (TINY.replace("run.eval_every = 2", "run.eval_every = 1")
+         .replace("batch_size = 16", "batch_size = 32"), "1e200", "non-finite activations in "),
+    # finite outputs whose squared norms overflow
+    (TINY, "1e20", "the norm of row 0 overflows"),
+], ids=["in-training", "at-snapshot", "norm-overflow"])
+def test_divergence_prints_one_line_and_exits_3(tmp_path, capsys, text, base_lr, message):
+    """No NumPy warning and no traceback: stderr is the one exit-3 line."""
+    config = write_config(tmp_path, text=text, extra=f"encoder.base_lr = {base_lr}\n")
+    assert main(["train", "--config", config]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric divergence: " + message)
+    assert err.count("\n") == 1
+
+
+def preview(tmp_path, capsys, extra=""):
+    """The (epoch, tau) rows that schedule-preview prints."""
+    capsys.readouterr()
+    assert main(["schedule-preview", "--config", write_config(tmp_path, extra=extra)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "epoch,tau"
+    return [(int(e), float(t)) for e, t in (line.split(",") for line in lines[1:])]
+
+
+def test_schedule_preview_prints_the_cosine_curve(tmp_path, capsys):
+    cfg = parse_config(TINY)
+    rows = preview(tmp_path, capsys)
+    assert [e for e, _ in rows] == list(range(cfg.run.epochs + 1))
+    assert [t for _, t in rows] == [tau_at(cfg.schedule, e) for e, _ in rows]
+
+
+def test_schedule_preview_under_coarse_supervision_is_nan(tmp_path, capsys):
+    """Coarse runs train on per-anchor temperatures; metrics.csv labels tau
+    nan, and so does the preview."""
+    rows = preview(tmp_path, capsys, extra="schedule.coarse = true\n")
+    assert len(rows) == 3 and all(math.isnan(t) for _, t in rows)

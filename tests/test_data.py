@@ -11,7 +11,6 @@ from tempcl.data import (
     DataFormatError,
     LongTailDataset,
     augment_batch,
-    destandardize_pixels,
     head_mid_tail_split,
     load_cifar10_bin,
     load_cifar100_bin,
@@ -20,7 +19,6 @@ from tempcl.data import (
     save_dataset,
     serialize_cifar10_bin,
     serialize_cifar100_bin,
-    standardize_pixels,
     subsample_longtail,
     synth_balanced,
     synth_mixture,
@@ -312,6 +310,17 @@ class TestAugment:
         assert 0.4 < frac < 0.6
 
 
+def standardize_planes(pixels, mean, std):
+    """(x - mean) / std over each row's three 1024-pixel channel planes."""
+    planes = pixels.reshape(-1, 3, 1024)
+    return ((planes - mean[None, :, None]) / std[None, :, None]).reshape(-1, 3072)
+
+
+def destandardize_planes(features, mean, std):
+    planes = features.reshape(-1, 3, 1024)
+    return (planes * std[None, :, None] + mean[None, :, None]).reshape(-1, 3072)
+
+
 def augment_pixel_rows_oracle(policy, X, rng, channel_stats):
     """Pixel views made one row at a time: flip, reflect-pad and crop, add
     noise and clamp each row in turn, drawing its flip, its crop offsets
@@ -330,8 +339,8 @@ def augment_pixel_rows_oracle(policy, X, rng, channel_stats):
             img += policy.pixel_noise_sigma * rng.standard_normal(img.shape)
         return np.clip(img, 0.0, 1.0).reshape(3072)
 
-    pixels = destandardize_pixels(X, *channel_stats)
-    return standardize_pixels(np.stack([view(row) for row in pixels]), *channel_stats)
+    pixels = destandardize_planes(X, *channel_stats)
+    return standardize_planes(np.stack([view(row) for row in pixels]), *channel_stats)
 
 
 class TestPixelViewsMatchRowOracle:
@@ -345,7 +354,7 @@ class TestPixelViewsMatchRowOracle:
                                     pixel_noise_sigma=sigma)
         data = np.random.default_rng(60)
         stats = (data.uniform(0.3, 0.6, size=3), data.uniform(0.15, 0.3, size=3))
-        X = standardize_pixels(data.random((9, 3072)), *stats)
+        X = standardize_planes(data.random((9, 3072)), *stats)
         rng, oracle_rng = np.random.default_rng(61), np.random.default_rng(61)
         views = augment_batch(policy, X, rng, stats)
         expect = augment_pixel_rows_oracle(policy, X, oracle_rng, stats)

@@ -10,7 +10,7 @@ import pytest
 from tempcl.data import GroupPartition, head_mid_tail_split
 from tempcl.evaluation import (
     ProbeConfig,
-    _probe_loss_grad,
+    _probe_grads,
     fewshot_subset,
     knn_classify,
     knn_report,
@@ -281,16 +281,22 @@ class TestLinearProbe:
         onehot[np.arange(4), y] = 1.0
         W = rng.standard_normal((3, 3)) * 0.3
         b = rng.standard_normal(3) * 0.1
-        _, dW, db = _probe_loss_grad(W, b, X, onehot)
+        def cross_entropy():
+            logits = X @ W + b
+            logits -= logits.max(axis=1, keepdims=True)
+            log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            return -log_p[np.arange(4), y].mean()
+
+        dW, db = _probe_grads(W, b, X, onehot)
         h = 1e-5
         for arr, grad in ((W, dW), (b, db)):
             fd = np.zeros_like(arr)
             for i in range(arr.size):
                 orig = arr.flat[i]
                 arr.flat[i] = orig + h
-                up = _probe_loss_grad(W, b, X, onehot)[0]
+                up = cross_entropy()
                 arr.flat[i] = orig - h
-                down = _probe_loss_grad(W, b, X, onehot)[0]
+                down = cross_entropy()
                 arr.flat[i] = orig
                 fd.flat[i] = (up - down) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from tempcl.encoder import NegativeSource, queue_push
+from tempcl.evaluation import knn_classify
 from tempcl.loss import (
     info_nce,
     info_nce_distance_form,
@@ -98,6 +100,19 @@ class TestSimilarityMatrix:
         V[1] *= 1.5
         with pytest.raises(ValueError, match="row 1"):
             similarity_matrix(U, V)
+
+
+@pytest.mark.parametrize("check", [
+    lambda X: similarity_matrix(np.eye(3), X),
+    lambda X: knn_classify(np.eye(3), [0, 1, 2], X, [1]),
+    lambda X: queue_push(NegativeSource(kind="momentum_queue", queue=np.empty((0, 3))), X),
+], ids=["similarity_matrix", "knn_classify", "queue_push"])
+def test_nan_row_is_not_unit_norm(check):
+    """|nan - 1| > tol is False, so the unit-norm check must not pass it."""
+    X = np.eye(3)
+    X[1, 2] = np.nan
+    with pytest.raises(ValueError, match="row 1 of .* is not unit-norm"):
+        check(X)
 
 
 class TestInfoNce:
