@@ -93,7 +93,7 @@ def test_missing_checkpoint_exits_2(trained, tmp_path, capsys):
 @pytest.mark.parametrize("cut, message", [
     (lambda raw: raw[:-1], "weights need"),
     (lambda raw: raw[:12], "overruns the file"),
-    (lambda raw: raw[:30], "weights need"),  # the 28-byte table of TINY's two layers fits
+    (lambda raw: raw[:20], "overruns the file"),  # TINY's two layers need a 28-byte table
     (lambda raw: raw + b"\0", "trailing bytes"),
     # the last 8 bytes are the last bias of the last layer
     (lambda raw: raw[:-8] + struct.pack("<d", math.nan),
@@ -258,29 +258,32 @@ def test_n_max_beyond_the_loaded_class_sizes_exits_1(tmp_path, cifar100_files, c
     assert "config error: data.n_max = 3 does not fit" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_exits_3(tmp_path, capsys):
-    config = write_config(tmp_path, extra="encoder.base_lr = 1e200\n")
-    assert main(["train", "--config", config]) == EXIT_NUMERIC
-    assert "numeric divergence" in capsys.readouterr().err
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text, base_lr, message", [
-    (TINY, "1e200", "non-finite activations in "),
-    # one batch per epoch: epoch 0's loss is finite, the snapshot after it diverges
-    (TINY.replace("run.eval_every = 2", "run.eval_every = 1")
-         .replace("batch_size = 16", "batch_size = 32"), "1e200", "non-finite activations in "),
-    # finite outputs whose squared norms overflow
-    (TINY, "1e20", "the norm of row 0 overflows"),
-], ids=["in-training", "at-snapshot", "norm-overflow"])
-def test_divergence_prints_one_line_and_exits_3(tmp_path, capsys, text, base_lr, message):
-    """No NumPy warning and no traceback: stderr is the one exit-3 line."""
+def assert_diverges(tmp_path, capsys, base_lr, message, text=TINY):
+    """Exit 3 with no NumPy warning (the callers turn warnings into errors)
+    and no traceback: stderr is the one exit-3 line."""
     config = write_config(tmp_path, text=text, extra=f"encoder.base_lr = {base_lr}\n")
     assert main(["train", "--config", config]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("numeric divergence: " + message)
-    assert err.count("\n") == 1
+    assert err.startswith("numeric divergence: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_exits_3(tmp_path, capsys):
+    assert_diverges(tmp_path, capsys, "1e200", "non-finite activations in ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_at_a_snapshot_exits_3(tmp_path, capsys):
+    # one batch per epoch: epoch 0's loss is finite, the snapshot after it diverges
+    text = (TINY.replace("run.eval_every = 2", "run.eval_every = 1")
+            .replace("batch_size = 16", "batch_size = 32"))
+    assert_diverges(tmp_path, capsys, "1e200", "non-finite activations in ", text)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_norms_exit_3(tmp_path, capsys):
+    # the outputs stay finite, but their squared norms overflow
+    assert_diverges(tmp_path, capsys, "1e20", "the norm of row 0 overflows")
 
 
 def preview(tmp_path, capsys, extra=""):
