@@ -9,12 +9,14 @@ gradient), a linear-warmup + cosine learning-rate schedule, and either
 in-batch negatives or a momentum encoder feeding a FIFO key queue.
 
 All arrays are float64 and every update is performed in a fixed order, so
-training is bitwise reproducible for a given seed.  The SGD update is
-memory-bound: at D=3072 the first layer, its momentum buffer and each
-view's gradient are 6.3 MB apiece, larger than a core's L2, and each update
-operation is one multiply or add per element.  :func:`sgd_step` therefore
-works through every array in row blocks that fit in L2, doing all of its
-operations on one block before the next.
+training is bitwise reproducible for a given seed.  Views come from one RNG
+per (seed, epoch) and never read the parameters, so making them ahead on
+another thread (as the runner does for pixel views) keeps the bits.  The
+SGD update is memory-bound: at D=3072 the first layer, its momentum buffer
+and each view's gradient are 6.3 MB apiece, larger than a core's L2, and
+each update operation is one multiply or add per element.
+:func:`sgd_step` therefore works through every array in row blocks that
+fit in L2, doing all of its operations on one block before the next.
 """
 
 import struct
@@ -348,6 +350,21 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     return [backward(params, v1, bd.grad @ V, r1)], bd.mean
 
 
+def _epoch_views(dataset, policy, seed, epoch, batch_size):
+    """The epoch's (idx, v1, v2) batches, all drawn from one RNG keyed by
+    (seed, epoch): the shuffle, then each batch's two views from
+    :func:`augment_batch` with the dataset's ``channel_stats``, which pixel
+    views need.  The final undersized batch is dropped."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
+    order = rng.permutation(dataset.n)
+    for b in range(dataset.n // batch_size):
+        idx = order[b * batch_size : (b + 1) * batch_size]
+        X = dataset.features[idx]
+        v1 = augment_batch(policy, X, rng, dataset.channel_stats)
+        v2 = augment_batch(policy, X, rng, dataset.channel_stats)
+        yield idx, v1, v2
+
+
 def train_epoch(
     dataset: LongTailDataset,
     params: EncoderParams,
@@ -359,16 +376,16 @@ def train_epoch(
     epoch: int,
     batch_size: int = 128,
     symmetrize: bool = False,
+    views=None,
 ) -> tuple[EncoderParams, float]:
     """One pass over the dataset; returns the updated parameters and the
     mean batch loss.
 
     ``schedule`` gives each batch per-anchor temperatures from its labels
     (:func:`per_anchor_tau`) when ``schedule.coarse`` is set, and otherwise
-    the epoch's one temperature (:func:`tau_at`).  Shuffling and
-    augmentation are keyed by (seed, epoch); the final undersized batch is
-    dropped.  Views come from :func:`augment_batch` with the dataset's
-    ``channel_stats``, which pixel augmentation needs.
+    the epoch's one temperature (:func:`tau_at`).  ``views`` yields the
+    epoch's batches, as :func:`_epoch_views` does; by default that runs
+    here, making each batch's views between steps.
     """
     n = dataset.n
     n_batches = n // batch_size
@@ -376,17 +393,12 @@ def train_epoch(
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     if symmetrize and negative_source.kind != "in_batch":
         raise ValueError("symmetrized loss requires in-batch negatives")
+    if views is None:
+        views = _epoch_views(dataset, policy, seed, epoch, batch_size)
 
     state.epoch = epoch
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
-    order = rng.permutation(n)
-
     losses = []
-    for b in range(n_batches):
-        idx = order[b * batch_size : (b + 1) * batch_size]
-        X = dataset.features[idx]
-        v1 = augment_batch(policy, X, rng, dataset.channel_stats)
-        v2 = augment_batch(policy, X, rng, dataset.channel_stats)
+    for b, (idx, v1, v2) in enumerate(views):
         if schedule.coarse:
             tau = per_anchor_tau(dataset.labels[idx], schedule)
         else:

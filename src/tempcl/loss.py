@@ -4,10 +4,6 @@
 similarity, both from one set of exponentials of the softmax over
 similarities.  The gradient is where the temperature acts: a small tau puts
 the weight on the hardest negatives, a large one spreads it.
-:func:`info_nce_distance_form` recomputes the loss
-through exponentiated distances d_ij = (1 - s_ij) / tau_i; both forms reduce
-to softplus of the same log-sum-exp, and the distance form is kept as a
-separate code path so that it can serve as a cross-check of the first.
 
 Conventions: row i of a similarity matrix belongs to anchor i, column j to
 key j, and the diagonal entry (i, i) holds the positive-pair similarity.
@@ -24,7 +20,6 @@ __all__ = [
     "LossBreakdown",
     "similarity_matrix",
     "info_nce",
-    "info_nce_distance_form",
     "info_nce_symmetrized",
 ]
 
@@ -40,13 +35,12 @@ class LossBreakdown:
     equals log(1 + exp(d_ii) * sum_{j != i} exp(-d_ij)) with
     d_ij = (1 - s_ij) / tau_i; it is always computed through a stable
     log-space path.  ``mean`` is the arithmetic mean of ``per_anchor``, and
-    ``grad`` its gradient with respect to the similarity matrix (None from
-    the distance form).
+    ``grad`` its gradient with respect to the similarity matrix.
     """
 
     per_anchor: np.ndarray
     mean: float
-    grad: np.ndarray | None = None
+    grad: np.ndarray
 
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,27 +168,6 @@ def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
     g[idx, idx] = (w_pos - 1.0) / taus
     g /= n
     return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()), grad=g)
-
-
-def info_nce_distance_form(S: np.ndarray, tau) -> LossBreakdown:
-    """Contrastive loss recomputed through distances d_ij = (1 - s_ij)/tau_i.
-
-    per_anchor[i] = log(1 + exp(d_ii) * sum_{j != i} exp(-d_ij)), carried out
-    in log space as softplus(d_ii + logsumexp_j(-d_ij)).  Agrees with
-    :func:`info_nce` to better than 1e-9 relative on valid inputs.
-    """
-    S = _validate_similarities(S)
-    n, m = S.shape
-    taus = _as_tau_vector(tau, n)
-
-    d = (1.0 - S) / taus[:, None]
-    off = ~np.eye(n, m, dtype=bool)
-    neg = np.where(off, -d, -np.inf)
-    nmax = neg.max(axis=1)
-    lse = nmax + np.log(np.sum(np.exp(neg - nmax[:, None]), axis=1, where=off))
-    d_pos = d[np.arange(n), np.arange(n)]
-    per_anchor = np.logaddexp(0.0, d_pos + lse)
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()))
 
 
 def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:

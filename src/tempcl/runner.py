@@ -4,8 +4,19 @@ Assembles datasets from a parsed config, runs the training loop with
 evaluation snapshots (kNN, probes, coverage), writes analysis CSVs and
 checkpoints, and emits a deterministic metrics.csv.  Also provides the
 checkpoint-based evaluation and analysis entry points used by the CLI.
+
+Pixel runs make their views one batch ahead on a second thread, so that
+augmentation overlaps the encoder step; views depend only on (seed, epoch)
+and the data, so the outputs keep their bits.  Pixel views spend their time
+in NumPy calls that release the GIL (wide normal fills and gathers).
+Embedding-noise views are a few short GIL-bound calls on narrow rows, which
+slowed the step when made ahead, so other runs make their views inline.
 """
 
+import queue
+import threading
+from contextlib import closing, nullcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +45,7 @@ from tempcl.data import (
 )
 from tempcl.encoder import (
     NegativeSource,
+    _epoch_views,
     forward,
     init_encoder,
     init_optim_state,
@@ -167,6 +179,61 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     write_atomic(out_dir / f"pca_{tag}.csv", pca_csv(coords, labels))
 
 
+class _ViewStream:
+    """``views`` made one batch ahead by a daemon thread: once a batch is
+    taken, the thread makes the next one and waits until that is taken.
+    The stream is built once its first batch is made, and each
+    :meth:`take` ends once the batch after its own is made, so the thread
+    is idle between takes: snapshots and checkpoints never run alongside
+    view making, and perfbench's tracer, whose one span stack serves all
+    threads, sees view spans only inside ``train_epoch``.  ``close`` stops
+    the thread and joins it."""
+
+    def __init__(self, views):
+        self.queue = queue.Queue()  # holds at most the one batch made ahead
+        self._taken = threading.Semaphore(0)  # released once per batch taken
+        self._stop = threading.Event()
+        self._ready = None  # (batch, end) received from the thread, not yet taken
+        self.thread = threading.Thread(target=self._fill, args=(views,), daemon=True)
+        self.thread.start()
+        self._receive()
+
+    def _fill(self, views):
+        try:
+            for item in views:
+                self.queue.put((item, None))
+                self._taken.acquire()
+                if self._stop.is_set():
+                    return
+            end = StopIteration()
+        except BaseException as err:  # raised again by take
+            end = err
+        self.queue.put((None, end))
+
+    def _receive(self):
+        if self._ready is None:
+            self._ready = self.queue.get()
+        return self._ready
+
+    def take(self, n):
+        """The next ``n`` batches.  An exception of the thread is raised
+        unchanged in place of its batch, then and by every later take;
+        taking past the end of ``views`` is a RuntimeError."""
+        for _ in range(n):
+            item, end = self._receive()
+            if end is not None:
+                raise end
+            self._ready = None
+            self._taken.release()  # the thread makes the batch after this one
+            yield item
+        self._receive()
+
+    def close(self):
+        self._stop.set()
+        self._taken.release()  # wakes the thread if it waits for a batch to be taken
+        self.thread.join()
+
+
 def _format_rows(epoch, tau, rows):
     out = []
     for metric, scope, value in rows:
@@ -222,16 +289,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                  total_epochs=E,
                                  weight_decay=cfg.encoder.weight_decay,
                                  sgd_momentum=cfg.encoder.sgd_momentum)
-        for epoch in range(E):
-            _, loss = train_epoch(train, params, state, schedule, source,
-                                  cfg.data, seed=cfg.run.seed, epoch=epoch,
-                                  batch_size=cfg.encoder.batch_size,
-                                  symmetrize=cfg.encoder.symmetrize)
-            done = epoch + 1
-            if done in snapshots:
-                record(done, extra_rows=[("train_loss", "all", loss)])
-            if done in checkpoints:
-                save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
+        batch_size = cfg.encoder.batch_size
+        stream = nullcontext()
+        if cfg.data.augment == "pixel":
+            stream = closing(_ViewStream(chain.from_iterable(
+                _epoch_views(train, cfg.data, cfg.run.seed, epoch, batch_size)
+                for epoch in range(E))))
+        with stream as ahead:
+            for epoch in range(E):
+                views = ahead.take(train.n // batch_size) if ahead else None
+                _, loss = train_epoch(train, params, state, schedule, source,
+                                      cfg.data, seed=cfg.run.seed, epoch=epoch,
+                                      batch_size=batch_size,
+                                      symmetrize=cfg.encoder.symmetrize, views=views)
+                done = epoch + 1
+                if done in snapshots:
+                    record(done, extra_rows=[("train_loss", "all", loss)])
+                if done in checkpoints:
+                    save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
         save_checkpoint(params, out_dir / "checkpoint_final.tclp")
 
     write_atomic(out_dir / "metrics.csv", "".join(lines))

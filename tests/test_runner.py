@@ -16,6 +16,10 @@ The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
 last bit depends on the BLAS thread count.  ``metrics.csv`` and the
 checkpoint do not, and are compared exactly.
+
+Pixel runs take their views from a stream that a second thread fills one
+batch ahead.  The stream is checked against the inline views, and pixel
+runs that finish, diverge or are interrupted must leave no thread behind.
 """
 
 import hashlib
@@ -23,12 +27,33 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tempcl.runner
+from tempcl.cli import EXIT_NUMERIC, main
 from tempcl.config import parse_config
-from tempcl.runner import analyze_checkpoint, eval_checkpoint, run_experiment, snapshot_epochs
+from tempcl.data import AugmentationPolicy, load_cifar10_bin
+from tempcl.encoder import (
+    NegativeSource,
+    _epoch_views,
+    init_encoder,
+    init_optim_state,
+    train_epoch,
+)
+from tempcl.runner import (
+    _ViewStream,
+    analyze_checkpoint,
+    eval_checkpoint,
+    run_experiment,
+    snapshot_epochs,
+)
+from tempcl.schedule import ScheduleConfig
 from test_data import cifar10_fixture_bytes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,13 +105,18 @@ HASHES = {
 }
 
 
-def config(out_dir, data_dir="", **overrides):
-    """The base config with ``section__key=value`` overrides; ``{data_dir}``
-    in a value becomes ``data_dir``."""
+def config_text(out_dir, data_dir="", **overrides):
+    """The base config's text with ``section__key=value`` overrides;
+    ``{data_dir}`` in a value becomes ``data_dir``."""
     keys = {**BASE, **{k.replace("__", "."): str(v).format(data_dir=data_dir)
                        for k, v in overrides.items()}}
     keys["run.output_dir"] = str(out_dir)
-    return parse_config("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+def config(out_dir, data_dir="", **overrides):
+    """The parsed :func:`config_text`."""
+    return parse_config(config_text(out_dir, data_dir, **overrides))
 
 
 def sha256(path: Path) -> str:
@@ -224,3 +254,204 @@ def test_two_blas_threads_give_the_golden_outputs(data_dir, name, tmp_path):
 ])
 def test_snapshot_epochs(overrides, expected):
     assert snapshot_epochs(config("unused", **overrides)) == expected
+
+
+BATCH = 64
+PIXEL = AugmentationPolicy(augment="pixel")
+
+
+@pytest.fixture(scope="module")
+def pixel_train(data_dir):
+    """The pixel fixture's 300 training images: four batches of 64 an epoch."""
+    return load_cifar10_bin([data_dir / "train.bin"])
+
+
+def within(fn, seconds=30):
+    """``fn()`` called on a helper thread, so that a test fails instead of
+    hanging when it does not return in time."""
+    out = []
+
+    def call():
+        try:
+            out.append((fn(), None))
+        except BaseException as err:  # raised again below, in the test's thread
+            out.append((None, err))
+
+    helper = threading.Thread(target=call, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"{fn} did not return within {seconds} s"
+    value, err = out[0]
+    if err is not None:
+        raise err
+    return value
+
+
+def views_of_epochs(dataset, epochs, seed=5):
+    return chain.from_iterable(_epoch_views(dataset, PIXEL, seed, epoch, BATCH)
+                               for epoch in range(epochs))
+
+
+def taken(stream, n):
+    """The stream's next ``n`` batches."""
+    return within(lambda: list(stream.take(n)))
+
+
+def test_stream_yields_the_inline_views(pixel_train):
+    inline = list(views_of_epochs(pixel_train, 3))
+    stream = _ViewStream(views_of_epochs(pixel_train, 3))
+    ahead = [batch for _ in range(3) for batch in taken(stream, pixel_train.n // BATCH)]
+    within(stream.close)
+    assert len(ahead) == len(inline) == 3 * (pixel_train.n // BATCH) == 12
+    for made_ahead, made_inline in zip(ahead, inline):
+        for a, b in zip(made_ahead, made_inline):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_train_epoch_steps_as_inline_on_views_made_ahead(pixel_train):
+    """Epoch 0 fed from a stream over two epochs steps as it does inline,
+    and leaves the stream at epoch 1's first batch."""
+    def one_epoch(views):
+        params = init_encoder(pixel_train.dim, (32,), 8, seed=0)
+        state = init_optim_state(params, base_lr=0.1, warmup_epochs=0, total_epochs=2)
+        _, loss = train_epoch(pixel_train, params, state, ScheduleConfig(kind="constant"),
+                              NegativeSource.in_batch(), PIXEL, seed=5, epoch=0,
+                              batch_size=BATCH, views=views)
+        return params, loss
+
+    stream = _ViewStream(views_of_epochs(pixel_train, 2))
+    fed, fed_loss = within(lambda: one_epoch(stream.take(pixel_train.n // BATCH)))
+    inline, inline_loss = one_epoch(None)
+    assert fed_loss == inline_loss
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fed.arrays(), inline.arrays()))
+    [(idx, _, _)] = taken(stream, 1)
+    within(stream.close)
+    assert np.array_equal(idx, next(_epoch_views(pixel_train, PIXEL, 5, 1, BATCH))[0])
+
+
+def test_stream_raises_the_producers_exception_unchanged():
+    raised = []
+
+    def failing():
+        yield 0
+        raised.append(FloatingPointError("made-up failure at batch 1"))
+        raise raised[0]
+
+    stream = _ViewStream(failing())
+    assert taken(stream, 1) == [0]
+    for _ in range(2):  # a failed stream stays failed
+        with pytest.raises(FloatingPointError) as err:
+            taken(stream, 1)
+        assert err.value is raised[0] and str(err.value) == "made-up failure at batch 1"
+    within(stream.close)
+    assert not stream.thread.is_alive()
+
+
+def test_closing_the_stream_early_joins_the_thread(pixel_train):
+    before = threading.active_count()
+    stream = _ViewStream(views_of_epochs(pixel_train, 3))
+    taken(stream, pixel_train.n // BATCH)  # the first of three epochs
+    within(lambda: next(stream.take(1)))  # the thread then makes the batch after it
+    within(stream.close)
+    assert not stream.thread.is_alive()
+    assert threading.active_count() == before
+
+
+def counted(made, n=6):
+    """0, ..., n - 1, each appended to ``made`` as it is made."""
+    for i in range(n):
+        made.append(i)
+        yield i
+
+
+def test_stream_makes_one_batch_ahead():
+    made = []
+    stream = _ViewStream(counted(made))
+    assert made == [0]  # the first batch is made by the time the stream is built
+    batches = stream.take(6)
+    for i in range(6):
+        assert within(lambda: next(batches)) == i
+        time.sleep(0.02)  # the thread would run further ahead if it could
+        assert stream.queue.qsize() <= 1 and len(made) <= i + 2
+    for _ in range(2):  # taking past the end is an error, and stays one
+        with pytest.raises(RuntimeError):
+            taken(stream, 1)
+    within(stream.close)
+    assert not stream.thread.is_alive()
+
+
+def test_take_ends_once_the_batch_after_it_is_made():
+    """So the thread is idle between epochs, while snapshots run."""
+    made = []
+    stream = _ViewStream(counted(made))
+    assert taken(stream, 2) == [0, 1]
+    assert made == [0, 1, 2]
+    time.sleep(0.02)
+    assert made == [0, 1, 2]
+    assert taken(stream, 4) == [2, 3, 4, 5]
+    within(stream.close)
+    assert not stream.thread.is_alive()
+
+
+def test_streams_close_at_any_point_under_fast_thread_switching():
+    """Three streams (more threads than cores) closed after every possible
+    number of batches, with the interpreter switching threads every
+    microsecond: each yields its items in order and its thread is joined."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(7):
+            streams = [_ViewStream(iter(range(6))) for _ in range(3)]
+            for stream in streams:
+                assert taken(stream, n) == list(range(n))
+            for stream in streams:
+                within(stream.close)
+                assert not stream.thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def pixel_cli_config(tmp_path, data_dir, **overrides) -> str:
+    """The pixel golden config, with overrides, written for ``tempcl train``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "pixel.cfg"
+    path.write_text(config_text(tmp_path / "out", data_dir, **{**RUNS["pixel"], **overrides}))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_pixel_run_exits_3_and_leaves_no_thread(tmp_path, data_dir, capsys):
+    before = threading.active_count()
+    config = pixel_cli_config(tmp_path, data_dir, encoder__base_lr="1e200")
+    assert within(lambda: main(["train", "--config", config])) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric divergence: non-finite activations in ")
+    assert err.count("\n") == 1
+    assert threading.active_count() == before
+
+
+def test_finished_and_interrupted_pixel_runs_leave_no_thread(tmp_path, data_dir, monkeypatch):
+    before = threading.active_count()
+    done = pixel_cli_config(tmp_path / "done", data_dir)
+    assert within(lambda: main(["train", "--config", done])) == 0
+    assert threading.active_count() == before
+
+    def interrupted(*args, epoch, **kwargs):
+        if epoch == 2:
+            raise KeyboardInterrupt
+        return train_epoch(*args, epoch=epoch, **kwargs)
+
+    monkeypatch.setattr(tempcl.runner, "train_epoch", interrupted)
+    stopped = pixel_cli_config(tmp_path / "stopped", data_dir)
+    with pytest.raises(KeyboardInterrupt):
+        within(lambda: main(["train", "--config", stopped]))
+    assert threading.active_count() == before
+
+
+def test_diverging_pixel_run_exits_3_in_a_fresh_process(tmp_path, data_dir):
+    config = pixel_cli_config(tmp_path, data_dir, encoder__base_lr="1e200")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "tempcl.cli", "train", "--config", config],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.startswith("numeric divergence: non-finite activations in ")
