@@ -285,8 +285,8 @@ def _format_value(value) -> str:
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text form (sorted keys); parses back to an equal config."""
     lines = []
-    for section in ("run", "data", "encoder", "schedule", "eval", "analysis"):
-        obj = getattr(cfg, section)
+    for section in dc_fields(ExperimentConfig):
+        obj = getattr(cfg, section.name)
         for f in sorted(dc_fields(obj), key=lambda f: f.name):
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
+            lines.append(f"{section.name}.{f.name} = {_format_value(getattr(obj, f.name))}")
     return "\n".join(lines) + "\n"

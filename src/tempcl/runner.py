@@ -5,7 +5,7 @@ evaluation snapshots (kNN, probes, coverage), writes analysis CSVs and
 checkpoints, and emits a deterministic metrics.csv.  Also provides the
 checkpoint-based evaluation and analysis entry points used by the CLI.
 
-Pixel runs make their views one batch ahead on a second thread, so that
+Pixel runs make their views one batch ahead on a worker thread, so that
 augmentation overlaps the encoder step; views depend only on (seed, epoch)
 and the data, so the outputs keep their bits.  Pixel views spend their time
 in NumPy calls that release the GIL (wide normal fills and gathers).
@@ -13,8 +13,7 @@ Embedding-noise views are a few short GIL-bound calls on narrow rows, which
 slowed the step when made ahead, so other runs make their views inline.
 """
 
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, nullcontext
 from itertools import chain
 from pathlib import Path
@@ -68,6 +67,7 @@ __all__ = [
 
 
 KNN_K = (1, 10)  # the neighbour counts of every snapshot's kNN accuracy
+PCA_COMPONENTS = 3  # the columns of every pca_<epoch>.csv
 
 
 def _paths(value: str) -> list:
@@ -140,9 +140,7 @@ def snapshot_epochs(cfg: ExperimentConfig) -> list:
 def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
     """The tau column of metrics.csv and schedule-preview: nan under coarse
     supervision, whose temperatures are per anchor."""
-    if cfg.schedule.coarse:
-        return float("nan")
-    return tau_at(cfg.schedule, epoch)
+    return float("nan") if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
 
 
 def _embed_train(cfg, params, train):
@@ -175,70 +173,41 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     curves = aggregate_contribution_curves(similarity_matrix(emb, emb), tau)
     write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
 
-    coords, _ = pca_project(feats, components=3)
+    coords, _ = pca_project(feats, components=PCA_COMPONENTS)
     write_atomic(out_dir / f"pca_{tag}.csv", pca_csv(coords, labels))
 
 
 class _ViewStream:
-    """``views`` made one batch ahead by a daemon thread: once a batch is
-    taken, the thread makes the next one and waits until that is taken.
-    The stream is built once its first batch is made, and each
-    :meth:`take` ends once the batch after its own is made, so the thread
-    is idle between takes: snapshots and checkpoints never run alongside
-    view making, and perfbench's tracer, whose one span stack serves all
-    threads, sees view spans only inside ``train_epoch``.  ``close`` stops
-    the thread and joins it."""
+    """``views`` made one batch ahead on a worker thread: each batch taken
+    sets the worker making the next.  The stream is built once its first
+    batch is made, and each :meth:`take` ends once the batch after its own
+    is made, so the worker is idle between takes: snapshots and checkpoints
+    never run alongside view making, and perfbench's tracer, whose one span
+    stack serves all threads, sees view spans only inside ``train_epoch``.
+    ``close`` shuts the worker down."""
 
     def __init__(self, views):
-        self.queue = queue.Queue()  # holds at most the one batch made ahead
-        self._taken = threading.Semaphore(0)  # released once per batch taken
-        self._stop = threading.Event()
-        self._ready = None  # (batch, end) received from the thread, not yet taken
-        self.thread = threading.Thread(target=self._fill, args=(views,), daemon=True)
-        self.thread.start()
-        self._receive()
-
-    def _fill(self, views):
-        try:
-            for item in views:
-                self.queue.put((item, None))
-                self._taken.acquire()
-                if self._stop.is_set():
-                    return
-            end = StopIteration()
-        except BaseException as err:  # raised again by take
-            end = err
-        self.queue.put((None, end))
-
-    def _receive(self):
-        if self._ready is None:
-            self._ready = self.queue.get()
-        return self._ready
+        self._views = views
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._pending = self._pool.submit(next, views)
+        wait([self._pending])
 
     def take(self, n):
-        """The next ``n`` batches.  An exception of the thread is raised
+        """The next ``n`` batches.  An exception of the worker is raised
         unchanged in place of its batch, then and by every later take;
         taking past the end of ``views`` is a RuntimeError."""
         for _ in range(n):
-            item, end = self._receive()
-            if end is not None:
-                raise end
-            self._ready = None
-            self._taken.release()  # the thread makes the batch after this one
-            yield item
-        self._receive()
+            batch = self._pending.result()
+            self._pending = self._pool.submit(next, self._views)
+            yield batch
+        wait([self._pending])
 
     def close(self):
-        self._stop.set()
-        self._taken.release()  # wakes the thread if it waits for a batch to be taken
-        self.thread.join()
+        self._pool.shutdown()
 
 
 def _format_rows(epoch, tau, rows):
-    out = []
-    for metric, scope, value in rows:
-        out.append(f"{epoch},{tau!r},{metric},{scope},{value!r}\n")
-    return out
+    return [f"{epoch},{tau!r},{metric},{scope},{value!r}\n" for metric, scope, value in rows]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -249,6 +218,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.encoder.batch_size > train.n:
         raise ConfigError(f"encoder.batch_size = {cfg.encoder.batch_size} exceeds the "
                           f"{train.n} rows of the long-tail train set")
+    tap = (cfg.encoder.hidden_dims or (train.dim,))[-1]
+    if cfg.analysis.enable and tap < PCA_COMPONENTS:
+        raise ConfigError(f"analysis.enable needs a feature tap of at least {PCA_COMPONENTS} "
+                          f"dims for its PCA dump; the encoder's tap has {tap}")
     schedule = cfg.schedule_for(train.num_classes)
     # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
@@ -319,15 +292,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _load_checkpoint_run(cfg, checkpoint_path):
-    """(output dir, train set, test set, encoder, train embedding) for a
-    saved encoder evaluated on the config's data."""
+def _load_checkpoint_run(cfg, checkpoint_path, min_tap=1):
+    """(output dir, train set, test set, encoder, train embedding) for a saved
+    encoder on the config's data; a tap narrower than ``min_tap`` is refused."""
     train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers[0][0].shape[0]
     if in_dim != train.dim:
         raise DataFormatError(f"{checkpoint_path}: checkpoint input width {in_dim} "
                               f"does not match the dataset's dim {train.dim}")
+    tap = params.layers[params.n_backbone][0].shape[0]  # the projection head's input
+    if tap < min_tap:
+        raise DataFormatError(f"{checkpoint_path}: checkpoint feature tap width {tap} is "
+                              f"below the {min_tap} dims of the PCA dump")
     out_dir = Path(cfg.run.output_dir)  # made only once the inputs are accepted
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, train, test, params, _embed_train(cfg, params, train)
@@ -347,6 +324,7 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
 
 def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> float:
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
-    out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path)
+    out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path,
+                                                                    min_tap=PCA_COMPONENTS)
     _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
     return uniformity_stat(hist)

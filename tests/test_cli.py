@@ -258,6 +258,59 @@ def test_n_max_beyond_the_loaded_class_sizes_exits_1(tmp_path, cifar100_files, c
     assert "config error: data.n_max = 3 does not fit" in capsys.readouterr().err
 
 
+NARROW_TAP = {
+    "hidden-dims-2": TINY.replace("encoder.hidden_dims = 16", "encoder.hidden_dims = 2"),
+    "no-hidden-dims-dim-2": (TINY.replace("encoder.hidden_dims = 16", "encoder.hidden_dims =")
+                             .replace("data.dim = 8", "data.dim = 2")),
+}
+
+
+@pytest.mark.parametrize("text", NARROW_TAP.values(), ids=NARROW_TAP.keys())
+def test_feature_tap_narrower_than_the_pca_exits_1(tmp_path, capsys, text):
+    """The PCA dump of every snapshot projects the tap onto 3 components."""
+    assert main(["train", "--config", write_config(tmp_path, text=text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: analysis.enable needs a feature tap of at least 3 ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # nothing written
+
+
+def test_analyze_of_a_checkpoint_with_a_narrow_tap_exits_2(tmp_path, capsys):
+    text = NARROW_TAP["hidden-dims-2"] + "analysis.enable = false\n"
+    config = write_config(tmp_path, text=text)
+    assert main(["train", "--config", config]) == 0
+    checkpoint = str(tmp_path / "out" / "checkpoint_final.tclp")
+    output = tmp_path / "analyze"
+    capsys.readouterr()
+    assert main(["analyze", "--config", config, "--checkpoint", checkpoint,
+                 "--output", str(output)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "feature tap width 2" in err
+    assert err.count("\n") == 1
+    assert not output.exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("where", ["config", "checkpoint", "data.path"])
+def test_a_directory_given_as_an_input_file_exits_2(trained, tmp_path, capsys, where):
+    config, out = trained
+    checkpoint = str(out / "checkpoint_final.tclp")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if where == "config":
+        config = str(folder)
+    elif where == "checkpoint":
+        checkpoint = str(folder)
+    else:
+        config = write_config(tmp_path, extra=f"data.kind = tcld\ndata.path = {folder}\n"
+                                              f"data.test_path = {folder}\n")
+    output = tmp_path / "eval"
+    assert main(["eval", "--config", config, "--checkpoint", checkpoint,
+                 "--output", str(output)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not output.exists()  # a refused run writes nothing
+
+
 def assert_diverges(tmp_path, capsys, base_lr, message, text=TINY):
     """Exit 3 with no NumPy warning (the callers turn warnings into errors)
     and no traceback: stderr is the one exit-3 line."""
