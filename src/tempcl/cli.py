@@ -35,7 +35,10 @@ def _add_common(p):
 
 
 def _load_config(args):
-    text = Path(args.config).read_text() if args.config else ""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{args.config} is not UTF-8 text: {err}") from None
     cfg = parse_config(text)
     if args.seed is not None:
         if args.seed < 0:

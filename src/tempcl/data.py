@@ -197,11 +197,7 @@ def synth_mixture(
     """
     sizes = longtail_sizes(K, n_max, imb)
     feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 1)
-    return LongTailDataset(
-        features=feats,
-        labels=labels,
-        class_sizes=sizes,
-    )
+    return LongTailDataset(features=feats, labels=labels, class_sizes=sizes)
 
 
 def synth_balanced(
@@ -218,11 +214,7 @@ def synth_balanced(
         raise ValueError(f"need n_per_class >= 1, got {n_per_class}")
     sizes = np.full(K, n_per_class, dtype=np.int64)
     feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 2)
-    return LongTailDataset(
-        features=feats,
-        labels=labels,
-        class_sizes=sizes,
-    )
+    return LongTailDataset(features=feats, labels=labels, class_sizes=sizes)
 
 
 def _pixel_rows(mean: np.ndarray, std: np.ndarray) -> tuple:

@@ -20,7 +20,7 @@ fit in L2, doing all of its operations on one block before the next.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +201,8 @@ def backward(
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state and the learning-rate schedule parameters."""
+    """SGD-with-momentum state and the learning-rate schedule parameters;
+    ``scratch`` is :func:`sgd_step`'s block buffer, made by its first call."""
 
     buffers: EncoderParams
     base_lr: float = 0.5
@@ -210,6 +211,7 @@ class OptimState:
     weight_decay: float = 1e-4
     sgd_momentum: float = 0.9
     epoch: int = 0
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.base_lr <= 0 or self.total_epochs < 1 or self.warmup_epochs < 0:
@@ -242,8 +244,8 @@ def sgd_step(params: EncoderParams, grads: EncoderParams | list,
 
     ``grads`` is one :class:`EncoderParams` or a list of them (one per
     view); the sum is formed in place in the first.  Each array is worked
-    through in row blocks of about ``_BLOCK_BYTES`` with one block-sized
-    scratch buffer, so it crosses memory about once per step rather than
+    through in row blocks of about ``_BLOCK_BYTES`` with the block-sized
+    ``state.scratch``, so it crosses memory about once per step rather than
     once per operation, with the same operations, in the same order, on
     every element.
     """
@@ -258,11 +260,13 @@ def sgd_step(params: EncoderParams, grads: EncoderParams | list,
                 raise ValueError(f"gradient shape {g_a.shape} does not match parameter {p.shape}")
     lr = lr_at(state, state.epoch)
     wd, mom = state.weight_decay, state.sgd_momentum
-    scratch = np.empty(max([_BLOCK_BYTES // 8] + [p[:1].size for p in arrays]))
+    size = max([_BLOCK_BYTES // 8] + [p[:1].size for p in arrays])
+    if state.scratch is None or state.scratch.size < size:
+        state.scratch = np.empty(size)
     for p, m, gs in zip(arrays, state.buffers.arrays(), zip(*(g.arrays() for g in sets))):
         row = p[:1].size
-        rows = max(1, min(len(p), scratch.size // max(row, 1)))
-        block = scratch[: rows * row].reshape((rows,) + p.shape[1:])
+        rows = max(1, min(len(p), state.scratch.size // max(row, 1)))
+        block = state.scratch[: rows * row].reshape((rows,) + p.shape[1:])
         for i in range(0, len(p), rows):
             g, pb, mb = gs[0][i : i + rows], p[i : i + rows], m[i : i + rows]
             for other in gs[1:]:

@@ -5,16 +5,22 @@ evaluation snapshots (kNN, probes, coverage), writes analysis CSVs and
 checkpoints, and emits a deterministic metrics.csv.  Also provides the
 checkpoint-based evaluation and analysis entry points used by the CLI.
 
-Pixel runs make their views one batch ahead on a worker thread, so that
-augmentation overlaps the encoder step; views depend only on (seed, epoch)
-and the data, so the outputs keep their bits.  Pixel views spend their time
-in NumPy calls that release the GIL (wide normal fills and gathers).
-Embedding-noise views are a few short GIL-bound calls on narrow rows, which
-slowed the step when made ahead, so other runs make their views inline.
+A run owns one worker thread (a one-worker executor) for work that spends
+its time in NumPy calls that release the GIL, so that it overlaps the main
+thread's.  Each snapshot's LT_LP probe, a full-batch fit that is mostly
+GEMMs, runs there while the main thread runs kNN, FS_LP and the analysis
+dump.  A fit narrower than ``PROBE_WORKER_MACS`` (a pixel run's) is made of
+short GIL-bound calls, which ran slower beside the main thread's, so it
+runs inline after the dump.  Pixel runs also make their views on the
+worker, one batch ahead of the encoder step (wide normal fills and
+gathers); embedding-noise views are short GIL-bound calls that slowed the
+step when made ahead, so other runs make them inline.  Views depend only on
+(seed, epoch) and the data, and a probe only on its inputs, so the outputs
+keep their bits.  Every file is written on the main thread:
+``write_atomic``'s temporary name is per process, not per thread.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import closing, nullcontext
 from itertools import chain
 from pathlib import Path
 
@@ -68,6 +74,10 @@ __all__ = [
 
 KNN_K = (1, 10)  # the neighbour counts of every snapshot's kNN accuracy
 PCA_COMPONENTS = 3  # the columns of every pca_<epoch>.csv
+# LT_LP is fitted on the worker when its GEMMs (rows x feature dims x classes)
+# are this wide; alongside kNN and FS_LP, fits of 0.5 M or less ran slower
+# there than inline, and fits of 1 M or more ran faster
+PROBE_WORKER_MACS = 1 << 20
 
 
 def _paths(value: str) -> list:
@@ -151,17 +161,28 @@ def _embed_train(cfg, params, train):
     return result.embeddings, _unit_rows(result.features)[0], hist
 
 
-def _snapshot_rows(cfg, params, train_feat, hist, train, test, partition):
-    """(metric, scope, value) rows for one evaluation snapshot."""
+def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition):
+    """Start one evaluation snapshot: a wide LT_LP probe goes to ``pool``'s
+    worker, then kNN and FS_LP run here.  Returns a function that waits for
+    LT_LP (or fits a narrow one) and gives the snapshot's (metric, scope,
+    value) rows."""
     test_feat = _unit_rows(forward(params, test.features).features)[0]
+
+    def probe(mode):
+        return linear_probe(train_feat, train.labels, test_feat, test.labels,
+                            cfg.probe_config(mode), partition=partition).metrics
+
+    wide = train.n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS
+    lt_lp = pool.submit(probe, "LT_LP") if cfg.eval.run_probes and wide else None
     report = knn_report(train_feat, train.labels, test_feat, test.labels,
                         k_values=KNN_K, partition=partition)
     if cfg.eval.run_probes:
-        for mode in ("FS_LP", "LT_LP"):
-            report.metrics.update(linear_probe(train_feat, train.labels, test_feat, test.labels,
-                                               cfg.probe_config(mode), partition=partition).metrics)
-    rows = report.rows()
-    rows.append(("coverage_cv", "all", uniformity_stat(hist)))
+        report.metrics.update(probe("FS_LP"))
+
+    def rows():
+        if cfg.eval.run_probes:
+            report.metrics.update(lt_lp.result() if lt_lp else probe("LT_LP"))
+        return report.rows() + [("coverage_cv", "all", uniformity_stat(hist))]
     return rows
 
 
@@ -178,18 +199,17 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
 
 
 class _ViewStream:
-    """``views`` made one batch ahead on a worker thread: each batch taken
-    sets the worker making the next.  The stream is built once its first
-    batch is made, and each :meth:`take` ends once the batch after its own
-    is made, so the worker is idle between takes: snapshots and checkpoints
-    never run alongside view making, and perfbench's tracer, whose one span
-    stack serves all threads, sees view spans only inside ``train_epoch``.
-    ``close`` shuts the worker down."""
+    """``views`` made one batch ahead on the worker of ``pool``, a
+    one-worker executor that the caller owns and shuts down: each batch
+    taken sets the worker making the next.  The stream is built once its
+    first batch is made, and each :meth:`take` ends once the batch after its
+    own is made, so the worker is idle between takes and free for the
+    snapshot's probe, and perfbench's tracer, whose one span stack serves
+    all threads, sees view spans only inside ``train_epoch``."""
 
-    def __init__(self, views):
-        self._views = views
-        self._pool = ThreadPoolExecutor(max_workers=1)
-        self._pending = self._pool.submit(next, views)
+    def __init__(self, pool, views):
+        self._pool, self._views = pool, views
+        self._pending = pool.submit(next, views)
         wait([self._pending])
 
     def take(self, n):
@@ -201,9 +221,6 @@ class _ViewStream:
             self._pending = self._pool.submit(next, self._views)
             yield batch
         wait([self._pending])
-
-    def close(self):
-        self._pool.shutdown()
 
 
 def _format_rows(epoch, tau, rows):
@@ -248,27 +265,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     def record(epoch, extra_rows=()):
         nonlocal last_rows
         emb, feats, hist = _embed_train(cfg, params, train)
-        rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
-        rows.extend(extra_rows)
-        lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
+        rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
         if cfg.analysis.enable:
             _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
-        last_rows = rows
+        last_rows = rows() + list(extra_rows)
+        lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), last_rows))
 
-    record(0)
-    if E > 0:
-        state = init_optim_state(params, base_lr=cfg.encoder.base_lr,
-                                 warmup_epochs=cfg.encoder.warmup_epochs,
-                                 total_epochs=E,
-                                 weight_decay=cfg.encoder.weight_decay,
-                                 sgd_momentum=cfg.encoder.sgd_momentum)
-        batch_size = cfg.encoder.batch_size
-        stream = nullcontext()
-        if cfg.data.augment == "pixel":
-            stream = closing(_ViewStream(chain.from_iterable(
+    with ThreadPoolExecutor(max_workers=1) as pool:  # the run's one worker
+        record(0)
+        if E > 0:
+            state = init_optim_state(params, base_lr=cfg.encoder.base_lr,
+                                     warmup_epochs=cfg.encoder.warmup_epochs,
+                                     total_epochs=E,
+                                     weight_decay=cfg.encoder.weight_decay,
+                                     sgd_momentum=cfg.encoder.sgd_momentum)
+            batch_size = cfg.encoder.batch_size
+            ahead = _ViewStream(pool, chain.from_iterable(
                 _epoch_views(train, cfg.data, cfg.run.seed, epoch, batch_size)
-                for epoch in range(E))))
-        with stream as ahead:
+                for epoch in range(E))) if cfg.data.augment == "pixel" else None
             for epoch in range(E):
                 views = ahead.take(train.n // batch_size) if ahead else None
                 _, loss = train_epoch(train, params, state, schedule, source,
@@ -280,7 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     record(done, extra_rows=[("train_loss", "all", loss)])
                 if done in checkpoints:
                     save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
-        save_checkpoint(params, out_dir / "checkpoint_final.tclp")
+            save_checkpoint(params, out_dir / "checkpoint_final.tclp")
 
     write_atomic(out_dir / "metrics.csv", "".join(lines))
 
@@ -315,7 +329,8 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
     out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path)
     partition = head_mid_tail_split(train.class_sizes)
-    rows = _snapshot_rows(cfg, params, feats, hist, train, test, partition)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # the LT_LP probe's worker
+        rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)()
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
     write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", "".join(lines))

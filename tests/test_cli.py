@@ -80,6 +80,18 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "config error: line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "schedule-preview"])
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe\x00bad")  # a UTF-16 byte-order mark, then text
+    output = tmp_path / "out"
+    assert main([command, "--config", str(config), "--output", str(output)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {config} is not UTF-8 text: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not output.exists()
+
+
 def test_missing_checkpoint_exits_2(trained, tmp_path, capsys):
     config, _ = trained
     missing = str(tmp_path / "none.tclp")

@@ -17,9 +17,11 @@ significant digits: the contribution curves come from a BLAS product whose
 last bit depends on the BLAS thread count.  ``metrics.csv`` and the
 checkpoint do not, and are compared exactly.
 
-Pixel runs take their views from a stream that a worker thread fills one
-batch ahead.  The stream is checked against the inline views, and pixel
-runs that finish, diverge or are interrupted must leave no thread behind.
+A run owns one worker thread.  Pixel runs take their views from a stream
+that it fills one batch ahead, and a snapshot whose LT_LP probe is wide
+fits it there while kNN and FS_LP run on the caller's thread.  The stream
+is checked against the inline views, and runs that finish, diverge or are
+interrupted, in training or in a snapshot, must leave no thread behind.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 
@@ -299,9 +302,10 @@ def taken(stream, n):
 
 def test_stream_yields_the_inline_views(pixel_train):
     inline = list(views_of_epochs(pixel_train, 3))
-    stream = _ViewStream(views_of_epochs(pixel_train, 3))
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, views_of_epochs(pixel_train, 3))
     ahead = [batch for _ in range(3) for batch in taken(stream, pixel_train.n // BATCH)]
-    within(stream.close)
+    within(pool.shutdown)
     assert len(ahead) == len(inline) == 3 * (pixel_train.n // BATCH) == 12
     for made_ahead, made_inline in zip(ahead, inline):
         for a, b in zip(made_ahead, made_inline):
@@ -319,13 +323,14 @@ def test_train_epoch_steps_as_inline_on_views_made_ahead(pixel_train):
                               batch_size=BATCH, views=views)
         return params, loss
 
-    stream = _ViewStream(views_of_epochs(pixel_train, 2))
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, views_of_epochs(pixel_train, 2))
     fed, fed_loss = within(lambda: one_epoch(stream.take(pixel_train.n // BATCH)))
     inline, inline_loss = one_epoch(None)
     assert fed_loss == inline_loss
     assert all(a.tobytes() == b.tobytes() for a, b in zip(fed.arrays(), inline.arrays()))
     [(idx, _, _)] = taken(stream, 1)
-    within(stream.close)
+    within(pool.shutdown)
     assert np.array_equal(idx, next(_epoch_views(pixel_train, PIXEL, 5, 1, BATCH))[0])
 
 
@@ -338,22 +343,25 @@ def test_stream_raises_the_producers_exception_unchanged():
         raised.append(FloatingPointError("made-up failure at batch 1"))
         raise raised[0]
 
-    stream = _ViewStream(failing())
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, failing())
     assert taken(stream, 1) == [0]
     for _ in range(2):  # a failed stream stays failed
         with pytest.raises(FloatingPointError) as err:
             taken(stream, 1)
         assert err.value is raised[0] and str(err.value) == "made-up failure at batch 1"
-    within(stream.close)
+    within(pool.shutdown)
     assert threading.active_count() == before
 
 
 def test_closing_the_stream_early_joins_the_thread(pixel_train):
+    """Shutting the executor down mid-stream joins its worker."""
     before = threading.active_count()
-    stream = _ViewStream(views_of_epochs(pixel_train, 3))
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, views_of_epochs(pixel_train, 3))
     taken(stream, pixel_train.n // BATCH)  # the first of three epochs
-    within(lambda: next(stream.take(1)))  # the thread then makes the batch after it
-    within(stream.close)
+    within(lambda: next(stream.take(1)))  # the worker then makes the batch after it
+    within(pool.shutdown)
     assert threading.active_count() == before
 
 
@@ -369,48 +377,52 @@ def counted(made, n=6, seconds=0.0):
 def test_stream_makes_one_batch_ahead():
     before = threading.active_count()
     made = []
-    stream = _ViewStream(counted(made))
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, counted(made))
     assert made == [0]  # the first batch is made by the time the stream is built
     batches = stream.take(6)
     for i in range(6):
         assert within(lambda: next(batches)) == i
-        time.sleep(0.02)  # the thread would run further ahead if it could
+        time.sleep(0.02)  # the worker would run further ahead if it could
         assert len(made) <= i + 2
     for _ in range(2):  # taking past the end is an error, and stays one
         with pytest.raises(RuntimeError):
             taken(stream, 1)
-    within(stream.close)
+    within(pool.shutdown)
     assert threading.active_count() == before
 
 
 def test_take_ends_once_the_batch_after_it_is_made():
-    """So the thread is idle between epochs, while snapshots run."""
+    """So the worker is idle between epochs, free for the snapshots' probes."""
     before = threading.active_count()
     made = []
-    stream = _ViewStream(counted(made, seconds=0.05))  # slow enough to be caught mid-batch
+    pool = ThreadPoolExecutor(max_workers=1)
+    stream = _ViewStream(pool, counted(made, seconds=0.05))  # slow enough to be caught mid-batch
     assert taken(stream, 2) == [0, 1]
     assert made == [0, 1, 2]
     time.sleep(0.02)
     assert made == [0, 1, 2]
     assert taken(stream, 4) == [2, 3, 4, 5]
-    within(stream.close)
+    within(pool.shutdown)
     assert threading.active_count() == before
 
 
 def test_streams_close_at_any_point_under_fast_thread_switching():
-    """Three streams (more threads than cores) closed after every possible
-    number of batches, with the interpreter switching threads every
-    microsecond: each yields its items in order and its thread is joined."""
+    """Three streams (more threads than cores) whose executors are shut down
+    after every possible number of batches, with the interpreter switching
+    threads every microsecond: each yields its items in order and its
+    worker is joined."""
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n in range(7):
-            streams = [_ViewStream(iter(range(6))) for _ in range(3)]
+            pools = [ThreadPoolExecutor(max_workers=1) for _ in range(3)]
+            streams = [_ViewStream(pool, iter(range(6))) for pool in pools]
             for stream in streams:
                 assert taken(stream, n) == list(range(n))
             for open_left in (2, 1, 0):
-                within(streams[open_left].close)
+                within(pools[open_left].shutdown)
                 assert threading.active_count() == before + open_left
     finally:
         sys.setswitchinterval(interval)
@@ -419,13 +431,153 @@ def test_streams_close_at_any_point_under_fast_thread_switching():
 def test_a_stream_never_closed_does_not_hold_up_exit():
     """The worker thread is not a daemon: the interpreter joins it at exit,
     which must not wait for more than the batch made ahead."""
-    script = ("from itertools import count\n"
+    script = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "from itertools import count\n"
               "from tempcl.runner import _ViewStream\n"
-              "assert list(_ViewStream(count()).take(1)) == [0]\n")
+              "stream = _ViewStream(ThreadPoolExecutor(max_workers=1), count())\n"
+              "assert list(stream.take(1)) == [0]\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def patch_snapshot(monkeypatch, knn=None, lt_lp=None, fs_lp=None):
+    """Wraps the runner's kNN report and linear probe: each call is recorded
+    as (name, thread id) in the returned list, then runs its hook (if any),
+    then the real function."""
+    calls = []
+    real_knn, real_probe = tempcl.runner.knn_report, tempcl.runner.linear_probe
+
+    def report(*args, **kwargs):
+        calls.append(("kNN", threading.get_ident()))
+        if knn:
+            knn()
+        return real_knn(*args, **kwargs)
+
+    def probe(*args, **kwargs):
+        mode = args[4].mode
+        calls.append((mode, threading.get_ident()))
+        hook = lt_lp if mode == "LT_LP" else fs_lp
+        if hook:
+            hook()
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(tempcl.runner, "knn_report", report)
+    monkeypatch.setattr(tempcl.runner, "linear_probe", probe)
+    return calls
+
+
+# 100 classes of 10 down to 5 rows: LT_LP's GEMMs (722 rows x 128 features x 100
+# classes) are wide enough for the worker
+WIDE = {"data__classes": 100, "data__n_max": 10, "data__imbalance": 2,
+        "data__test_per_class": 3}
+
+
+@pytest.fixture(scope="module")
+def wide_inline(tmp_path_factory):
+    """The output directory of a WIDE run whose every LT_LP is fitted inline."""
+    out_dir = tmp_path_factory.mktemp("wide_inline")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempcl.runner, "PROBE_WORKER_MACS", float("inf"))
+        calls = patch_snapshot(patch)
+        run_experiment(config(out_dir, **WIDE))
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+    return out_dir
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "eval_checkpoint"])
+def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
+                                                           monkeypatch, entry):
+    """LT_LP runs on a thread of its own while FS_LP, and in a run the
+    analysis dump, run on the caller's thread: each waits at a barrier for
+    LT_LP, and LT_LP for each, so a snapshot that runs them one after the
+    other breaks it.  The outputs are those of the run that fits LT_LP
+    inline."""
+    before = threading.active_count()
+    fs_lp, dump = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+
+    def lt_lp():
+        fs_lp.wait()
+        if entry == "run_experiment":
+            dump.wait()
+
+    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp, fs_lp=fs_lp.wait)
+    cfg = config(tmp_path, **WIDE)
+    if entry == "run_experiment":
+        real_coverage_csv = tempcl.runner.coverage_csv  # the dump's first call
+
+        def coverage_csv(hist):
+            dump.wait()
+            return real_coverage_csv(hist)
+
+        monkeypatch.setattr(tempcl.runner, "coverage_csv", coverage_csv)
+        run_experiment(cfg)
+        for name in ("metrics.csv", "checkpoint_final.tclp"):
+            assert (tmp_path / name).read_bytes() == (wide_inline / name).read_bytes()
+        assert analysis_digest(tmp_path) == analysis_digest(wide_inline)
+        snapshots = len(snapshot_epochs(cfg))
+    else:
+        eval_checkpoint(cfg, wide_inline / "checkpoint_final.tclp", EPOCHS)
+        written = (tmp_path / f"eval_epoch{EPOCHS:05d}.csv").read_text().splitlines(True)
+        assert written[1:] == _final_lines(wide_inline)
+        snapshots = 1
+    assert sorted(name for name, _ in calls) == sorted(["FS_LP", "LT_LP", "kNN"] * snapshots)
+    here = threading.get_ident()
+    assert all((thread == here) == (name != "LT_LP") for name, thread in calls)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("run", ["in_batch", "pixel"])
+def test_a_narrow_lt_lp_fits_on_the_callers_thread(runs, data_dir, tmp_path, monkeypatch, run):
+    """The golden runs' probes are too narrow to gain on the worker."""
+    calls = patch_snapshot(monkeypatch)
+    cfg = config(tmp_path, data_dir, **RUNS[run])
+    eval_checkpoint(cfg, runs[run][1] / "checkpoint_final.tclp", EPOCHS)
+    assert sorted(name for name, _ in calls) == ["FS_LP", "LT_LP", "kNN"]
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+
+
+def cli_config(tmp_path) -> str:
+    """The WIDE config, written for ``tempcl train``."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text(tmp_path / "out", **WIDE))
+    return str(path)
+
+
+def test_a_diverging_lt_lp_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+    before = threading.active_count()
+
+    def diverge():
+        raise FloatingPointError("made-up LT_LP divergence")
+
+    calls = patch_snapshot(monkeypatch, lt_lp=diverge)
+    assert within(lambda: main(["train", "--config", cli_config(tmp_path)])) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric divergence: made-up LT_LP divergence\n"
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert sorted(name for name, _ in calls) == ["FS_LP", "LT_LP", "kNN"]  # at epoch 0
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path, monkeypatch):
+    before = threading.active_count()
+    fitting, interrupted = threading.Event(), threading.Event()
+
+    def lt_lp():  # still fitting when the interrupt is raised
+        fitting.set()
+        assert interrupted.wait(10)
+
+    def knn():
+        assert fitting.wait(10)
+        interrupted.set()
+        raise KeyboardInterrupt
+
+    calls = patch_snapshot(monkeypatch, knn=knn, lt_lp=lt_lp)
+    with pytest.raises(KeyboardInterrupt):
+        within(lambda: main(["train", "--config", cli_config(tmp_path)]))
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert [name for name, _ in calls] == ["LT_LP", "kNN"]
+    assert threading.active_count() == before
 
 
 def pixel_cli_config(tmp_path, data_dir, **overrides) -> str:
