@@ -28,7 +28,6 @@ __all__ = [
     "longtail_sizes",
     "subsample_longtail",
     "synth_mixture",
-    "synth_balanced",
     "load_cifar10_bin",
     "load_cifar100_bin",
     "serialize_cifar10_bin",
@@ -161,26 +160,6 @@ def subsample_longtail(
     )
 
 
-def _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, stream):
-    """Class k draws ``sizes[k]`` rows mean_k + within_sigma * N(0, I) from
-    the stream keyed (seed, stream, k); the class means, drawn from stream
-    0, lie on the sphere of radius ``class_separation``.  Returns (features,
-    labels)."""
-    if K < 2 or D < 2:
-        raise ValueError(f"need K >= 2 and D >= 2, got K={K}, D={D}")
-    if class_separation <= 0 or within_sigma < 0:
-        raise ValueError("class_separation must be > 0 and within_sigma >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    means = rng.standard_normal((K, D))
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    means *= class_separation
-    feats = []
-    for k in range(K):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream, k]))
-        feats.append(means[k] + within_sigma * rng.standard_normal((int(sizes[k]), D)))
-    return np.vstack(feats), np.repeat(np.arange(K, dtype=np.int64), sizes)
-
-
 def synth_mixture(
     K: int,
     D: int,
@@ -189,32 +168,32 @@ def synth_mixture(
     class_separation: float = 1.0,
     within_sigma: float = 0.25,
     seed: int = 0,
+    stream: int = 1,
 ) -> LongTailDataset:
-    """Long-tail Gaussian mixture with unit-sphere class means.
+    """Long-tail Gaussian mixture with class means on the sphere of radius
+    ``class_separation``.
 
-    Class k contributes ``longtail_sizes(K, n_max, imb)[k]`` samples drawn
-    as mean_k + within_sigma * N(0, I).  Deterministic in ``seed``.
+    Class k draws ``longtail_sizes(K, n_max, imb)[k]`` rows mean_k +
+    within_sigma * N(0, I) from the stream keyed (seed, stream, k).  The
+    means come from stream 0, so every mixture of one (K, D,
+    class_separation, seed) shares them: a balanced companion set is
+    ``imb = 1`` on another ``stream``.  Deterministic in ``seed``.
     """
+    if D < 2:
+        raise ValueError(f"need D >= 2, got D={D}")
+    if class_separation <= 0 or within_sigma < 0:
+        raise ValueError("class_separation must be > 0 and within_sigma >= 0")
     sizes = longtail_sizes(K, n_max, imb)
-    feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 1)
-    return LongTailDataset(features=feats, labels=labels, class_sizes=sizes)
-
-
-def synth_balanced(
-    K: int,
-    D: int,
-    n_per_class: int,
-    class_separation: float = 1.0,
-    within_sigma: float = 0.25,
-    seed: int = 0,
-) -> LongTailDataset:
-    """Class-balanced companion set sharing the class means of
-    :func:`synth_mixture` for the same (K, D, class_separation, seed)."""
-    if n_per_class < 1:
-        raise ValueError(f"need n_per_class >= 1, got {n_per_class}")
-    sizes = np.full(K, n_per_class, dtype=np.int64)
-    feats, labels = _sample_mixture(K, D, sizes, class_separation, within_sigma, seed, 2)
-    return LongTailDataset(features=feats, labels=labels, class_sizes=sizes)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    means = rng.standard_normal((K, D))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    means *= class_separation
+    feats = []
+    for k in range(K):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream, k]))
+        feats.append(means[k] + within_sigma * rng.standard_normal((int(sizes[k]), D)))
+    return LongTailDataset(features=np.vstack(feats), class_sizes=sizes,
+                           labels=np.repeat(np.arange(K, dtype=np.int64), sizes))
 
 
 def _pixel_rows(mean: np.ndarray, std: np.ndarray) -> tuple:

@@ -211,7 +211,7 @@ class OptimState:
     weight_decay: float = 1e-4
     sgd_momentum: float = 0.9
     epoch: int = 0
-    scratch: np.ndarray | None = field(default=None, repr=False)
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_lr <= 0 or self.total_epochs < 1 or self.warmup_epochs < 0:

@@ -9,9 +9,11 @@ A run owns one worker thread (a one-worker executor) for work that spends
 its time in NumPy calls that release the GIL, so that it overlaps the main
 thread's.  Each snapshot's LT_LP probe, a full-batch fit that is mostly
 GEMMs, runs there while the main thread runs kNN, FS_LP and the analysis
-dump.  A fit narrower than ``PROBE_WORKER_MACS`` (a pixel run's) is made of
-short GIL-bound calls, which ran slower beside the main thread's, so it
-runs inline after the dump.  Pixel runs also make their views on the
+dump, if BLAS runs one thread with a CPU to spare (``PROBE_WORKER``) and
+the fit is at least ``PROBE_WORKER_MACS`` wide.  Otherwise it runs inline
+after the dump: more BLAS threads already fill the CPUs, and a narrower
+fit (a pixel run's) is made of short GIL-bound calls, and both ran slower
+beside the main thread's work.  Pixel runs also make their views on the
 worker, one batch ahead of the encoder step (wide normal fills and
 gathers); embedding-noise views are short GIL-bound calls that slowed the
 step when made ahead, so other runs make them inline.  Views depend only on
@@ -20,6 +22,7 @@ keep their bits.  Every file is written on the main thread:
 ``write_atomic``'s temporary name is per process, not per thread.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from itertools import chain
 from pathlib import Path
@@ -44,7 +47,6 @@ from tempcl.data import (
     longtail_sizes,
     head_mid_tail_split,
     subsample_longtail,
-    synth_balanced,
     synth_mixture,
     write_atomic,
 )
@@ -74,9 +76,26 @@ __all__ = [
 
 KNN_K = (1, 10)  # the neighbour counts of every snapshot's kNN accuracy
 PCA_COMPONENTS = 3  # the columns of every pca_<epoch>.csv
-# LT_LP is fitted on the worker when its GEMMs (rows x feature dims x classes)
-# are this wide; alongside kNN and FS_LP, fits of 0.5 M or less ran slower
-# there than inline, and fits of 1 M or more ran faster
+
+
+def _blas_leaves_a_cpu() -> bool:
+    """Whether BLAS runs one thread and another CPU is free for the worker.
+    OpenBLAS, which NumPy's wheels ship, runs the first positive count of
+    these variables, else one thread per CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1 and cpus > 1
+    return False
+
+
+# LT_LP is fitted on the worker only where that ran faster than inline: with
+# one BLAS thread and a CPU to spare (two BLAS threads on two CPUs made
+# k100-moco snapshots slower, the two fits oversubscribing the cores), and
+# with GEMMs (rows x feature dims x classes) this wide (alongside kNN and
+# FS_LP, fits of 0.5 M or less ran slower there, and fits of 1 M or more faster)
+PROBE_WORKER = _blas_leaves_a_cpu()
 PROBE_WORKER_MACS = 1 << 20
 
 
@@ -91,7 +110,7 @@ def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
     common = dict(class_separation=d.class_separation, within_sigma=d.within_sigma,
                   seed=cfg.run.seed)
     return (synth_mixture(d.classes, d.dim, d.n_max, d.imbalance, **common),
-            synth_balanced(d.classes, d.dim, d.test_per_class, **common))
+            synth_mixture(d.classes, d.dim, d.test_per_class, 1.0, **common, stream=2))
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple:
@@ -162,10 +181,10 @@ def _embed_train(cfg, params, train):
 
 
 def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition):
-    """Start one evaluation snapshot: a wide LT_LP probe goes to ``pool``'s
-    worker, then kNN and FS_LP run here.  Returns a function that waits for
-    LT_LP (or fits a narrow one) and gives the snapshot's (metric, scope,
-    value) rows."""
+    """Start one evaluation snapshot: LT_LP goes to ``pool``'s worker where
+    that pays (see the module docstring), then kNN and FS_LP run here.
+    Returns a function that waits for LT_LP (or fits it inline) and gives
+    the snapshot's (metric, scope, value) rows."""
     test_feat = _unit_rows(forward(params, test.features).features)[0]
 
     def probe(mode):
@@ -173,7 +192,7 @@ def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition)
                             cfg.probe_config(mode), partition=partition).metrics
 
     wide = train.n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS
-    lt_lp = pool.submit(probe, "LT_LP") if cfg.eval.run_probes and wide else None
+    lt_lp = pool.submit(probe, "LT_LP") if cfg.eval.run_probes and PROBE_WORKER and wide else None
     report = knn_report(train_feat, train.labels, test_feat, test.labels,
                         k_values=KNN_K, partition=partition)
     if cfg.eval.run_probes:
@@ -266,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         nonlocal last_rows
         emb, feats, hist = _embed_train(cfg, params, train)
         rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
-        if cfg.analysis.enable:
+        if cfg.analysis.enable:  # before rows(), so that it overlaps a worker's LT_LP fit
             _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
         last_rows = rows() + list(extra_rows)
         lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), last_rows))

@@ -20,7 +20,6 @@ from tempcl.data import (
     serialize_cifar10_bin,
     serialize_cifar100_bin,
     subsample_longtail,
-    synth_balanced,
     synth_mixture,
     write_atomic,
 )
@@ -142,7 +141,7 @@ class TestSynthMixture:
 
     def test_balanced_companion_shares_means(self):
         lt = synth_mixture(4, 8, 20, 4.0, within_sigma=0.0, seed=9)
-        test = synth_balanced(4, 8, 3, within_sigma=0.0, seed=9)
+        test = synth_mixture(4, 8, 3, 1.0, within_sigma=0.0, seed=9, stream=2)
         for k in range(4):
             np.testing.assert_allclose(
                 lt.features[lt.labels == k][0], test.features[test.labels == k][0]
@@ -150,7 +149,7 @@ class TestSynthMixture:
 
     def test_balanced_uses_fresh_noise(self):
         lt = synth_mixture(4, 8, 20, 1.0, within_sigma=0.5, seed=9)
-        test = synth_balanced(4, 8, 20, within_sigma=0.5, seed=9)
+        test = synth_mixture(4, 8, 20, 1.0, within_sigma=0.5, seed=9, stream=2)
         assert not np.allclose(lt.features[:5], test.features[:5])
 
 

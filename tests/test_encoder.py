@@ -387,6 +387,19 @@ class TestOptimState:
             assert getattr(state, name) == getattr(direct, name)
         assert not flat(state.buffers).any()
 
+    def test_scratch_is_the_steps_own(self):
+        """sgd_step makes its block buffer once and reuses it; the buffer
+        is no hyper-parameter, so no caller can pass one in."""
+        params = init_encoder(3, (4,), embed_dim=2, seed=10)
+        state = init_optim_state(params, total_epochs=7)
+        sgd_step(params, params.zeros_like(), state)
+        scratch = state.scratch
+        sgd_step(params, params.zeros_like(), state)
+        assert state.scratch is scratch
+        assert state == OptimState(buffers=state.buffers, total_epochs=7)
+        with pytest.raises(TypeError):
+            init_optim_state(params, scratch=np.empty(4096))
+
 
 class TestMomentumUpdate:
     def test_m_one_keeps_key(self):

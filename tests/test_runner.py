@@ -50,6 +50,7 @@ from tempcl.encoder import (
     train_epoch,
 )
 from tempcl.runner import (
+    _blas_leaves_a_cpu,
     _ViewStream,
     analyze_checkpoint,
     eval_checkpoint,
@@ -474,12 +475,20 @@ WIDE = {"data__classes": 100, "data__n_max": 10, "data__imbalance": 2,
         "data__test_per_class": 3}
 
 
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """The runner sees one BLAS thread and a CPU to spare, whatever this
+    process runs."""
+    monkeypatch.setattr(tempcl.runner, "PROBE_WORKER", True)
+
+
 @pytest.fixture(scope="module")
 def wide_inline(tmp_path_factory):
-    """The output directory of a WIDE run whose every LT_LP is fitted inline."""
+    """The output directory of a WIDE run whose every LT_LP is fitted
+    inline, as where BLAS runs more than one thread."""
     out_dir = tmp_path_factory.mktemp("wide_inline")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tempcl.runner, "PROBE_WORKER_MACS", float("inf"))
+        patch.setattr(tempcl.runner, "PROBE_WORKER", False)
         calls = patch_snapshot(patch)
         run_experiment(config(out_dir, **WIDE))
     assert {thread for _, thread in calls} == {threading.get_ident()}
@@ -487,8 +496,8 @@ def wide_inline(tmp_path_factory):
 
 
 @pytest.mark.parametrize("entry", ["run_experiment", "eval_checkpoint"])
-def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
-                                                           monkeypatch, entry):
+def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path, monkeypatch,
+                                                           one_blas_thread, entry):
     """LT_LP runs on a thread of its own while FS_LP, and in a run the
     analysis dump, run on the caller's thread: each waits at a barrier for
     LT_LP, and LT_LP for each, so a snapshot that runs them one after the
@@ -529,13 +538,42 @@ def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
 
 
 @pytest.mark.parametrize("run", ["in_batch", "pixel"])
-def test_a_narrow_lt_lp_fits_on_the_callers_thread(runs, data_dir, tmp_path, monkeypatch, run):
+def test_a_narrow_lt_lp_fits_on_the_callers_thread(runs, data_dir, tmp_path, monkeypatch,
+                                                    one_blas_thread, run):
     """The golden runs' probes are too narrow to gain on the worker."""
     calls = patch_snapshot(monkeypatch)
     cfg = config(tmp_path, data_dir, **RUNS[run])
     eval_checkpoint(cfg, runs[run][1] / "checkpoint_final.tclp", EPOCHS)
     assert sorted(name for name, _ in calls) == ["FS_LP", "LT_LP", "kNN"]
     assert {thread for _, thread in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 2, False),  # one BLAS thread per CPU
+    ({}, 1, False),  # one BLAS thread and no CPU to spare
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),  # 0 sets no count
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, True),
+])
+def test_the_worker_takes_lt_lp_only_beside_one_blas_thread(monkeypatch, env, cpus, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert _blas_leaves_a_cpu() is expected
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_process_reads_its_blas_threads_at_import(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", "import tempcl.runner as r; print(r.PROBE_WORKER)"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == f"{threads == '1' and len(os.sched_getaffinity(0)) > 1}\n"
 
 
 def cli_config(tmp_path) -> str:
@@ -545,7 +583,8 @@ def cli_config(tmp_path) -> str:
     return str(path)
 
 
-def test_a_diverging_lt_lp_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+def test_a_diverging_lt_lp_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch,
+                                                         one_blas_thread):
     before = threading.active_count()
 
     def diverge():
@@ -559,7 +598,8 @@ def test_a_diverging_lt_lp_exits_3_and_leaves_no_thread(tmp_path, capsys, monkey
     assert threading.active_count() == before
 
 
-def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path, monkeypatch):
+def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path, monkeypatch,
+                                                                        one_blas_thread):
     before = threading.active_count()
     fitting, interrupted = threading.Event(), threading.Event()
 
