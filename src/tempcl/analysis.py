@@ -117,13 +117,11 @@ def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurv
     return contribution_curves(S[~np.eye(S.shape[0], dtype=bool)], tau)
 
 
-def pca_project(embeddings: np.ndarray, components: int = 3) -> tuple:
-    """Leading principal components of mean-centered data.
-
-    Returns (coordinates, explained_variance_ratios).  Components are
-    ordered by descending eigenvalue of the covariance matrix, with each
-    direction's sign fixed so its largest-magnitude loading is positive.
-    """
+def pca_project(embeddings: np.ndarray, components: int = 3) -> np.ndarray:
+    """Coordinates of mean-centered data on its leading principal
+    components, ordered by descending eigenvalue of the covariance matrix,
+    with each direction's sign fixed so its largest-magnitude loading is
+    positive."""
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("embeddings must be 2-D")
@@ -135,16 +133,12 @@ def pca_project(embeddings: np.ndarray, components: int = 3) -> tuple:
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / n
     eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    eigvecs = eigvecs[:, order]
-    for j in range(d):
+    eigvecs = eigvecs[:, np.argsort(eigvals)[::-1][:components]]
+    for j in range(components):
         i = np.argmax(np.abs(eigvecs[:, j]))
         if eigvecs[i, j] < 0:
             eigvecs[:, j] = -eigvecs[:, j]
-    total = eigvals.sum()
-    ratios = eigvals[:components] / total if total > 0 else np.zeros(components)
-    return centered @ eigvecs[:, :components], ratios
+    return centered @ eigvecs
 
 
 def _csv(header: str, rows) -> str:

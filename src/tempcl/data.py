@@ -113,6 +113,19 @@ def longtail_sizes(K: int, n_max: int, imb: float) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)
 
 
+def _class_draws(labels, classes, sizes, seed: int) -> list:
+    """For each class ``c`` of ``classes``, the indices of its first
+    ``sizes[i]`` rows under a shuffle of its rows seeded by (seed, c)."""
+    draws = []
+    for c, size in zip(classes, sizes):
+        idx = np.flatnonzero(labels == c)
+        if size > idx.size:
+            raise ValueError(f"requested {size} samples of class {c} but only {idx.size} available")
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(c)]))
+        draws.append(idx[rng.permutation(idx.size)][:size])
+    return draws
+
+
 def subsample_longtail(
     balanced: LongTailDataset,
     sizes,
@@ -136,24 +149,11 @@ def subsample_longtail(
             np.random.SeedSequence([int(class_permutation_seed)])
         ).permutation(K)
 
-    keep = []
-    new_labels = []
-    for k in range(K):
-        src = int(perm[k])
-        idx = np.flatnonzero(balanced.labels == src)
-        if sizes[k] > idx.size:
-            raise ValueError(
-                f"requested {sizes[k]} samples of class {src} but only {idx.size} available"
-            )
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), src]))
-        chosen = idx[rng.permutation(idx.size)][: sizes[k]]
-        keep.append(chosen)
-        new_labels.append(np.full(sizes[k], k, dtype=np.int64))
-    keep = np.concatenate(keep)
+    keep = np.concatenate(_class_draws(balanced.labels, perm, sizes, seed))
     coarse = None if balanced.coarse_labels is None else balanced.coarse_labels[keep]
     return LongTailDataset(
         features=balanced.features[keep],
-        labels=np.concatenate(new_labels),
+        labels=np.repeat(np.arange(K, dtype=np.int64), sizes),
         class_sizes=sizes,
         coarse_labels=coarse,
         channel_stats=balanced.channel_stats,
@@ -427,7 +427,8 @@ def save_dataset(ds: LongTailDataset, path) -> None:
 
 
 def load_dataset(path) -> LongTailDataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.  A malformed file,
+    or one holding a non-finite feature, raises :class:`DataFormatError`."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != TCLD_MAGIC:
         raise DataFormatError(f"{path}: missing TCLD header")
@@ -442,8 +443,12 @@ def load_dataset(path) -> LongTailDataset:
     labels = recs["label"].astype(np.int64)
     if labels.size and labels.max() >= K:
         raise DataFormatError(f"{path}: label {labels.max()} exceeds K={K}")
+    features = recs["feat"].astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: non-finite feature in record {bad[0]}")
     return LongTailDataset(
-        features=recs["feat"].astype(np.float64),
+        features=features,
         labels=labels,
         class_sizes=np.bincount(labels, minlength=K),
     )

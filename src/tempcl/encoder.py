@@ -167,17 +167,16 @@ def backward(
     params: EncoderParams,
     X: np.ndarray,
     upstream: np.ndarray,
-    result: ForwardResult | None = None,
+    result: ForwardResult,
 ) -> EncoderParams:
     """Reverse-mode gradients of a scalar loss through the encoder.
 
-    ``upstream`` is dLoss/dEmbeddings.  The normalization backward projects
-    onto the tangent space: dz = (du - (du . u) u) / ||z||; rows flagged as
+    ``result`` is the forward pass of the batch ``X`` and ``upstream`` is
+    dLoss/dEmbeddings.  The normalization backward projects onto the
+    tangent space: dz = (du - (du . u) u) / ||z||; rows flagged as
     zero-projections propagate no gradient.  Returns parameter gradients in
     an :class:`EncoderParams` container.
     """
-    if result is None:
-        result = forward(params, X)
     dU = np.asarray(upstream, dtype=np.float64)
     U = result.embeddings
     if dU.shape != U.shape:

@@ -1,5 +1,7 @@
-"""Embedding evaluation: kNN classification, linear probes, and per-group
-accuracy breakdowns.
+"""Embedding evaluation: kNN classification and linear probes, each scored
+on the test set as (metric, scope, value) rows, the rows of metrics.csv:
+the overall accuracy, the mean class accuracy of the head, mid and tail
+groups, then each class's accuracy.
 
 kNN operates on l2-normalized embeddings; for unit vectors ranking by
 ascending Euclidean distance equals ranking by descending cosine
@@ -23,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tempcl.data import GroupPartition, head_mid_tail_split
+from tempcl.data import GroupPartition, _class_draws, head_mid_tail_split
 from tempcl.loss import _check_unit_rows
 
 __all__ = [
     "ProbeConfig",
-    "MetricBreakdown",
-    "EvalReport",
     "knn_classify",
     "knn_report",
     "fewshot_subset",
@@ -52,33 +52,6 @@ class ProbeConfig:
             raise ValueError(f"probe mode must be FS_LP or LT_LP, got {self.mode!r}")
         if self.epochs < 1 or self.lr <= 0:
             raise ValueError("need epochs >= 1 and lr > 0")
-
-
-@dataclass(frozen=True)
-class MetricBreakdown:
-    """One metric with its per-class and head/mid/tail decomposition."""
-
-    overall: float
-    per_class: np.ndarray
-    group_means: dict
-
-
-@dataclass
-class EvalReport:
-    """Named metric breakdowns from one evaluation snapshot."""
-
-    metrics: dict
-
-    def rows(self):
-        """(metric, scope, value) triples: overall, groups, then classes."""
-        out = []
-        for name, m in self.metrics.items():
-            out.append((name, "all", m.overall))
-            for g in ("head", "mid", "tail"):
-                out.append((name, g, m.group_means[g]))
-            for k, acc in enumerate(m.per_class):
-                out.append((name, f"class_{k}", float(acc)))
-        return out
 
 
 def _rank_neighbours(sims: np.ndarray, k: int) -> tuple:
@@ -135,20 +108,19 @@ def knn_classify(
     return preds
 
 
-def _breakdown(
-    true_labels: np.ndarray, pred: np.ndarray, partition: GroupPartition, n_classes: int
-) -> MetricBreakdown:
+def _rows(name, true_labels, pred, partition: GroupPartition, n_classes) -> list:
+    """The (metric, scope, value) rows of one metric's predictions."""
     hits = pred == true_labels
     # sums of 0/1 are exact, so each class mean equals hits[mask].mean()
     sizes = np.bincount(true_labels, minlength=n_classes)
     per_class = np.full(n_classes, np.nan)
     np.divide(np.bincount(true_labels, weights=hits, minlength=n_classes), sizes,
               out=per_class, where=sizes > 0)
-    groups = {}
-    for name, ids in (("head", partition.head), ("mid", partition.mid), ("tail", partition.tail)):
+    rows = [(name, "all", float(hits.mean()))]
+    for group, ids in (("head", partition.head), ("mid", partition.mid), ("tail", partition.tail)):
         accs = [per_class[c] for c in sorted(ids) if c < n_classes and not np.isnan(per_class[c])]
-        groups[name] = float(np.mean(accs)) if accs else float("nan")
-    return MetricBreakdown(overall=float(hits.mean()), per_class=per_class, group_means=groups)
+        rows.append((name, group, float(np.mean(accs)) if accs else float("nan")))
+    return rows + [(name, f"class_{k}", float(acc)) for k, acc in enumerate(per_class)]
 
 
 def knn_report(
@@ -158,17 +130,17 @@ def knn_report(
     test_labels,
     k_values=(1, 10),
     partition: GroupPartition | None = None,
-) -> EvalReport:
-    """kNN accuracy at each requested k, overall and per head/mid/tail
-    group, on the (balanced) test set."""
+) -> list:
+    """Rows of the kNN accuracy at each requested k (metric ``knn<k>``), in
+    order, on the (balanced) test set."""
     train_labels = np.asarray(train_labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
     K = int(max(train_labels.max(), test_labels.max())) + 1
     if partition is None:
         partition = head_mid_tail_split(np.bincount(train_labels, minlength=K))
     preds = knn_classify(train_emb, train_labels, test_emb, k_values)
-    return EvalReport(metrics={f"knn{k}": _breakdown(test_labels, pred, partition, K)
-                               for k, pred in zip(k_values, preds)})
+    return [row for k, pred in zip(k_values, preds)
+            for row in _rows(f"knn{k}", test_labels, pred, partition, K)]
 
 
 def fewshot_subset(labels, seed: int) -> np.ndarray:
@@ -178,13 +150,8 @@ def fewshot_subset(labels, seed: int) -> np.ndarray:
     counts = np.bincount(labels)
     if counts.min() == 0:
         raise ValueError("every class must be non-empty")
-    shots = int(counts.min())
-    picks = []
-    for c in range(len(counts)):
-        idx = np.flatnonzero(labels == c)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(c)]))
-        picks.append(idx[rng.permutation(idx.size)][:shots])
-    return np.concatenate(picks)
+    return np.concatenate(_class_draws(labels, range(len(counts)),
+                                       [counts.min()] * len(counts), seed))
 
 
 def _probe_grads(W, b, X, onehot):
@@ -208,10 +175,10 @@ def linear_probe(
     test_labels,
     cfg: ProbeConfig,
     partition: GroupPartition | None = None,
-) -> EvalReport:
+) -> list:
     """Multinomial logistic regression on frozen embeddings by full-batch
-    gradient descent; reports balanced-test accuracy with per-class and
-    group breakdowns under the metric name 'fs_lp' or 'lt_lp'."""
+    gradient descent; the rows of its balanced-test accuracy under the
+    metric name 'fs_lp' or 'lt_lp'."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -242,4 +209,4 @@ def linear_probe(
 
     pred = np.argmax(test_emb @ W + b, axis=1)
     name = "fs_lp" if cfg.mode == "FS_LP" else "lt_lp"
-    return EvalReport(metrics={name: _breakdown(test_labels, pred, partition, K)})
+    return _rows(name, test_labels, pred, partition, K)

@@ -189,20 +189,20 @@ def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition)
 
     def probe(mode):
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
-                            cfg.probe_config(mode), partition=partition).metrics
+                            cfg.probe_config(mode), partition=partition)
 
     wide = train.n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS
     lt_lp = pool.submit(probe, "LT_LP") if cfg.eval.run_probes and PROBE_WORKER and wide else None
-    report = knn_report(train_feat, train.labels, test_feat, test.labels,
-                        k_values=KNN_K, partition=partition)
+    rows = knn_report(train_feat, train.labels, test_feat, test.labels,
+                      k_values=KNN_K, partition=partition)
     if cfg.eval.run_probes:
-        report.metrics.update(probe("FS_LP"))
+        rows += probe("FS_LP")
 
-    def rows():
+    def join():
         if cfg.eval.run_probes:
-            report.metrics.update(lt_lp.result() if lt_lp else probe("LT_LP"))
-        return report.rows() + [("coverage_cv", "all", uniformity_stat(hist))]
-    return rows
+            rows.extend(lt_lp.result() if lt_lp else probe("LT_LP"))
+        return rows + [("coverage_cv", "all", uniformity_stat(hist))]
+    return join
 
 
 def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
@@ -213,7 +213,7 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     curves = aggregate_contribution_curves(similarity_matrix(emb, emb), tau)
     write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
 
-    coords, _ = pca_project(feats, components=PCA_COMPONENTS)
+    coords = pca_project(feats, components=PCA_COMPONENTS)
     write_atomic(out_dir / f"pca_{tag}.csv", pca_csv(coords, labels))
 
 
@@ -313,7 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     record(done, extra_rows=[("train_loss", "all", loss)])
                 if done in checkpoints:
                     save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
-            save_checkpoint(params, out_dir / "checkpoint_final.tclp")
+        save_checkpoint(params, out_dir / "checkpoint_final.tclp")
 
     write_atomic(out_dir / "metrics.csv", "".join(lines))
 

@@ -200,28 +200,30 @@ class TestPcaProject:
         rng = np.random.default_rng(8)
         t = rng.standard_normal(100)
         X = np.outer(t, [1.0, 2.0, -1.0])
-        coords, ratios = pca_project(X, components=3)
-        np.testing.assert_allclose(ratios[0], 1.0, atol=1e-9)
-        assert ratios[1] < 1e-9
+        coords = pca_project(X, components=3)
+        total = ((X - X.mean(axis=0)) ** 2).sum()
+        np.testing.assert_allclose((coords[:, 0] ** 2).sum(), total, rtol=1e-9)
+        np.testing.assert_allclose(coords[:, 1:], 0.0, atol=1e-9)
 
     def test_isotropic_ratios(self):
         """An isotropic 3-D Gaussian splits variance three ways."""
         X = np.random.default_rng(9).standard_normal((10_000, 3))
-        _, ratios = pca_project(X, components=3)
-        np.testing.assert_allclose(ratios, 1.0 / 3.0, atol=0.05)
+        variances = pca_project(X, components=3).var(axis=0)
+        np.testing.assert_allclose(variances / variances.sum(), 1.0 / 3.0, atol=0.05)
 
     def test_planar_data_third_component_vanishes(self):
         rng = np.random.default_rng(10)
         plane = rng.standard_normal((500, 2))
         X = np.column_stack([plane[:, 0], plane[:, 1], plane[:, 0] + plane[:, 1]])
         # rank-2 data embedded in 3 dimensions
-        _, ratios = pca_project(X, components=3)
-        assert ratios[2] < 1e-9
+        coords = pca_project(X, components=3)
+        assert np.abs(coords[:, :2]).max() > 1.0
+        np.testing.assert_allclose(coords[:, 2], 0.0, atol=1e-9)
 
     def test_reconstruction_with_full_basis(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((60, 7))
-        coords, _ = pca_project(X, components=7)
+        coords = pca_project(X, components=7)
         centered, basis = eigh_basis(X)
         np.testing.assert_allclose(coords @ basis.T, centered, atol=1e-8)
 
@@ -230,7 +232,7 @@ class TestPcaProject:
         largest-magnitude loading is positive."""
         rng = np.random.default_rng(12)
         X = rng.standard_normal((50, 4)) * np.array([5.0, 2.0, 1.0, 0.5])
-        coords, _ = pca_project(X, components=3)
+        coords = pca_project(X, components=3)
         centered, basis = eigh_basis(X)
         np.testing.assert_allclose(coords, centered @ basis[:, :3], atol=1e-10)
 
@@ -255,7 +257,8 @@ class TestCsvRenderers:
     def test_pca_csv(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((10, 5))
-        coords, _ = pca_project(X, components=3)
+        coords = pca_project(X, components=3)
         lines = pca_csv(coords, np.arange(10)).strip().splitlines()
         assert lines[0] == "index,label,pc1,pc2,pc3"
         assert len(lines) == 11
+        assert lines[4] == "3,3," + ",".join(repr(float(x)) for x in coords[3])

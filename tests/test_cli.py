@@ -9,7 +9,8 @@ import pytest
 
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from tempcl.config import parse_config
-from tempcl.data import LongTailDataset, save_dataset
+from tempcl.data import LongTailDataset, load_dataset, save_dataset
+from tempcl.runner import synthetic_datasets
 from tempcl.schedule import tau_at
 from test_data import cifar10_fixture_bytes
 
@@ -72,6 +73,18 @@ def test_final_checkpoint_is_labelled_run_epochs(trained, tmp_path):
         name = f"{kind}_epoch00002.csv"
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
     assert not list(tmp_path.glob("*epoch00000*"))
+
+
+def test_eval_of_an_untrained_runs_final_checkpoint_gives_its_epoch_0_rows(tmp_path):
+    """run.epochs = 0 still saves checkpoint_final.tclp, labelled epoch 0."""
+    config = write_config(tmp_path, text=TINY.replace("run.epochs = 2", "run.epochs = 0"))
+    assert main(["train", "--config", config]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--config", config, "--checkpoint", str(out / "checkpoint_final.tclp"),
+                 "--output", str(tmp_path / "eval")]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert len(rows) > 1 and all(row.startswith("0,") for row in rows[1:])
+    assert (tmp_path / "eval" / "eval_epoch00000.csv").read_text().splitlines() == rows
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
@@ -227,6 +240,31 @@ def test_test_set_a_snapshot_cannot_score_is_refused(trained, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["path", "test_path"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_non_finite_feature_exits_2(trained, tmp_path, capsys, command, where, value):
+    _, out = trained
+    data = tmp_path / "data"
+    data.mkdir()
+    files = {"path": tcld(data / "train.tcld", [20, 12, 8, 6]),
+             "test_path": tcld(data / "test.tcld", [5, 5, 5, 5], seed=1)}
+    ds = load_dataset(files[where])
+    ds.features[3, 2] = value
+    save_dataset(ds, files[where])
+    args = [command, "--config", write_config(tmp_path, extra=f"data.kind = tcld\n"
+                                              f"data.path = {files['path']}\n"
+                                              f"data.test_path = {files['test_path']}\n")]
+    if command != "train":
+        args += ["--checkpoint", str(out / "checkpoint_final.tclp")]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {files[where]}: non-finite feature in record 3\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
 @pytest.fixture(scope="module")
 def cifar100_files(tmp_path_factory):
     """CIFAR-100 train and test files in which all 100 fine classes occur,
@@ -372,3 +410,22 @@ def test_schedule_preview_under_coarse_supervision_is_nan(tmp_path, capsys):
     nan, and so does the preview."""
     rows = preview(tmp_path, capsys, extra="schedule.coarse = true\n")
     assert len(rows) == 3 and all(math.isnan(t) for _, t in rows)
+
+
+def test_gen_data_writes_the_synthetic_sets_that_train_reads(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", config]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved", "dataset.tcld",
+                                                      "test.tcld"]
+    assert "dataset.tcld: K=4 D=8 n=" in capsys.readouterr().out
+    for name, made in zip(["dataset.tcld", "test.tcld"], synthetic_datasets(parse_config(TINY))):
+        loaded = load_dataset(out / name)
+        np.testing.assert_array_equal(loaded.labels, made.labels)
+        np.testing.assert_array_equal(loaded.features, made.features.astype(np.float32))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    config = write_config(runs, extra=f"data.kind = tcld\ndata.path = {out / 'dataset.tcld'}\n"
+                                      f"data.test_path = {out / 'test.tcld'}\n")
+    assert main(["train", "--config", config]) == 0
+    assert (runs / "out" / "metrics.csv").is_file()

@@ -151,7 +151,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_encoder(5, (6,), embed_dim=4, seed=6)
         X = np.random.default_rng(7).standard_normal((3, 5))
-        grads = backward(params, X, np.zeros((3, 4)))
+        grads = backward(params, X, np.zeros((3, 4)), forward(params, X))
         assert all(np.all(a == 0.0) for a in grads.arrays())
 
     def test_relu_passthrough_at_positive_preactivation(self):
@@ -218,8 +218,10 @@ class TestBackward:
 
     def test_upstream_shape_checked(self):
         params = init_encoder(3, (4,), embed_dim=2)
+        X = np.zeros((2, 3))
+        result = forward(params, X)
         with pytest.raises(ValueError, match="upstream"):
-            backward(params, np.zeros((2, 3)), np.zeros((2, 5)))
+            backward(params, X, np.zeros((2, 5)), result)
 
 
 class TestLrAt:

@@ -1,5 +1,6 @@
 """Tests for kNN classification (against an exhaustive sort-and-vote
-oracle), report breakdowns, few-shot subsets, and the linear probe."""
+oracle), the (metric, scope, value) rows of its accuracy, few-shot subsets,
+and the linear probe."""
 
 import itertools
 import math
@@ -16,6 +17,15 @@ from tempcl.evaluation import (
     knn_report,
     linear_probe,
 )
+
+
+def scores(rows, metric):
+    """{scope: value} of one metric's (metric, scope, value) rows."""
+    return {scope: value for name, scope, value in rows if name == metric}
+
+
+def per_class(m, n_classes):
+    return np.array([m[f"class_{c}"] for c in range(n_classes)])
 
 
 def brute_force_knn(train_emb, train_labels, test_emb, k):
@@ -166,32 +176,32 @@ class TestKnnReport:
     def test_all_correct(self):
         train = np.eye(3)
         test = np.eye(3)
-        rep = knn_report(train, [0, 1, 2], test, [0, 1, 2], k_values=(1,),
-                         partition=self.partition())
-        m = rep.metrics["knn1"]
-        assert m.overall == 1.0
-        np.testing.assert_array_equal(m.per_class, [1.0, 1.0, 1.0])
-        assert m.group_means == {"head": 1.0, "mid": 1.0, "tail": 1.0}
+        rows = knn_report(train, [0, 1, 2], test, [0, 1, 2], k_values=(1,),
+                          partition=self.partition())
+        m = scores(rows, "knn1")
+        assert m["all"] == 1.0
+        np.testing.assert_array_equal(per_class(m, 3), [1.0, 1.0, 1.0])
+        assert [m[g] for g in ("head", "mid", "tail")] == [1.0, 1.0, 1.0]
 
     def test_one_class_always_wrong(self):
         """Binary balanced test where one class is always misclassified."""
         train = circle([0.0, 180.0])
         test = circle([10.0, -10.0, 170.0, 190.0])
         # class 1 centroids flipped: both class-1 queries sit nearer class 0?
-        rep = knn_report(train, [0, 1], test, [0, 0, 1, 1], k_values=(1,),
-                         partition=GroupPartition(head=frozenset({0}),
-                                                  mid=frozenset(),
-                                                  tail=frozenset({1})))
-        m = rep.metrics["knn1"]
-        assert m.per_class[0] == 1.0 and m.per_class[1] == 1.0
+        rows = knn_report(train, [0, 1], test, [0, 0, 1, 1], k_values=(1,),
+                          partition=GroupPartition(head=frozenset({0}),
+                                                   mid=frozenset(),
+                                                   tail=frozenset({1})))
+        m = scores(rows, "knn1")
+        assert m["class_0"] == 1.0 and m["class_1"] == 1.0
         # now corrupt the train labels so class 1 is always wrong
-        rep = knn_report(train, [0, 0], test, [0, 0, 1, 1], k_values=(1,),
-                         partition=GroupPartition(head=frozenset({0}),
-                                                  mid=frozenset(),
-                                                  tail=frozenset({1})))
-        m = rep.metrics["knn1"]
-        assert m.overall == 0.5
-        assert m.per_class[1] == 0.0
+        rows = knn_report(train, [0, 0], test, [0, 0, 1, 1], k_values=(1,),
+                          partition=GroupPartition(head=frozenset({0}),
+                                                   mid=frozenset(),
+                                                   tail=frozenset({1})))
+        m = scores(rows, "knn1")
+        assert m["all"] == 0.5
+        assert m["class_1"] == 0.0
 
     def test_group_means_match_independent_recomputation(self):
         rng = np.random.default_rng(23)
@@ -200,13 +210,13 @@ class TestKnnReport:
         test = unit_rows(rng, 48, 5)
         test_labels = rng.integers(0, 6, size=48)
         part = head_mid_tail_split(np.bincount(train_labels, minlength=6))
-        rep = knn_report(train, train_labels, test, test_labels, k_values=(1, 10),
-                         partition=part)
+        rows = knn_report(train, train_labels, test, test_labels, k_values=(1, 10),
+                          partition=part)
         for name in ("knn1", "knn10"):
-            m = rep.metrics[name]
+            m = scores(rows, name)
             for group, ids in (("head", part.head), ("mid", part.mid), ("tail", part.tail)):
-                accs = [m.per_class[c] for c in sorted(ids)]
-                assert abs(m.group_means[group] - np.mean(accs)) < 1e-12
+                accs = [m[f"class_{c}"] for c in sorted(ids)]
+                assert abs(m[group] - np.mean(accs)) < 1e-12
 
     def test_overall_is_frequency_weighted_mean(self):
         rng = np.random.default_rng(24)
@@ -214,11 +224,10 @@ class TestKnnReport:
         train_labels = rng.integers(0, 4, size=50)
         test = unit_rows(rng, 37, 4)
         test_labels = rng.integers(0, 4, size=37)
-        rep = knn_report(train, train_labels, test, test_labels, k_values=(1,))
-        m = rep.metrics["knn1"]
+        m = scores(knn_report(train, train_labels, test, test_labels, k_values=(1,)), "knn1")
         counts = np.bincount(test_labels, minlength=4)
-        weighted = np.nansum(m.per_class * counts) / counts.sum()
-        assert abs(m.overall - weighted) < 1e-12
+        weighted = np.nansum(per_class(m, 4) * counts) / counts.sum()
+        assert abs(m["all"] - weighted) < 1e-12
 
 
 class TestFewshotSubset:
@@ -255,8 +264,8 @@ class TestLinearProbe:
         test_labels = np.repeat([0, 1], 5)
         part = GroupPartition(head=frozenset({0}), mid=frozenset(), tail=frozenset({1}))
         cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5)
-        rep = linear_probe(train, labels, test, test_labels, cfg, partition=part)
-        assert rep.metrics["lt_lp"].overall == 1.0
+        rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
+        assert scores(rows, "lt_lp")["all"] == 1.0
 
     def test_shuffled_labels_hit_chance_level(self):
         """Random labels on random embeddings score ~1/K."""
@@ -268,8 +277,7 @@ class TestLinearProbe:
             test = unit_rows(rng, 500, 16)
             test_labels = rng.integers(0, K, size=500)
             cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5, seed=seed)
-            rep = linear_probe(train, labels, test, test_labels, cfg)
-            acc = rep.metrics["lt_lp"].overall
+            acc = scores(linear_probe(train, labels, test, test_labels, cfg), "lt_lp")["all"]
             assert 0.05 < acc < 0.15, f"seed {seed}: acc {acc}"
 
     def test_gradient_matches_finite_differences(self):
@@ -308,8 +316,8 @@ class TestLinearProbe:
         test = unit_rows(rng, 30, 4)
         test_labels = rng.integers(0, 3, size=30)
         cfg = ProbeConfig(mode="FS_LP", epochs=50, lr=0.5, seed=3)
-        rep = linear_probe(train, labels, test, test_labels, cfg)
-        assert "fs_lp" in rep.metrics
+        rows = linear_probe(train, labels, test, test_labels, cfg)
+        assert {name for name, _, _ in rows} == {"fs_lp"}
 
     def test_single_class_training_rejected(self):
         with pytest.raises(ValueError, match="one class"):
@@ -320,9 +328,10 @@ class TestLinearProbe:
 class TestEvalReportRows:
     def test_rows_cover_all_scopes(self):
         train = np.eye(3)
-        rep = knn_report(train, [0, 1, 2], train, [0, 1, 2], k_values=(1,),
-                         partition=GroupPartition(head=frozenset({0}),
-                                                  mid=frozenset({1}),
-                                                  tail=frozenset({2})))
-        scopes = [scope for _, scope, _ in rep.rows()]
+        rows = knn_report(train, [0, 1, 2], train, [0, 1, 2], k_values=(1,),
+                          partition=GroupPartition(head=frozenset({0}),
+                                                   mid=frozenset({1}),
+                                                   tail=frozenset({2})))
+        scopes = [scope for _, scope, _ in rows]
         assert scopes == ["all", "head", "mid", "tail", "class_0", "class_1", "class_2"]
+        assert all(type(value) is float for _, _, value in rows)
