@@ -433,6 +433,8 @@ def load_dataset(path) -> LongTailDataset:
     if len(raw) < 16 or raw[:4] != TCLD_MAGIC:
         raise DataFormatError(f"{path}: missing TCLD header")
     K, D, n = struct.unpack("<III", raw[4:16])
+    if K > 0xFFFF:  # before np.bincount sizes an array by it
+        raise DataFormatError(f"{path}: K={K} exceeds the 65535 classes that u16 labels hold")
     rec_dtype = np.dtype([("label", "<u2"), ("feat", "<f4", (D,))])
     expected = 16 + n * rec_dtype.itemsize
     if len(raw) != expected:

@@ -13,7 +13,9 @@ dump, if BLAS runs one thread with a CPU to spare (``PROBE_WORKER``) and
 the fit is at least ``PROBE_WORKER_MACS`` wide.  Otherwise it runs inline
 after the dump: more BLAS threads already fill the CPUs, and a narrower
 fit (a pixel run's) is made of short GIL-bound calls, and both ran slower
-beside the main thread's work.  Pixel runs also make their views on the
+beside the main thread's work.  Under the same rule the worker also takes
+half of the rows of a snapshot forward pass of ``FORWARD_WORKER_MACS`` or
+more (a pixel run's test set).  Pixel runs also make their views on the
 worker, one batch ahead of the encoder step (wide normal fills and
 gathers); embedding-noise views are short GIL-bound calls that slowed the
 step when made ahead, so other runs make them inline.  Views depend only on
@@ -97,6 +99,9 @@ def _blas_leaves_a_cpu() -> bool:
 # FS_LP, fits of 0.5 M or less ran slower there, and fits of 1 M or more faster)
 PROBE_WORKER = _blas_leaves_a_cpu()
 PROBE_WORKER_MACS = 1 << 20
+# A snapshot forward pass is split from this many multiply-adds (rows x weight sizes): halves
+# repack every weight, and splits broke even at 7-16 M and gained on every measured shape from 17 M
+FORWARD_WORKER_MACS = 1 << 24
 
 
 def _paths(value: str) -> list:
@@ -172,12 +177,28 @@ def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
     return float("nan") if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
 
 
-def _embed_train(cfg, params, train):
+def _forward_rows(pool, params, X):
+    """``forward(params, X)``'s (embeddings, features), bit for bit.  Where it
+    pays (``PROBE_WORKER``, 4 rows or more, ``FORWARD_WORKER_MACS``), ``pool``'s
+    worker runs the second half of the rows and the caller the first: with 2
+    rows or more in each piece every GEMM keeps the whole product's sums (a
+    1-row piece takes NumPy's gemv path, whose sums differ in the last bit)."""
+    n = X.shape[0]
+    if PROBE_WORKER and n >= 4 and n * sum(W.size for W, _ in params.layers) >= FORWARD_WORKER_MACS:
+        rest = pool.submit(forward, params, X[n // 2:])
+        first, rest = forward(params, X[:n // 2]), rest.result()
+        return (np.concatenate([first.embeddings, rest.embeddings]),
+                np.concatenate([first.features, rest.features]))
+    result = forward(params, X)
+    return result.embeddings, result.features
+
+
+def _embed_train(cfg, pool, params, train):
     """The snapshot's one forward pass of the train set: (embeddings, unit
     features, coverage histogram of the embeddings)."""
-    result = forward(params, train.features)
-    hist = coverage_histogram(result.embeddings, B=cfg.analysis.bins, seed=cfg.analysis.seed)
-    return result.embeddings, _unit_rows(result.features)[0], hist
+    emb, feats = _forward_rows(pool, params, train.features)
+    hist = coverage_histogram(emb, B=cfg.analysis.bins, seed=cfg.analysis.seed)
+    return emb, _unit_rows(feats)[0], hist
 
 
 def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition):
@@ -185,7 +206,7 @@ def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition)
     that pays (see the module docstring), then kNN and FS_LP run here.
     Returns a function that waits for LT_LP (or fits it inline) and gives
     the snapshot's (metric, scope, value) rows."""
-    test_feat = _unit_rows(forward(params, test.features).features)[0]
+    test_feat = _unit_rows(_forward_rows(pool, params, test.features)[1])[0]
 
     def probe(mode):
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
@@ -222,9 +243,9 @@ class _ViewStream:
     one-worker executor that the caller owns and shuts down: each batch
     taken sets the worker making the next.  The stream is built once its
     first batch is made, and each :meth:`take` ends once the batch after its
-    own is made, so the worker is idle between takes and free for the
-    snapshot's probe, and perfbench's tracer, whose one span stack serves
-    all threads, sees view spans only inside ``train_epoch``."""
+    own is made, so the worker is idle between takes and free for a
+    snapshot's half forward pass and probe, and perfbench's tracer, whose one
+    span stack serves all threads, sees view spans only inside ``train_epoch``."""
 
     def __init__(self, pool, views):
         self._pool, self._views = pool, views
@@ -283,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     def record(epoch, extra_rows=()):
         nonlocal last_rows
-        emb, feats, hist = _embed_train(cfg, params, train)
+        emb, feats, hist = _embed_train(cfg, pool, params, train)
         rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
         if cfg.analysis.enable:  # before rows(), so that it overlaps a worker's LT_LP fit
             _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
@@ -325,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _load_checkpoint_run(cfg, checkpoint_path, min_tap=1):
+def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=1):
     """(output dir, train set, test set, encoder, train embedding) for a saved
     encoder on the config's data; a tap narrower than ``min_tap`` is refused."""
     train, test = build_datasets(cfg)
@@ -340,15 +361,16 @@ def _load_checkpoint_run(cfg, checkpoint_path, min_tap=1):
                               f"below the {min_tap} dims of the PCA dump")
     out_dir = Path(cfg.run.output_dir)  # made only once the inputs are accepted
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, train, test, params, _embed_train(cfg, params, train)
+    return out_dir, train, test, params, _embed_train(cfg, pool, params, train)
 
 
 def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     """Metrics rows for a saved encoder, identical to the in-training
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
-    out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path)
-    partition = head_mid_tail_split(train.class_sizes)
-    with ThreadPoolExecutor(max_workers=1) as pool:  # the LT_LP probe's worker
+    with ThreadPoolExecutor(max_workers=1) as pool:  # as a run's one worker
+        out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(
+            cfg, pool, checkpoint_path)
+        partition = head_mid_tail_split(train.class_sizes)
         rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)()
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
@@ -358,7 +380,8 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
 
 def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> float:
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
-    out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(cfg, checkpoint_path,
-                                                                    min_tap=PCA_COMPONENTS)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # for half of a wide train forward
+        out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(
+            cfg, pool, checkpoint_path, min_tap=PCA_COMPONENTS)
     _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
     return uniformity_stat(hist)

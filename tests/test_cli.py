@@ -265,6 +265,27 @@ def test_a_non_finite_feature_exits_2(trained, tmp_path, capsys, command, where,
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("K", [70_000, 0xFFFFFFFF])
+def test_a_tcld_class_count_beyond_u16_labels_exits_2(tmp_path, capsys, K):
+    """save_dataset refuses K > 0xFFFF, so such a header is the file's fault:
+    70,000 was reported as an empty class, and 0xFFFFFFFF asked np.bincount
+    for 32 GiB."""
+    data = tmp_path / "data"
+    data.mkdir()
+    train = tcld(data / "train.tcld", [20, 12, 8, 6])
+    test = tcld(data / "test.tcld", [5, 5, 5, 5], seed=1)
+    raw = bytearray(train.read_bytes())
+    raw[4:8] = struct.pack("<I", K)
+    train.write_bytes(bytes(raw))
+    args = ["train", "--config", write_config(tmp_path, extra=f"data.kind = tcld\n"
+                                              f"data.path = {train}\ndata.test_path = {test}\n")]
+    assert main(args) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: {train}: K={K} exceeds the 65535 classes "
+                            f"that u16 labels hold\n")
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
 @pytest.fixture(scope="module")
 def cifar100_files(tmp_path_factory):
     """CIFAR-100 train and test files in which all 100 fine classes occur,

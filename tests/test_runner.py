@@ -10,7 +10,8 @@ augmentation; the fifth takes the symmetrized in-batch loss.  Their ``metrics.cs
 pinned by sha256.  A change that moves any of these outputs must say why
 and regenerate them on purpose.  The momentum-queue and pixel runs are
 repeated in a fresh process with two BLAS threads, which must give the
-same ``metrics.csv`` and checkpoint.
+same ``metrics.csv`` and checkpoint, and with one BLAS thread, under which
+the runner's import-time rule opens its worker paths.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -18,10 +19,12 @@ last bit depends on the BLAS thread count.  ``metrics.csv`` and the
 checkpoint do not, and are compared exactly.
 
 A run owns one worker thread.  Pixel runs take their views from a stream
-that it fills one batch ahead, and a snapshot whose LT_LP probe is wide
-fits it there while kNN and FS_LP run on the caller's thread.  The stream
-is checked against the inline views, and runs that finish, diverge or are
-interrupted, in training or in a snapshot, must leave no thread behind.
+that it fills one batch ahead, a wide snapshot forward pass runs half of
+its rows there, and a snapshot whose LT_LP probe is wide fits it there
+while kNN and FS_LP run on the caller's thread.  The stream and the split
+forward pass are checked against their inline forms, and runs that finish,
+diverge or are interrupted, in training or in a snapshot, must leave no
+thread behind.
 """
 
 import hashlib
@@ -45,12 +48,14 @@ from tempcl.data import AugmentationPolicy, load_cifar10_bin
 from tempcl.encoder import (
     NegativeSource,
     _epoch_views,
+    forward,
     init_encoder,
     init_optim_state,
     train_epoch,
 )
 from tempcl.runner import (
     _blas_leaves_a_cpu,
+    _forward_rows,
     _ViewStream,
     analyze_checkpoint,
     eval_checkpoint,
@@ -241,6 +246,26 @@ def test_two_blas_threads_give_the_golden_outputs(data_dir, name, tmp_path):
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     subprocess.run([sys.executable, "-c", _RUN_ONE, str(tmp_path), str(data_dir), name],
                    env=env, check=True, capture_output=True)
+    golden = (GOLDEN / f"metrics_{name}.csv").read_text()
+    assert (tmp_path / "metrics.csv").read_text() == golden
+    assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one BLAS thread opens the worker paths only with a CPU to spare")
+@pytest.mark.parametrize("name", ["momentum_queue", "pixel"])
+def test_one_blas_thread_gives_the_golden_outputs(data_dir, name, tmp_path):
+    """The goldens hold where the import-time rule opens the worker paths,
+    which tier-1 (BLAS variables unset) reaches only through monkeypatch:
+    the pixel run makes its views there, and the momentum-queue run's 1,000
+    test rows are a forward pass wide enough to split."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    script = _RUN_ONE + "import tempcl.runner\nprint(tempcl.runner.PROBE_WORKER)\n"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(data_dir), name],
+                          env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.endswith("\nTrue\n")
     golden = (GOLDEN / f"metrics_{name}.csv").read_text()
     assert (tmp_path / "metrics.csv").read_text() == golden
     assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
@@ -469,6 +494,28 @@ def patch_snapshot(monkeypatch, knn=None, lt_lp=None, fs_lp=None):
     return calls
 
 
+def on_worker() -> bool:
+    """Whether this is an executor's worker thread (by its default name)."""
+    return threading.current_thread().name.startswith("ThreadPoolExecutor")
+
+
+def patch_forward(monkeypatch, worker=None, caller=None):
+    """Wraps the runner's snapshot forward pass: each call is recorded as
+    (rows, whether on a worker) in the returned list, then runs the hook of
+    its thread (if any), then the real function."""
+    calls = []
+
+    def recorded(params, X):
+        calls.append((X.shape[0], on_worker()))
+        hook = worker if on_worker() else caller
+        if hook:
+            hook()
+        return forward(params, X)
+
+    monkeypatch.setattr(tempcl.runner, "forward", recorded)
+    return calls
+
+
 # 100 classes of 10 down to 5 rows: LT_LP's GEMMs (722 rows x 128 features x 100
 # classes) are wide enough for the worker
 WIDE = {"data__classes": 100, "data__n_max": 10, "data__imbalance": 2,
@@ -490,8 +537,11 @@ def wide_inline(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tempcl.runner, "PROBE_WORKER", False)
         calls = patch_snapshot(patch)
+        forwards = patch_forward(patch)
         run_experiment(config(out_dir, **WIDE))
     assert {thread for _, thread in calls} == {threading.get_ident()}
+    assert forwards and not any(worker for _, worker in forwards)
+    assert {rows for rows, _ in forwards} == {722, 300}  # the train and test sets, whole
     return out_dir
 
 
@@ -616,7 +666,126 @@ def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path,
     with pytest.raises(KeyboardInterrupt):
         within(lambda: main(["train", "--config", cli_config(tmp_path)]))
     assert not (tmp_path / "out" / "metrics.csv").exists()
-    assert [name for name, _ in calls] == ["LT_LP", "kNN"]
+    # appended on two threads, in either order; kNN's hook waited for LT_LP to start
+    assert sorted(name for name, _ in calls) == ["LT_LP", "kNN"]
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def split_open(monkeypatch, one_blas_thread):
+    """Every snapshot forward pass of 4 rows or more is split, however narrow."""
+    monkeypatch.setattr(tempcl.runner, "FORWARD_WORKER_MACS", 0)
+
+
+@pytest.mark.parametrize("D", [3072, 32])
+@pytest.mark.parametrize("n", [4, 5, 7, 100, 2000])
+def test_a_split_forward_pass_equals_the_whole_bit_for_bit(monkeypatch, split_open, D, n):
+    params = init_encoder(D, (256, 128), 32, seed=1)
+    X = np.random.default_rng(n).standard_normal((n, D))
+    calls = patch_forward(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        emb, feats = within(lambda: _forward_rows(pool, params, X))
+    assert sorted(calls) == [(n // 2, False), (n - n // 2, True)]  # one half on the worker
+    whole = forward(params, X)
+    for split, inline in ((emb, whole.embeddings), (feats, whole.features)):
+        assert split.dtype == inline.dtype and split.shape == inline.shape
+        assert split.tobytes() == inline.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fewer_than_four_rows_are_never_split(monkeypatch, split_open, n):
+    """A half of one row would take NumPy's gemv path, whose sums differ."""
+    params = init_encoder(3072, (256, 128), 32, seed=1)
+    X = np.random.default_rng(n).standard_normal((n, 3072))
+    calls = patch_forward(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        emb, _ = _forward_rows(pool, params, X)
+    assert calls == [(n, False)]
+    assert emb.tobytes() == forward(params, X).embeddings.tobytes()
+
+
+@pytest.mark.parametrize("probe_worker, rows", [(True, 4), (True, 20), (False, 2000)])
+def test_a_forward_pass_below_the_gate_or_beside_more_blas_threads_runs_on_the_caller(
+        monkeypatch, probe_worker, rows):
+    """At D = 3072 and (256, 128) hidden dims, 20 rows are 16.5 M multiply-adds,
+    just below the gate, and 2,000 rows are far above it."""
+    monkeypatch.setattr(tempcl.runner, "PROBE_WORKER", probe_worker)
+    params = init_encoder(3072, (256, 128), 32, seed=1)
+    calls = patch_forward(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        _forward_rows(pool, params, np.ones((rows, 3072)))
+    assert calls == [(rows, False)]
+
+
+def test_the_goldens_hold_with_every_snapshot_forward_pass_split(runs, data_dir, wide_inline,
+                                                                 tmp_path, monkeypatch,
+                                                                 split_open):
+    """The pixel run and the wide run, and the pixel run's eval and analyze,
+    with each snapshot forward pass split: the same outputs, and half of
+    every pass on the worker."""
+    calls = patch_forward(monkeypatch)
+    run_experiment(config(tmp_path / "pixel", data_dir, **RUNS["pixel"]))
+    assert (tmp_path / "pixel" / "metrics.csv").read_text() == (
+        GOLDEN / "metrics_pixel.csv").read_text()
+    assert sha256(tmp_path / "pixel" / "checkpoint_final.tclp") == HASHES["pixel"]["checkpoint"]
+    assert analysis_digest(tmp_path / "pixel") == HASHES["pixel"]["analysis"]
+
+    cfg = config(tmp_path / "checkpoint", data_dir, **RUNS["pixel"])
+    final = runs["pixel"][1]
+    eval_checkpoint(cfg, final / "checkpoint_final.tclp", EPOCHS)
+    written = (tmp_path / "checkpoint" / f"eval_epoch{EPOCHS:05d}.csv").read_text()
+    assert written.splitlines(True)[1:] == _final_lines(final)
+    analyze_checkpoint(cfg, final / "checkpoint_final.tclp", EPOCHS)
+    for kind in ("coverage", "curves", "pca"):
+        name = f"{kind}_epoch{EPOCHS:05d}.csv"
+        assert (tmp_path / "checkpoint" / name).read_bytes() == (final / name).read_bytes()
+
+    run_experiment(config(tmp_path / "wide", **WIDE))
+    for name in ("metrics.csv", "checkpoint_final.tclp"):
+        assert (tmp_path / "wide" / name).read_bytes() == (wide_inline / name).read_bytes()
+    assert analysis_digest(tmp_path / "wide") == analysis_digest(wide_inline)
+
+    # 5 pixel snapshots, eval's 2 passes and analyze's 1, 3 wide snapshots; 2 passes each
+    halves = len(snapshot_epochs(cfg)) * 2 + 3 + len(snapshot_epochs(config("-", **WIDE))) * 2
+    assert sum(worker for _, worker in calls) == halves
+    assert len(calls) == 2 * halves
+
+
+def test_a_diverging_worker_half_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch,
+                                                              one_blas_thread):
+    """The wide run's 722 train rows are split at its first snapshot."""
+    before = threading.active_count()
+
+    def diverge():
+        raise FloatingPointError("made-up divergence in a worker's half")
+
+    calls = patch_forward(monkeypatch, worker=diverge)
+    assert within(lambda: main(["train", "--config", cli_config(tmp_path)])) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric divergence: made-up divergence in a worker's half\n"
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert sorted(calls) == [(361, False), (361, True)]
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_in_the_callers_half_propagates_and_leaves_no_thread(tmp_path, monkeypatch,
+                                                                          one_blas_thread):
+    before = threading.active_count()
+    running, interrupted = threading.Event(), threading.Event()
+
+    def worker():  # still running its half when the interrupt is raised
+        running.set()
+        assert interrupted.wait(10)
+
+    def caller():
+        assert running.wait(10)
+        interrupted.set()
+        raise KeyboardInterrupt
+
+    calls = patch_forward(monkeypatch, worker=worker, caller=caller)
+    with pytest.raises(KeyboardInterrupt):
+        within(lambda: main(["train", "--config", cli_config(tmp_path)]))
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert sorted(calls) == [(361, False), (361, True)]
     assert threading.active_count() == before
 
 
