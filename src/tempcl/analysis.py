@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 N_SIM_BINS = 100  # similarity axis split into bins of width 0.02 over [-1, 1]
+SIM_BIN_EDGES = np.linspace(-1.0, 1.0, N_SIM_BINS + 1)  # the edges of every curve set
+_BIN_CENTERS = 0.5 * (SIM_BIN_EDGES[:-1] + SIM_BIN_EDGES[1:])
 
 
 def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> np.ndarray:
@@ -52,29 +54,25 @@ def uniformity_stat(counts: np.ndarray) -> float:
 class ContributionCurves:
     """Loss contributions of negatives grouped by similarity to the anchor.
 
-    ``individual`` is the weight exp((s - 1) / tau) at each bin center,
-    ``histogram`` the negative count per bin, and ``cumulative`` the summed
-    weight per bin; the two weight curves are normalized to max 1.
+    The bins are those of ``SIM_BIN_EDGES``.  ``individual`` is the weight
+    exp((s - 1) / tau) at each bin center, ``histogram`` the negative count
+    per bin, and ``cumulative`` the summed weight per bin; the two weight
+    curves are normalized to max 1.
     """
 
-    bin_edges: np.ndarray
     individual: np.ndarray
     cumulative: np.ndarray
     histogram: np.ndarray
 
 
-def _sim_bin_edges() -> np.ndarray:
-    return np.linspace(-1.0, 1.0, N_SIM_BINS + 1)
-
-
-def _bin_of(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _bin_of(values: np.ndarray) -> np.ndarray:
     """Right-open bins, except the last bin which includes s = 1; values
     beyond the ends go to the end bins.  The arithmetic estimate is off by at
     most one bin near an edge, and one comparison with each edge repairs it."""
     idx = np.floor((values + 1.0) * (N_SIM_BINS / 2))
     idx = np.clip(idx, 0, N_SIM_BINS - 1, out=idx).astype(np.intp)
-    idx -= values < edges[idx]
-    idx += values >= edges[idx + 1]
+    idx -= values < SIM_BIN_EDGES[idx]
+    idx += values >= SIM_BIN_EDGES[idx + 1]
     return np.clip(idx, 0, N_SIM_BINS - 1, out=idx)
 
 
@@ -93,19 +91,15 @@ def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCur
     if not tau > 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
 
-    edges = _sim_bin_edges()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    individual = np.exp((centers - centers.max()) / tau)
+    individual = np.exp((_BIN_CENTERS - _BIN_CENTERS.max()) / tau)
     individual /= individual.max()
 
-    idx = _bin_of(s, edges)
+    idx = _bin_of(s)
     hist = np.bincount(idx, minlength=N_SIM_BINS)
     weights = np.exp((s - s.max()) / tau)
     cumulative = np.bincount(idx, weights=weights, minlength=N_SIM_BINS)
     cumulative /= cumulative.max()
-    return ContributionCurves(
-        bin_edges=edges, individual=individual, cumulative=cumulative, histogram=hist
-    )
+    return ContributionCurves(individual=individual, cumulative=cumulative, histogram=hist)
 
 
 def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurves:
@@ -151,10 +145,8 @@ def coverage_csv(counts: np.ndarray) -> str:
 
 
 def curves_csv(c: ContributionCurves) -> str:
-    centers = 0.5 * (c.bin_edges[:-1] + c.bin_edges[1:])
-    return _csv("bin_center,histogram,individual,cumulative",
-                ((float(mid), int(h), float(ind), float(cum))
-                 for mid, h, ind, cum in zip(centers, c.histogram, c.individual, c.cumulative)))
+    columns = (_BIN_CENTERS, c.histogram, c.individual, c.cumulative)
+    return _csv("bin_center,histogram,individual,cumulative", zip(*(a.tolist() for a in columns)))
 
 
 def pca_csv(coords: np.ndarray, labels) -> str:

@@ -45,7 +45,11 @@ def _load_config(args):
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg.run.seed = args.seed
     if args.output is not None:
-        cfg.run.output_dir = args.output
+        out = args.output  # config.resolved must parse back to this path
+        if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+            raise ConfigError(f"--output {out!r} holds a '#', a line break or edge spaces, "
+                              f"which config.resolved cannot keep")
+        cfg.run.output_dir = out
     return cfg
 
 

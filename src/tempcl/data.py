@@ -42,6 +42,7 @@ __all__ = [
 _PIXELS = 3072  # 3 * 32 * 32 channel-major pixel bytes of a CIFAR record
 
 TCLD_MAGIC = b"TCLD"
+_MAX_TCLD_DIM = (0x7FFFFFFF - 2) // 4  # NumPy sizes a record (u16 + D f32) by a C int
 
 
 class DataFormatError(ValueError):
@@ -435,13 +436,15 @@ def load_dataset(path) -> LongTailDataset:
     K, D, n = struct.unpack("<III", raw[4:16])
     if K > 0xFFFF:  # before np.bincount sizes an array by it
         raise DataFormatError(f"{path}: K={K} exceeds the 65535 classes that u16 labels hold")
-    rec_dtype = np.dtype([("label", "<u2"), ("feat", "<f4", (D,))])
-    expected = 16 + n * rec_dtype.itemsize
+    if not 1 <= D <= _MAX_TCLD_DIM:
+        raise DataFormatError(f"{path}: D={D} is outside the 1..{_MAX_TCLD_DIM} features "
+                              f"that a record holds")
+    expected = 16 + n * (2 + 4 * D)  # before a dtype or an array is sized by n and D
     if len(raw) != expected:
         raise DataFormatError(
             f"{path}: expected {expected} bytes for n={n}, D={D}, found {len(raw)}"
         )
-    recs = np.frombuffer(raw[16:], dtype=rec_dtype)
+    recs = np.frombuffer(raw[16:], dtype=[("label", "<u2"), ("feat", "<f4", (D,))])
     labels = recs["label"].astype(np.int64)
     if labels.size and labels.max() >= K:
         raise DataFormatError(f"{path}: label {labels.max()} exceeds K={K}")

@@ -17,6 +17,10 @@ and each view's gradient are 6.3 MB apiece, larger than a core's L2, and
 each update operation is one multiply or add per element.
 :func:`sgd_step` therefore works through every array in row blocks that
 fit in L2, doing all of its operations on one block before the next.
+
+A forward pass keeps one tape for backprop: each layer's input, the output's
+row norms and the embeddings.  Layer i's ReLU mask is ``> 0`` on layer i + 1's
+input, where the (finite) pre-activation is; a zero row is one of norm 0.
 """
 
 import struct
@@ -113,16 +117,14 @@ def init_encoder(
 
 @dataclass
 class ForwardResult:
-    """Unit-norm embeddings and the features at the backbone's tap (for
-    evaluation); ``zero_rows`` flags zero projection outputs, replaced by
-    the first basis vector.  Backprop reads each layer's ``inputs`` and
-    pre-activation (``pre``) and the output's row ``norms``."""
+    """A forward pass's tape: ``inputs[i]`` is layer i's input (the batch, then
+    each ReLU output), so layer i's ReLU mask is ``inputs[i + 1] > 0``; a row of
+    ``norms`` 0 is a zero projection row, whose embedding is the first basis
+    vector.  ``features``, evaluation's tap, is the array ``inputs[n_backbone]``."""
 
     embeddings: np.ndarray
     features: np.ndarray
-    zero_rows: np.ndarray
     inputs: list
-    pre: list
     norms: np.ndarray
 
 
@@ -140,8 +142,7 @@ def forward(params: EncoderParams, X: np.ndarray) -> ForwardResult:
     if not np.all(np.isfinite(a)):
         raise ValueError("input contains non-finite values")
 
-    features = a
-    inputs, pre = [], []
+    inputs = []
     last = len(params.layers) - 1
     # an overflow is reported by the finiteness check after its layer
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,45 +154,38 @@ def forward(params: EncoderParams, X: np.ndarray) -> ForwardResult:
             z = a @ W + b
             if not np.all(np.isfinite(z)):
                 raise FloatingPointError(f"non-finite activations in {_layer_name(params, i)}")
-            pre.append(z)
             a = np.maximum(z, 0.0) if i < last else z
-            if i == params.n_backbone - 1:
-                features = a
 
     U, norms = _unit_rows(a)
-    return ForwardResult(embeddings=U, features=features, zero_rows=norms == 0.0,
-                         inputs=inputs, pre=pre, norms=norms)
+    return ForwardResult(embeddings=U, features=inputs[params.n_backbone], inputs=inputs,
+                         norms=norms)
 
 
-def backward(
-    params: EncoderParams,
-    X: np.ndarray,
-    upstream: np.ndarray,
-    result: ForwardResult,
-) -> EncoderParams:
+def backward(params: EncoderParams, upstream: np.ndarray, result: ForwardResult) -> EncoderParams:
     """Reverse-mode gradients of a scalar loss through the encoder.
 
-    ``result`` is the forward pass of the batch ``X`` and ``upstream`` is
+    ``result`` is the batch's forward pass and ``upstream`` is
     dLoss/dEmbeddings.  The normalization backward projects onto the
-    tangent space: dz = (du - (du . u) u) / ||z||; rows flagged as
-    zero-projections propagate no gradient.  Returns parameter gradients in
-    an :class:`EncoderParams` container.
+    tangent space: dz = (du - (du . u) u) / ||z||; zero projection rows
+    propagate no gradient.  Returns parameter gradients in an
+    :class:`EncoderParams` container.
     """
     dU = np.asarray(upstream, dtype=np.float64)
     U = result.embeddings
     if dU.shape != U.shape:
         raise ValueError(f"upstream shape {dU.shape} does not match embeddings {U.shape}")
 
-    safe = np.where(result.zero_rows, 1.0, result.norms)
+    zero_rows = result.norms == 0.0
+    safe = np.where(zero_rows, 1.0, result.norms)
     dz = (dU - np.sum(dU * U, axis=1, keepdims=True) * U) / safe[:, None]
-    dz[result.zero_rows] = 0.0
+    dz[zero_rows] = 0.0
 
     last = len(params.layers) - 1
     grads = [None] * (last + 1)
     d = dz
     for i in range(last, -1, -1):
         if i < last:
-            d = d * (result.pre[i] > 0.0)
+            d = d * (result.inputs[i + 1] > 0.0)
         grads[i] = (result.inputs[i].T @ d, d.sum(axis=0))
         if i > 0:  # the gradient of the encoder's input is never used
             d = d @ params.layers[i][0].T
@@ -343,14 +337,14 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
         V = r2.embeddings
         S = similarity_matrix(U, V)
         bd = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
-        grads = [backward(params, v1, bd.grad @ V, r1), backward(params, v2, bd.grad.T @ U, r2)]
+        grads = [backward(params, bd.grad @ V, r1), backward(params, bd.grad.T @ U, r2)]
         return grads, bd.mean
 
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
     queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
     bd = info_nce(similarity_matrix(U, V, v_checked=True), tau)
-    return [backward(params, v1, bd.grad @ V, r1)], bd.mean
+    return [backward(params, bd.grad @ V, r1)], bd.mean
 
 
 def _epoch_views(dataset, policy, seed, epoch, batch_size):
@@ -439,8 +433,10 @@ def load_checkpoint(path) -> EncoderParams:
     if off > len(raw):
         raise DataFormatError(f"{path}: table of {n_back + n_proj} layers overruns the file")
     dims = list(struct.iter_unpack("<II", raw[12:off]))
-    if n_proj == 0 or any(a[1] != b[0] for a, b in zip(dims, dims[1:])):
-        raise DataFormatError(f"{path}: layer shapes {dims} do not chain into an encoder")
+    chained = all(a[1] == b[0] for a, b in zip(dims, dims[1:]))
+    if n_proj == 0 or not chained or any(0 in d for d in dims):
+        raise DataFormatError(f"{path}: layer shapes {dims} do not chain into an encoder "
+                              f"of nonzero widths")
     expected = off + sum(8 * (d_in + 1) * d_out for d_in, d_out in dims)
     if expected > len(raw):
         raise DataFormatError(f"{path}: weights need {expected} bytes, file has {len(raw)}")

@@ -174,7 +174,7 @@ def linear_probe(
     test_emb,
     test_labels,
     cfg: ProbeConfig,
-    partition: GroupPartition | None = None,
+    partition: GroupPartition,
 ) -> list:
     """Multinomial logistic regression on frozen embeddings by full-batch
     gradient descent; the rows of its balanced-test accuracy under the
@@ -184,8 +184,6 @@ def linear_probe(
     labels = np.asarray(labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
     K = int(max(labels.max(), test_labels.max())) + 1
-    if partition is None:
-        partition = head_mid_tail_split(np.bincount(labels, minlength=K))
 
     if cfg.mode == "FS_LP":
         idx = fewshot_subset(labels, cfg.seed)

@@ -346,9 +346,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=1):
+def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=0):
     """(output dir, train set, test set, encoder, train embedding) for a saved
-    encoder on the config's data; a tap narrower than ``min_tap`` is refused."""
+    encoder on the config's data; analyze refuses a tap below ``min_tap``."""
     train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers[0][0].shape[0]

@@ -7,8 +7,8 @@ import pytest
 
 from tempcl.analysis import (
     N_SIM_BINS,
+    SIM_BIN_EDGES,
     _bin_of,
-    _sim_bin_edges,
     aggregate_contribution_curves,
     contribution_curves,
     coverage_csv,
@@ -18,11 +18,7 @@ from tempcl.analysis import (
     pca_project,
     uniformity_stat,
 )
-
-
-def unit_rows(rng, n, d):
-    X = rng.standard_normal((n, d))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+from test_loss import unit_rows
 
 
 class TestCoverageHistogram:
@@ -85,22 +81,20 @@ def hard_easy_fixture():
     return np.concatenate([[0.9], np.full(99, 0.1)])
 
 
-def bin_containing(curves, value):
-    edges = curves.bin_edges
-    idx = int(np.clip(np.searchsorted(edges, value, side="right") - 1, 0, 99))
-    return idx
+def bin_containing(value):
+    return int(np.clip(np.searchsorted(SIM_BIN_EDGES, value, side="right") - 1, 0, 99))
 
 
 class TestContributionCurves:
     def test_small_tau_hard_negative_dominates(self):
         """At tau = 0.07 the cumulative argmax bin contains s = 0.9."""
         c = contribution_curves(hard_easy_fixture(), 0.07)
-        assert int(np.argmax(c.cumulative)) == bin_containing(c, 0.9)
+        assert int(np.argmax(c.cumulative)) == bin_containing(0.9)
 
     def test_large_tau_mass_dominates(self):
         """At tau = 1.0 the 99 easy negatives outweigh the single hard one."""
         c = contribution_curves(hard_easy_fixture(), 1.0)
-        assert int(np.argmax(c.cumulative)) == bin_containing(c, 0.1)
+        assert int(np.argmax(c.cumulative)) == bin_containing(0.1)
 
     def test_infinite_tau_limit_matches_histogram(self):
         """As tau grows the normalized cumulative curve approaches the
@@ -115,9 +109,9 @@ class TestContributionCurves:
         c = contribution_curves(hard_easy_fixture(), 0.2)
         assert c.individual.max() == 1.0
         assert c.cumulative.max() == 1.0
-        assert len(c.bin_edges) == 101
-        assert c.bin_edges[0] == -1.0 and c.bin_edges[-1] == 1.0
-        np.testing.assert_allclose(np.diff(c.bin_edges), 0.02, atol=1e-15)
+        assert len(SIM_BIN_EDGES) == len(c.histogram) + 1 == 101
+        assert SIM_BIN_EDGES[0] == -1.0 and SIM_BIN_EDGES[-1] == 1.0
+        np.testing.assert_allclose(np.diff(SIM_BIN_EDGES), 0.02, atol=1e-15)
         assert c.histogram.sum() == 100
 
     def test_center_aligned_negatives_factorize(self):
@@ -159,7 +153,7 @@ class TestBinOf:
         """Arithmetic binning equals the right-open searchsorted rule on every
         edge, the neighbouring floats of each edge, the ends and 10^5 uniform
         draws."""
-        edges = _sim_bin_edges()
+        edges = SIM_BIN_EDGES
         s = np.concatenate([
             edges,
             np.nextafter(edges, -np.inf),
@@ -168,7 +162,7 @@ class TestBinOf:
             np.random.default_rng(12).uniform(-1.0, 1.0, size=100_000),
         ])
         expect = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, N_SIM_BINS - 1)
-        np.testing.assert_array_equal(_bin_of(s, edges), expect)
+        np.testing.assert_array_equal(_bin_of(s), expect)
 
 
 class TestAggregateCurves:

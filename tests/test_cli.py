@@ -286,6 +286,52 @@ def test_a_tcld_class_count_beyond_u16_labels_exits_2(tmp_path, capsys, K):
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("D", [0x20000000, 0xFFFFFFFF])
+def test_a_tcld_width_no_record_can_hold_exits_2(tmp_path, capsys, D):
+    """A record of 2 + 4 * D bytes must fit NumPy's C int; with n = 0 the
+    file length alone cannot refuse such a D."""
+    data = tmp_path / "data"
+    data.mkdir()
+    train = data / "train.tcld"
+    train.write_bytes(b"TCLD" + struct.pack("<III", 3, D, 0))
+    test = tcld(data / "test.tcld", [5, 5, 5], seed=1)
+    args = ["train", "--config", write_config(tmp_path, extra=f"data.kind = tcld\n"
+                                              f"data.path = {train}\ndata.test_path = {test}\n")]
+    assert main(args) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: {train}: D={D} is outside the 1..536870911 "
+                            f"features that a record holds\n")
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_a_checkpoint_with_a_zero_width_layer_exits_2(tmp_path, capsys, command):
+    checkpoint = tmp_path / "zero.tclp"
+    checkpoint.write_bytes(b"TCLP" + struct.pack("<IIII", 0, 1, 32, 0))
+    config = write_config(tmp_path, text=TINY.replace("data.dim = 8", "data.dim = 32"))
+    output = tmp_path / "eval"
+    assert main([command, "--config", config, "--checkpoint", str(checkpoint),
+                 "--output", str(output)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: {checkpoint}: layer shapes [(32, 0)] do not chain "
+                            f"into an encoder of nonzero widths\n")
+    assert not output.exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("name", ["a#1", "a\nb", " a", "a "], ids=["hash", "newline",
+                                                                "leading-space", "trailing-space"])
+def test_an_output_that_config_resolved_cannot_keep_exits_1(tmp_path, capsys, monkeypatch,
+                                                           name):
+    """config.resolved writes run.output_dir raw: '#' starts a comment, a
+    line break ends the line and the parser strips edge spaces."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", write_config(tmp_path), "--output", name]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --output {name!r} holds a '#'")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # nothing written
+
+
 @pytest.fixture(scope="module")
 def cifar100_files(tmp_path_factory):
     """CIFAR-100 train and test files in which all 100 fine classes occur,

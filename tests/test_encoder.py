@@ -28,6 +28,7 @@ from tempcl.encoder import (
 )
 from tempcl.loss import info_nce, similarity_matrix
 from tempcl.schedule import ScheduleConfig
+from test_loss import unit_rows
 
 
 def flat(params: EncoderParams) -> np.ndarray:
@@ -47,8 +48,8 @@ def batch_grads(params, X1, X2, tau) -> EncoderParams:
     r2 = forward(params, X2)
     U, V = r1.embeddings, r2.embeddings
     G = info_nce(similarity_matrix(U, V), tau).grad
-    g1 = backward(params, X1, G @ V, r1)
-    g2 = backward(params, X2, G.T @ U, r2)
+    g1 = backward(params, G @ V, r1)
+    g2 = backward(params, G.T @ U, r2)
     for (W, b), (dW, db) in zip(g1.layers, g2.layers):
         W += dW
         b += db
@@ -59,7 +60,8 @@ def smooth_neighbourhood(params, X, kink_margin=1e-3, norm_floor=0.3) -> bool:
     """True when no activation is near a ReLU kink and no projection row is
     near zero norm, so central differences probe a smooth region."""
     res = forward(params, X)
-    if any(np.abs(z).min() < kink_margin for z in res.pre[:-1]):
+    pre = [a @ W + b for a, (W, b) in zip(res.inputs[:-1], params.layers)]
+    if any(np.abs(z).min() < kink_margin for z in pre):
         return False
     return res.norms.min() > norm_floor
 
@@ -130,8 +132,15 @@ class TestForward:
         params = EncoderParams([(np.eye(2), np.zeros(2))], 0)
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
         res = forward(params, X)
-        np.testing.assert_array_equal(res.zero_rows, [True, False])
+        np.testing.assert_array_equal(res.norms, [0.0, 5.0])
         np.testing.assert_array_equal(res.embeddings[0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+    def test_features_are_the_tape_entry_at_the_tap(self, hidden):
+        params = init_encoder(4, hidden, embed_dim=3, projection_layers=2, seed=2)
+        res = forward(params, np.random.default_rng(3).standard_normal((5, 4)))
+        assert len(res.inputs) == len(params.layers)
+        assert res.features is res.inputs[params.n_backbone]
 
     def test_width_mismatch_diagnostic(self):
         params = init_encoder(4, (8,), embed_dim=3, projection_layers=2)
@@ -151,7 +160,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_encoder(5, (6,), embed_dim=4, seed=6)
         X = np.random.default_rng(7).standard_normal((3, 5))
-        grads = backward(params, X, np.zeros((3, 4)), forward(params, X))
+        grads = backward(params, np.zeros((3, 4)), forward(params, X))
         assert all(np.all(a == 0.0) for a in grads.arrays())
 
     def test_relu_passthrough_at_positive_preactivation(self):
@@ -163,11 +172,11 @@ class TestBackward:
         params = EncoderParams([(W1, b1), (W2, np.zeros(2))], 1)
         X = np.array([[1.0]])  # preactivations 1.2 and 1.7, both > 0
         res = forward(params, X)
-        assert np.all(res.pre[0] > 0)
+        assert np.all(X @ W1 + b1 > 0)
         du = np.array([[0.3, -0.4]])
-        grads = backward(params, X, du, res)
+        grads = backward(params, du, res)
 
-        z = res.pre[1]
+        z = res.inputs[1] @ W2
         u = res.embeddings
         dz = (du - np.sum(du * u, axis=1, keepdims=True) * u) / np.linalg.norm(z)
         dfeat = dz @ W2.T  # no relu mask: derivative exactly 1
@@ -181,7 +190,7 @@ class TestBackward:
         params = EncoderParams([(np.eye(4), np.zeros(4))], 0)
         res = forward(params, x[None, :])
         du = rng.standard_normal((1, 4))
-        grads = backward(params, x[None, :], du, res)
+        grads = backward(params, du, res)
         # with identity projection and a single row, dW = x^T dz (rank one)
         i = int(np.argmax(np.abs(x)))
         dz = grads.layers[0][0][i] / x[i]
@@ -221,7 +230,7 @@ class TestBackward:
         X = np.zeros((2, 3))
         result = forward(params, X)
         with pytest.raises(ValueError, match="upstream"):
-            backward(params, X, np.zeros((2, 5)), result)
+            backward(params, np.zeros((2, 5)), result)
 
 
 class TestLrAt:
@@ -418,11 +427,6 @@ class TestMomentumUpdate:
         f, k = scalar_params(2.0), scalar_params(0.0)
         momentum_update(f, k, 0.5)
         assert k.layers[0][0][0, 0] == pytest.approx(1.0)
-
-
-def unit_rows(rng, n, d):
-    X = rng.standard_normal((n, d))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 class TestQueue:

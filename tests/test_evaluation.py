@@ -17,6 +17,7 @@ from tempcl.evaluation import (
     knn_report,
     linear_probe,
 )
+from test_loss import unit_rows
 
 
 def scores(rows, metric):
@@ -47,11 +48,6 @@ def brute_force_knn(train_emb, train_labels, test_emb, k):
         tied = [(min(v), c) for c, v in votes.items() if len(v) == best]
         preds.append(min(tied)[1])
     return np.array(preds)
-
-
-def unit_rows(rng, n, d):
-    X = rng.standard_normal((n, d))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 def circle(angles_deg):
@@ -277,7 +273,9 @@ class TestLinearProbe:
             test = unit_rows(rng, 500, 16)
             test_labels = rng.integers(0, K, size=500)
             cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5, seed=seed)
-            acc = scores(linear_probe(train, labels, test, test_labels, cfg), "lt_lp")["all"]
+            part = head_mid_tail_split(np.bincount(labels, minlength=K))
+            rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
+            acc = scores(rows, "lt_lp")["all"]
             assert 0.05 < acc < 0.15, f"seed {seed}: acc {acc}"
 
     def test_gradient_matches_finite_differences(self):
@@ -316,13 +314,15 @@ class TestLinearProbe:
         test = unit_rows(rng, 30, 4)
         test_labels = rng.integers(0, 3, size=30)
         cfg = ProbeConfig(mode="FS_LP", epochs=50, lr=0.5, seed=3)
-        rows = linear_probe(train, labels, test, test_labels, cfg)
+        part = head_mid_tail_split(np.bincount(labels))
+        rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
         assert {name for name, _, _ in rows} == {"fs_lp"}
 
     def test_single_class_training_rejected(self):
         with pytest.raises(ValueError, match="one class"):
             linear_probe(np.eye(3), [1, 1, 1], np.eye(3), [0, 1, 2],
-                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1))
+                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1),
+                         partition=GroupPartition(head={0}, mid={1}, tail={2}))
 
 
 class TestEvalReportRows:

@@ -12,6 +12,13 @@ from tempcl.evaluation import knn_classify
 from tempcl.loss import info_nce, info_nce_symmetrized, similarity_matrix
 
 
+def unit_rows(rng, n, d):
+    """n Gaussian rows of width d, each scaled to unit norm (also imported by
+    the analysis, encoder and evaluation tests)."""
+    X = rng.standard_normal((n, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
 def random_similarities(rng, n, m=None):
     m = n if m is None else m
     return rng.uniform(-0.95, 0.95, size=(n, m))
@@ -220,11 +227,6 @@ def two_softmax_oracle(S, tau):
     grad[idx, idx] = (w[idx, idx] - 1.0) / taus
     grad /= n
     return per_anchor, grad
-
-
-def unit_rows(rng, n, d):
-    X = rng.standard_normal((n, d))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 class TestTwoSoftmaxOracle:
