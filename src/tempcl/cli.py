@@ -4,7 +4,11 @@ Subcommands: ``train`` (full experiment), ``eval --checkpoint`` and
 ``analyze --checkpoint`` (re-evaluate a saved encoder), ``schedule-preview``
 (epoch,tau CSV on stdout), and ``gen-data`` (write the synthetic dataset
 files).  Exit codes: 1 for configuration errors, 2 for data errors, 3 for
-numeric divergence.
+numeric divergence.  A train file that holds one class, or no row of a
+class below its class count (a TCLD header's K, a CIFAR file's largest
+label + 1), is a data error.  A config that asks more of a file than it
+holds is a configuration error: an ``n_max`` beyond a class's rows, or a
+train set below the 3 classes and 10 rows that a snapshot scores.
 """
 
 import argparse

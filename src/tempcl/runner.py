@@ -7,25 +7,31 @@ checkpoint-based evaluation and analysis entry points used by the CLI.
 
 A run owns one worker thread (a one-worker executor) for work that spends
 its time in NumPy calls that release the GIL, so that it overlaps the main
-thread's.  Each snapshot's LT_LP probe, a full-batch fit that is mostly
-GEMMs, runs there while the main thread runs kNN, FS_LP and the analysis
-dump, if BLAS runs one thread with a CPU to spare (``PROBE_WORKER``) and
-the fit is at least ``PROBE_WORKER_MACS`` wide.  Otherwise it runs inline
-after the dump: more BLAS threads already fill the CPUs, and a narrower
-fit (a pixel run's) is made of short GIL-bound calls, and both ran slower
-beside the main thread's work.  Under the same rule the worker also takes
-half of the rows of a snapshot forward pass of ``FORWARD_WORKER_MACS`` or
-more (a pixel run's test set).  Pixel runs also make their views on the
-worker, one batch ahead of the encoder step (wide normal fills and
-gathers); embedding-noise views are short GIL-bound calls that slowed the
-step when made ahead, so other runs make them inline.  Views depend only on
-(seed, epoch) and the data, and a probe only on its inputs, so the outputs
-keep their bits.  Every file is written on the main thread:
-``write_atomic``'s temporary name is per process, not per thread.
+thread's.  Each probe fit of a snapshot, a full-batch fit that is mostly
+GEMMs, runs there (LT_LP, then FS_LP) while the main thread runs kNN and
+the analysis dump, if BLAS runs one thread with a CPU to spare
+(``PROBE_WORKER``) and the fit is at least ``PROBE_WORKER_MACS`` wide.  A
+mid-run snapshot's fits go on while the next epochs train: its rows are
+joined at the next snapshot, and a fit not started by then is fitted on the
+main thread, as FS_LP is at the final snapshot and in ``eval``.  Otherwise
+a fit runs inline after the dump: more BLAS threads already fill the CPUs,
+and a narrower fit (a pixel run's) is made of short GIL-bound calls, and
+both ran slower beside the main thread's work.  Under the same rule the
+worker also takes half of the rows of a snapshot forward pass of
+``FORWARD_WORKER_MACS`` or more (a pixel run's test set).  Pixel runs also
+make their views on the worker, one batch ahead of the encoder step (wide
+normal fills and gathers), and so join each snapshot at once;
+embedding-noise views are short GIL-bound calls that slowed the step when
+made ahead, so other runs make them inline.  Views depend only on (seed,
+epoch) and the data, and a probe only on its inputs, so the outputs keep
+their bits.  A failure cancels the worker's queued work.  Every file is
+written on the main thread: ``write_atomic``'s temporary name is per
+process, not per thread.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -92,7 +98,7 @@ def _blas_leaves_a_cpu() -> bool:
     return False
 
 
-# LT_LP is fitted on the worker only where that ran faster than inline: with
+# A probe is fitted on the worker only where that ran faster than inline: with
 # one BLAS thread and a CPU to spare (two BLAS threads on two CPUs made
 # k100-moco snapshots slower, the two fits oversubscribing the cores), and
 # with GEMMs (rows x feature dims x classes) this wide (alongside kNN and
@@ -102,6 +108,17 @@ PROBE_WORKER_MACS = 1 << 20
 # A snapshot forward pass is split from this many multiply-adds (rows x weight sizes): halves
 # repack every weight, and splits broke even at 7-16 M and gained on every measured shape from 17 M
 FORWARD_WORKER_MACS = 1 << 24
+
+
+@contextmanager
+def _one_worker():
+    """A one-worker executor whose queued work is cancelled as its block
+    ends, so that no fit starts after a failure; running work is awaited."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _paths(value: str) -> list:
@@ -118,19 +135,32 @@ def synthetic_datasets(cfg: ExperimentConfig) -> tuple:
             synth_mixture(d.classes, d.dim, d.test_per_class, 1.0, **common, stream=2))
 
 
+def _every_class(ds, path):
+    """``ds``, the parse of the train file(s) ``path``, if it holds 2 classes
+    or more and rows of every class below its class count."""
+    empty = np.flatnonzero(ds.class_sizes == 0)
+    if empty.size:
+        raise DataFormatError(f"{path}: class {empty[0]} of the train set has no rows; the "
+                              f"few-shot probe needs a row of every class")
+    if ds.num_classes < 2:
+        raise DataFormatError(f"{path}: the train set holds one class; a long-tail train set "
+                              f"needs 2 or more")
+    return ds
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple:
     """The (long-tail train, balanced test) pair described by the config.
-    A train set that a snapshot cannot score (fewer than 3 classes or 10
-    rows, or an empty class) or an empty test set is a ConfigError; a test
-    set of another width than the train set is a DataFormatError."""
+    A train file that lacks a class or a test set of another width than the
+    train set is a DataFormatError; a train set that a snapshot cannot score
+    (fewer than 3 classes or 10 rows) or an empty test set is a ConfigError."""
     d = cfg.data
     if d.kind == "synthetic":
         train, test = synthetic_datasets(cfg)
     elif d.kind == "tcld":
-        train, test = load_dataset(d.path), load_dataset(d.test_path)
+        train, test = _every_class(load_dataset(d.path), d.path), load_dataset(d.test_path)
     else:
         loader = load_cifar10_bin if d.kind == "cifar10" else load_cifar100_bin
-        balanced = loader(_paths(d.path))
+        balanced = _every_class(loader(_paths(d.path)), d.path)
         try:
             sizes = longtail_sizes(balanced.num_classes, d.n_max, d.imbalance)
             train = subsample_longtail(balanced, sizes, cfg.run.seed,
@@ -141,10 +171,6 @@ def build_datasets(cfg: ExperimentConfig) -> tuple:
     if train.num_classes < 3 or train.n < max(KNN_K):
         raise ConfigError(f"the train set has {train.n} rows of {train.num_classes} classes; a "
                           f"snapshot needs {max(KNN_K)} rows (kNN) and 3 classes (head/mid/tail)")
-    empty = np.flatnonzero(train.class_sizes == 0)
-    if empty.size:
-        raise ConfigError(f"class {empty[0]} of the train set has no rows; the few-shot "
-                          f"probe needs a row of every class")
     if test.n == 0:
         raise ConfigError("the test set has no rows; every snapshot is scored on it")
     if test.dim != train.dim:
@@ -202,28 +228,34 @@ def _embed_train(cfg, pool, params, train):
 
 
 def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition):
-    """Start one evaluation snapshot: LT_LP goes to ``pool``'s worker where
-    that pays (see the module docstring), then kNN and FS_LP run here.
-    Returns a function that waits for LT_LP (or fits it inline) and gives
-    the snapshot's (metric, scope, value) rows."""
+    """Start one evaluation snapshot: each probe fit wide enough goes to
+    ``pool``'s worker (see the module docstring), then kNN runs here.
+    Returns (join, deferred): ``join()`` takes the fits in row order,
+    fitting here each that is narrow or not started, and gives the
+    snapshot's (metric, scope, value) rows; ``deferred`` tells whether a fit
+    went to the worker."""
     test_feat = _unit_rows(_forward_rows(pool, params, test.features)[1])[0]
 
     def probe(mode):
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
                             cfg.probe_config(mode), partition=partition)
 
-    wide = train.n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS
-    lt_lp = pool.submit(probe, "LT_LP") if cfg.eval.run_probes and PROBE_WORKER and wide else None
+    # each fit's rows (FS_LP's: the smallest class's size of every class);
+    # LT_LP, the longer, goes first, so a join that finds FS_LP not started
+    # fits it here beside LT_LP
+    fit_rows = {"LT_LP": train.n, "FS_LP": train.class_sizes.min() * train.num_classes}
+    fits = {mode: pool.submit(probe, mode) for mode, n in fit_rows.items()
+            if cfg.eval.run_probes and PROBE_WORKER
+            and n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS}
     rows = knn_report(train_feat, train.labels, test_feat, test.labels,
                       k_values=KNN_K, partition=partition)
-    if cfg.eval.run_probes:
-        rows += probe("FS_LP")
 
     def join():
-        if cfg.eval.run_probes:
-            rows.extend(lt_lp.result() if lt_lp else probe("LT_LP"))
+        for mode in ("FS_LP", "LT_LP") if cfg.eval.run_probes else ():
+            fit = fits.get(mode)
+            rows.extend(probe(mode) if fit is None or fit.cancel() else fit.result())
         return rows + [("coverage_cv", "all", uniformity_stat(hist))]
-    return join
+    return join, bool(fits)
 
 
 def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
@@ -244,8 +276,10 @@ class _ViewStream:
     taken sets the worker making the next.  The stream is built once its
     first batch is made, and each :meth:`take` ends once the batch after its
     own is made, so the worker is idle between takes and free for a
-    snapshot's half forward pass and probe, and perfbench's tracer, whose one
-    span stack serves all threads, sees view spans only inside ``train_epoch``."""
+    snapshot's half forward pass and probe fits (joined at once in a run
+    that streams, so that no batch waits behind a fit), and perfbench's
+    tracer, whose one span stack serves all threads, sees view spans only
+    inside ``train_epoch``."""
 
     def __init__(self, pool, views):
         self._pool, self._views = pool, views
@@ -299,19 +333,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     snapshots = set(snapshot_epochs(cfg))
     checkpoints = _recommended_points(cfg)
+    views_ahead = cfg.data.augment == "pixel"  # made on the worker (see _ViewStream)
     lines = ["epoch,tau,metric,scope,value\n"]
+    pending = []  # (epoch, join, extra rows) of a started snapshot whose rows are not in lines
     last_rows = None
 
-    def record(epoch, extra_rows=()):
+    def settle():
         nonlocal last_rows
-        emb, feats, hist = _embed_train(cfg, pool, params, train)
-        rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
-        if cfg.analysis.enable:  # before rows(), so that it overlaps a worker's LT_LP fit
-            _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
-        last_rows = rows() + list(extra_rows)
-        lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), last_rows))
+        for epoch, join, extra_rows in pending:
+            last_rows = join() + list(extra_rows)
+            lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), last_rows))
+        pending.clear()
 
-    with ThreadPoolExecutor(max_workers=1) as pool:  # the run's one worker
+    def record(epoch, extra_rows=()):
+        settle()  # the last snapshot's fits, which ran while these epochs trained
+        emb, feats, hist = _embed_train(cfg, pool, params, train)
+        join, deferred = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
+        if cfg.analysis.enable:  # before join(), so that it overlaps the worker's fits
+            _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
+        pending.append((epoch, join, extra_rows))
+        # fits on the worker run on while the next epochs train, unless no
+        # epoch follows or pixel views, made on the worker, would wait behind them
+        if not deferred or epoch == E or views_ahead:
+            settle()
+
+    with _one_worker() as pool:  # the run's one worker
         record(0)
         if E > 0:
             state = init_optim_state(params, base_lr=cfg.encoder.base_lr,
@@ -322,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             batch_size = cfg.encoder.batch_size
             ahead = _ViewStream(pool, chain.from_iterable(
                 _epoch_views(train, cfg.data, cfg.run.seed, epoch, batch_size)
-                for epoch in range(E))) if cfg.data.augment == "pixel" else None
+                for epoch in range(E))) if views_ahead else None
             for epoch in range(E):
                 views = ahead.take(train.n // batch_size) if ahead else None
                 _, loss = train_epoch(train, params, state, schedule, source,
@@ -367,11 +413,12 @@ def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=0):
 def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     """Metrics rows for a saved encoder, identical to the in-training
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
-    with ThreadPoolExecutor(max_workers=1) as pool:  # as a run's one worker
+    with _one_worker() as pool:  # as a run's one worker
         out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(
             cfg, pool, checkpoint_path)
         partition = head_mid_tail_split(train.class_sizes)
-        rows = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)()
+        join, _ = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
+        rows = join()
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
     write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", "".join(lines))
@@ -380,7 +427,7 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
 
 def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> float:
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
-    with ThreadPoolExecutor(max_workers=1) as pool:  # for half of a wide train forward
+    with _one_worker() as pool:  # for half of a wide train forward
         out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(
             cfg, pool, checkpoint_path, min_tap=PCA_COMPONENTS)
     _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)

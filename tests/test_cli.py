@@ -202,8 +202,9 @@ def tcld(path, class_sizes, dim=8, seed=0):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
-def test_train_set_with_an_empty_class_exits_1(trained, tmp_path, capsys, command):
-    """The few-shot probe needs a train row of every class."""
+def test_train_set_with_an_empty_class_exits_2(trained, tmp_path, capsys, command):
+    """A TCLD header K that names a class no record holds is the file's
+    fault: the few-shot probe needs a train row of every class."""
     _, out = trained
     data = tmp_path / "data"
     data.mkdir()
@@ -213,8 +214,30 @@ def test_train_set_with_an_empty_class_exits_1(trained, tmp_path, capsys, comman
                                               f"data.path = {train}\ndata.test_path = {test}\n")]
     if command != "train":
         args += ["--checkpoint", str(out / "checkpoint_final.tclp")]
-    assert main(args) == EXIT_CONFIG
-    assert "config error: class 2 of the train set has no rows" in capsys.readouterr().err
+    assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {train}: class 2 of the train set has no "
+                                       f"rows; the few-shot probe needs a row of every class\n")
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0], "the train set holds one class; a long-tail train set needs 2 or more"),
+    ([0, 1, 3], "class 2 of the train set has no rows; the few-shot probe needs a row of "
+                "every class"),
+], ids=["one-class", "class-2-missing"])
+def test_a_cifar_train_file_that_lacks_a_class_exits_2(tmp_path, capsys, labels, message):
+    """Classes run from 0 to a CIFAR file's largest label; a file that lacks
+    one is at fault, whatever data.n_max asks of it."""
+    recs = np.frombuffer(cifar10_fixture_bytes(n=40, seed=3), np.uint8).reshape(40, -1).copy()
+    recs[:, 0] = np.resize(labels, 40)
+    train, test = tmp_path / "train.bin", tmp_path / "test.bin"
+    train.write_bytes(recs.tobytes())
+    test.write_bytes(cifar10_fixture_bytes(n=20, seed=4))
+    config = write_config(tmp_path, text=TINY.replace("data.n_max = 20", "data.n_max = 8"),
+                          extra=f"data.kind = cifar10\ndata.path = {train}\n"
+                                f"data.test_path = {test}\n")
+    assert main(["train", "--config", config]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {train}: {message}\n"
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 

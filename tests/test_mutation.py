@@ -1,11 +1,14 @@
-"""Seeded mutation test of the TCLD and TCLP readers through the CLI.
+"""Seeded mutation test of the TCLD, TCLP and CIFAR readers and of the
+config parser through the CLI.
 
 Each valid file is mutated by byte flips, header fields set to 0 and
 0xFFFFFFFF (each also resized to the length the new header implies, where
-that stays small), truncation and trailing bytes.  Every mutant, run
-through ``tempcl.cli.main`` in-process, must end with a documented exit code
-and at most one line on stderr, and a failed command must leave no
-``metrics.csv`` or ``eval_epoch*.csv`` behind."""
+that stays small), truncation and trailing bytes.  CIFAR files have no
+header; their label bytes are set to the largest label, one past it and
+0xFF, or all to 0.  A config's values are set to 0, -1, nan, nothing and a
+word.  Every mutant, run through ``tempcl.cli.main`` in-process, must end
+with a documented exit code and at most one line on stderr, and a failed
+command must leave no ``metrics.csv`` or ``eval_epoch*.csv`` behind."""
 
 import struct
 
@@ -14,6 +17,7 @@ import pytest
 
 from tempcl.cli import main
 from test_cli import TINY, tcld, write_config
+from test_data import cifar10_fixture_bytes, cifar100_fixture_bytes
 
 N_FLIPS = 40
 
@@ -93,3 +97,83 @@ def test_mutated_checkpoint(tmp_path, capsys):
             run_case(capsys, f"{command} {name}",
                      [command, "--config", config, "--checkpoint", str(path)],
                      tmp_path / f"{command}{i}")
+
+
+def cifar_mutants(raw, limits, seed):
+    """(name, bytes) pairs of mutated copies of the CIFAR file ``raw``, whose
+    records start with one label byte per entry of ``limits`` (each byte's
+    largest value), then 3072 pixel bytes."""
+    rng = np.random.default_rng(seed)
+    record = len(limits) + 3072
+    for j, limit in enumerate(limits):
+        for value in (limit, limit + 1, 0xFF):
+            m = bytearray(raw)
+            m[j] = value  # the first record's
+            yield f"label{j}@0={value}", bytes(m)
+        m = bytearray(raw)
+        m[j::record] = bytes(len(raw) // record)  # every record's
+        yield f"label{j}=0", bytes(m)
+    for i in range(N_FLIPS // 4):
+        # half of the flips land in a label byte
+        pos = int(rng.integers(len(raw)))
+        if i % 2:
+            pos = pos // record * record + int(rng.integers(len(limits)))
+        m = bytearray(raw)
+        m[pos] ^= int(rng.integers(1, 256))
+        yield f"flip@{pos}", bytes(m)
+    for cut in (0, 1, record - 1, record, record + 1, len(raw) - 1):
+        yield f"cut{cut}", raw[:cut]
+    yield "trailing", raw + rng.bytes(int(rng.integers(1, 9)))
+
+
+def cifar_file(per_class, limits, seed):
+    """A CIFAR file of ``per_class`` records of every class of the last label byte."""
+    fixture = cifar10_fixture_bytes if len(limits) == 1 else cifar100_fixture_bytes
+    n = per_class * (limits[-1] + 1)
+    recs = np.frombuffer(fixture(n=n, seed=seed), np.uint8).reshape(n, -1).copy()
+    recs[:, len(limits) - 1] = np.arange(n) % (limits[-1] + 1)
+    return recs.tobytes()
+
+
+@pytest.mark.parametrize("kind, limits, n_max", [("cifar10", (9,), 3), ("cifar100", (19, 99), 1)])
+@pytest.mark.parametrize("which", ["path", "test_path"])
+def test_mutated_cifar_file(tmp_path, capsys, kind, limits, n_max, which):
+    files = {"path": cifar_file(n_max, limits, seed=0), "test_path": cifar_file(1, limits, seed=1)}
+    for i, (name, m) in enumerate(cifar_mutants(files[which], limits, seed=2)):
+        paths = {}
+        for key, raw in files.items():
+            paths[key] = tmp_path / f"m{i}-{key}.bin"
+            paths[key].write_bytes(m if key == which else raw)
+        text = TINY.replace("data.n_max = 20", f"data.n_max = {n_max}")
+        config = write_config(tmp_path, text=text, extra=f"data.kind = {kind}\n"
+                              f"data.path = {paths['path']}\ndata.test_path = {paths['test_path']}\n")
+        run_case(capsys, name, ["train", "--config", config], tmp_path / f"out{i}")
+
+
+def config_mutants(text, seed):
+    """(name, bytes) pairs of mutated copies of the config ``text``."""
+    rng = np.random.default_rng(seed)
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key = line.split("=")[0].strip()
+        for value in ("0", "-1", "nan", "", "many"):
+            mutated = lines[:i] + [f"{key} = {value}\n"] + lines[i + 1:]
+            yield f"{key}={value!r}", "".join(mutated).encode()
+    raw = text.encode()
+    for _ in range(N_FLIPS):
+        pos = int(rng.integers(len(raw)))
+        m = bytearray(raw)
+        m[pos] ^= int(rng.integers(1, 256))
+        yield f"flip@{pos}", bytes(m)
+    # every cut keeps run.epochs, the first line, so that no cut asks for a default-length run
+    for cut in (len(lines[0]), len(raw) // 2, len(raw) - 1):
+        yield f"cut{cut}", raw[:cut]
+    yield "trailing", raw + rng.bytes(int(rng.integers(1, 9)))
+
+
+def test_mutated_config(tmp_path, capsys):
+    assert TINY.startswith("run.epochs = ")
+    for i, (name, m) in enumerate(config_mutants(TINY, seed=3)):
+        path = tmp_path / f"m{i}.cfg"
+        path.write_bytes(m)
+        run_case(capsys, name, ["train", "--config", str(path)], tmp_path / f"out{i}")

@@ -11,7 +11,8 @@ pinned by sha256.  A change that moves any of these outputs must say why
 and regenerate them on purpose.  The momentum-queue and pixel runs are
 repeated in a fresh process with two BLAS threads, which must give the
 same ``metrics.csv`` and checkpoint, and with one BLAS thread, under which
-the runner's import-time rule opens its worker paths.
+the runner's import-time rule opens its worker paths; so is a run whose
+probes are wide enough for the worker.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -20,11 +21,12 @@ checkpoint do not, and are compared exactly.
 
 A run owns one worker thread.  Pixel runs take their views from a stream
 that it fills one batch ahead, a wide snapshot forward pass runs half of
-its rows there, and a snapshot whose LT_LP probe is wide fits it there
-while kNN and FS_LP run on the caller's thread.  The stream and the split
-forward pass are checked against their inline forms, and runs that finish,
-diverge or are interrupted, in training or in a snapshot, must leave no
-thread behind.
+its rows there, and a snapshot's wide probe fits run there while kNN runs
+on the caller's thread; a mid-run snapshot's fits go on while the next
+epochs train.  The stream, the split forward pass and the deferred fits
+are checked against their inline forms, and runs that finish, diverge or
+are interrupted, in training or in a snapshot, must leave no thread behind
+and run no queued fit.
 """
 
 import hashlib
@@ -228,12 +230,12 @@ def test_analyze_checkpoint_reproduces_the_final_analysis(runs, data_dir, name, 
         assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
 
 
-# runs one golden config given (output dir, data dir, run name)
+# runs one golden config, or WIDE, given (output dir, data dir, run name)
 _RUN_ONE = (
     "import sys\n"
-    "from test_runner import RUNS, config\n"
+    "from test_runner import RUNS, WIDE, config\n"
     "from tempcl.runner import run_experiment\n"
-    "run_experiment(config(sys.argv[1], sys.argv[2], **RUNS[sys.argv[3]]))\n"
+    "run_experiment(config(sys.argv[1], sys.argv[2], **{**RUNS, 'wide': WIDE}[sys.argv[3]]))\n"
 )
 
 
@@ -253,19 +255,31 @@ def test_two_blas_threads_give_the_golden_outputs(data_dir, name, tmp_path):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="one BLAS thread opens the worker paths only with a CPU to spare")
-@pytest.mark.parametrize("name", ["momentum_queue", "pixel"])
-def test_one_blas_thread_gives_the_golden_outputs(data_dir, name, tmp_path):
+@pytest.mark.parametrize("name", ["momentum_queue", "pixel", "wide"])
+def test_one_blas_thread_gives_the_golden_outputs(data_dir, wide_inline, name, tmp_path):
     """The goldens hold where the import-time rule opens the worker paths,
     which tier-1 (BLAS variables unset) reaches only through monkeypatch:
-    the pixel run makes its views there, and the momentum-queue run's 1,000
-    test rows are a forward pass wide enough to split."""
+    the pixel run makes its views there, the momentum-queue run's 1,000
+    test rows are a forward pass wide enough to split, and the WIDE run
+    fits its probes there, joining its mid-run snapshots after the next
+    epochs.  The WIDE run must match the run that fits every probe inline."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    script = _RUN_ONE + "import tempcl.runner\nprint(tempcl.runner.PROBE_WORKER)\n"
+    script = ("import threading\nimport tempcl.runner\n"  # records where each probe ran
+              "real_probe, on_worker = tempcl.runner.linear_probe, []\n"
+              "def probe(*args, **kwargs):\n"
+              "    on_worker.append(threading.current_thread() is not threading.main_thread())\n"
+              "    return real_probe(*args, **kwargs)\n"
+              "tempcl.runner.linear_probe = probe\n"
+              + _RUN_ONE + "print(tempcl.runner.PROBE_WORKER, any(on_worker))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(data_dir), name],
                           env=env, check=True, capture_output=True, text=True)
-    assert proc.stdout.endswith("\nTrue\n")
+    assert proc.stdout.endswith(f"\nTrue {name == 'wide'}\n")
+    if name == "wide":
+        for file in ("metrics.csv", "checkpoint_final.tclp"):
+            assert (tmp_path / file).read_bytes() == (wide_inline / file).read_bytes()
+        return
     golden = (GOLDEN / f"metrics_{name}.csv").read_text()
     assert (tmp_path / "metrics.csv").read_text() == golden
     assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
@@ -545,45 +559,92 @@ def wide_inline(tmp_path_factory):
     return out_dir
 
 
+def patch_train_epoch(monkeypatch, hook):
+    """Wraps the runner's ``train_epoch``: each call's epoch is recorded in
+    the returned list, then ``hook(epoch)`` runs, then the real function."""
+    epochs = []
+
+    def training(*args, epoch, **kwargs):
+        epochs.append(epoch)
+        hook(epoch)
+        return train_epoch(*args, epoch=epoch, **kwargs)
+
+    monkeypatch.setattr(tempcl.runner, "train_epoch", training)
+    return epochs
+
+
 @pytest.mark.parametrize("entry", ["run_experiment", "eval_checkpoint"])
 def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path, monkeypatch,
                                                            one_blas_thread, entry):
-    """LT_LP runs on a thread of its own while FS_LP, and in a run the
-    analysis dump, run on the caller's thread: each waits at a barrier for
-    LT_LP, and LT_LP for each, so a snapshot that runs them one after the
-    other breaks it.  The outputs are those of the run that fits LT_LP
-    inline."""
+    """A mid-run snapshot's fits, LT_LP then FS_LP, run on the worker while
+    the next epoch trains: each waits for that epoch to start, and the epoch
+    waits for FS_LP to start, so a snapshot joined before training goes on
+    breaks it.  At the final snapshot, as in eval, LT_LP runs on the worker
+    while the analysis dump (in a run) and then FS_LP run on the caller's
+    thread: each waits at a barrier for LT_LP, and LT_LP for each, so a
+    snapshot that runs them one after the other breaks it.  The outputs are
+    those of the run that fits every probe inline."""
     before = threading.active_count()
+    cfg = config(tmp_path, **WIDE)
+    epochs = snapshot_epochs(cfg) if entry == "run_experiment" else [EPOCHS]
+    resumed = {e: threading.Event() for e in epochs}  # epoch e trains after snapshot e
+    fs_lp_started = {e: threading.Event() for e in epochs}
     fs_lp, dump = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
 
+    def snapshot(name):
+        """The epoch of the snapshot whose ``name`` call this is."""
+        return epochs[[n for n, _ in calls].count(name) - 1]
+
     def lt_lp():
-        fs_lp.wait()
+        epoch = snapshot("LT_LP")
+        if epoch < EPOCHS:
+            assert resumed[epoch].wait(10)
+            return
         if entry == "run_experiment":
             dump.wait()
+        fs_lp.wait()
 
-    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp, fs_lp=fs_lp.wait)
-    cfg = config(tmp_path, **WIDE)
+    def fs_lp_hook():
+        epoch = snapshot("FS_LP")
+        if epoch < EPOCHS:
+            assert resumed[epoch].wait(10)
+            fs_lp_started[epoch].set()
+        else:
+            fs_lp.wait()
+
+    def resume(epoch):
+        if epoch in resumed:
+            resumed[epoch].set()
+            assert fs_lp_started[epoch].wait(10)
+
+    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp, fs_lp=fs_lp_hook)
+    trained = patch_train_epoch(monkeypatch, resume)
     if entry == "run_experiment":
         real_coverage_csv = tempcl.runner.coverage_csv  # the dump's first call
 
         def coverage_csv(hist):
-            dump.wait()
+            if snapshot("kNN") == EPOCHS:
+                dump.wait()
             return real_coverage_csv(hist)
 
         monkeypatch.setattr(tempcl.runner, "coverage_csv", coverage_csv)
         run_experiment(cfg)
+        assert trained == list(range(EPOCHS))
         for name in ("metrics.csv", "checkpoint_final.tclp"):
             assert (tmp_path / name).read_bytes() == (wide_inline / name).read_bytes()
         assert analysis_digest(tmp_path) == analysis_digest(wide_inline)
-        snapshots = len(snapshot_epochs(cfg))
     else:
         eval_checkpoint(cfg, wide_inline / "checkpoint_final.tclp", EPOCHS)
         written = (tmp_path / f"eval_epoch{EPOCHS:05d}.csv").read_text().splitlines(True)
         assert written[1:] == _final_lines(wide_inline)
-        snapshots = 1
-    assert sorted(name for name, _ in calls) == sorted(["FS_LP", "LT_LP", "kNN"] * snapshots)
     here = threading.get_ident()
-    assert all((thread == here) == (name != "LT_LP") for name, thread in calls)
+
+    def on_caller(name):
+        return [thread == here for n, thread in calls if n == name]
+
+    assert on_caller("kNN") == [True] * len(epochs)
+    assert on_caller("LT_LP") == [False] * len(epochs)
+    assert on_caller("FS_LP") == [False] * (len(epochs) - 1) + [True]
     assert threading.active_count() == before
 
 
@@ -635,39 +696,65 @@ def cli_config(tmp_path) -> str:
 
 def test_a_diverging_lt_lp_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch,
                                                          one_blas_thread):
+    """The epoch-0 snapshot's LT_LP diverges while epoch 1 trains; the run
+    stops at the next snapshot, before epoch 2 trains."""
     before = threading.active_count()
+    resumed = threading.Event()
 
     def diverge():
+        assert resumed.wait(10)
         raise FloatingPointError("made-up LT_LP divergence")
 
     calls = patch_snapshot(monkeypatch, lt_lp=diverge)
+    trained = patch_train_epoch(monkeypatch, lambda epoch: epoch == 1 and resumed.set())
     assert within(lambda: main(["train", "--config", cli_config(tmp_path)])) == EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric divergence: made-up LT_LP divergence\n"
     assert not (tmp_path / "out" / "metrics.csv").exists()
     assert sorted(name for name, _ in calls) == ["FS_LP", "LT_LP", "kNN"]  # at epoch 0
+    assert trained == [0, 1]
     assert threading.active_count() == before
+
+
+class ObservedShutdown(ThreadPoolExecutor):
+    """A one-worker executor that sets ``shutting_down`` once its queue is
+    cancelled (where the caller asks for that) and before it waits for its
+    running work."""
+
+    shutting_down = None  # a threading.Event, set by the test
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        super().shutdown(wait=False, cancel_futures=cancel_futures)
+        self.shutting_down.set()
+        super().shutdown(wait=wait)
 
 
 def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path, monkeypatch,
                                                                         one_blas_thread):
+    """The epoch-0 snapshot's LT_LP is still fitting when epoch 1 is
+    interrupted, and goes on until the run's worker is shutting down: the
+    FS_LP queued behind it never runs."""
     before = threading.active_count()
-    fitting, interrupted = threading.Event(), threading.Event()
+    fitting, shutting_down = threading.Event(), threading.Event()
+    monkeypatch.setattr(ObservedShutdown, "shutting_down", shutting_down)
+    monkeypatch.setattr(tempcl.runner, "ThreadPoolExecutor", ObservedShutdown)
 
-    def lt_lp():  # still fitting when the interrupt is raised
+    def lt_lp():
         fitting.set()
-        assert interrupted.wait(10)
+        assert shutting_down.wait(10)
 
-    def knn():
-        assert fitting.wait(10)
-        interrupted.set()
-        raise KeyboardInterrupt
+    def interrupt(epoch):
+        if epoch == 1:
+            assert fitting.wait(10)
+            raise KeyboardInterrupt
 
-    calls = patch_snapshot(monkeypatch, knn=knn, lt_lp=lt_lp)
+    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp)
+    trained = patch_train_epoch(monkeypatch, interrupt)
     with pytest.raises(KeyboardInterrupt):
         within(lambda: main(["train", "--config", cli_config(tmp_path)]))
     assert not (tmp_path / "out" / "metrics.csv").exists()
-    # appended on two threads, in either order; kNN's hook waited for LT_LP to start
+    # appended on two threads, in either order
     assert sorted(name for name, _ in calls) == ["LT_LP", "kNN"]
+    assert trained == [0, 1]
     assert threading.active_count() == before
 
 
