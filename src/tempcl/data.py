@@ -8,7 +8,8 @@ used by the evaluation breakdowns.
 
 A CIFAR parse keeps its per-channel standardization constants
 (``channel_stats``): they write it back byte for byte and let
-:func:`augment_batch` make pixel views of its standardized rows.
+:func:`augment_batch` make pixel views of its standardized rows.  A parse
+holds one float64 pixel buffer and keeps NumPy's own std reduction order.
 """
 
 import math
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _PIXELS = 3072  # 3 * 32 * 32 channel-major pixel bytes of a CIFAR record
+_SERIALIZE_ROWS = 256  # rows de-standardized at a time when writing CIFAR records
 
 TCLD_MAGIC = b"TCLD"
 _MAX_TCLD_DIM = (0x7FFFFFFF - 2) // 4  # NumPy sizes a record (u16 + D f32) by a C int
@@ -211,7 +213,10 @@ def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
     dataset label, a leading one the coarse label) then 3072 channel-major
     pixel bytes.  Pixels are scaled to [0, 1] and standardized per channel;
     the dataset keeps the constants as ``channel_stats``, so it can be
-    re-serialized bit-exactly."""
+    re-serialized bit-exactly.  One float64 buffer holds the squared
+    deviations, then the standardized pixels: the std sums them with the
+    ``np.add.reduce`` of ``planes.std(axis=(0, 2))``, in its order and so to
+    its bits (a per-channel sum would differ)."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
     n_labels = len(label_limits)
@@ -231,13 +236,17 @@ def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
                     f"at offset {i * record + j}"
                 )
         chunks.append(recs)
-    recs = np.vstack(chunks)
+    recs = chunks[0] if len(chunks) == 1 else np.vstack(chunks)
     labels = recs[:, n_labels - 1].astype(np.int64)
-    pixels = recs[:, n_labels:].astype(np.float64) / 255.0
+    pixels = np.divide(recs[:, n_labels:], 255.0)  # uint8 -> float64 is exact
     planes = pixels.reshape(-1, 3, 1024)
-    mean, std = planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
+    mean = planes.mean(axis=(0, 2))
+    pixels -= np.repeat(mean, 1024)
+    np.square(pixels, out=pixels)
+    std = np.sqrt(np.add.reduce(planes, axis=(0, 2)) / (planes.shape[0] * 1024))
     std = np.where(std > 0.0, std, 1.0)  # a constant channel keeps std 1
     row_mean, row_std = _pixel_rows(mean, std)
+    np.divide(recs[:, n_labels:], 255.0, out=pixels)
     pixels -= row_mean
     pixels /= row_std
     return LongTailDataset(
@@ -255,21 +264,26 @@ def load_cifar10_bin(paths) -> LongTailDataset:
     return _load_cifar_bin(paths, (9,))
 
 
-def load_cifar100_bin(path) -> LongTailDataset:
+def load_cifar100_bin(paths) -> LongTailDataset:
     """Parse CIFAR-100 binary files (3074-byte records: coarse byte, fine
-    byte, 3072 pixel bytes).  Fine labels become the dataset labels; coarse
-    labels are retained for re-serialization."""
-    return _load_cifar_bin(path, (19, 99))
+    byte, 3072 pixel bytes), concatenated in order.  Fine labels become the
+    dataset labels; coarse labels are retained for re-serialization."""
+    return _load_cifar_bin(paths, (19, 99))
 
 
 def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
     if ds.channel_stats is None:
         raise ValueError("dataset carries no channel statistics; not a CIFAR parse")
     row_mean, row_std = _pixel_rows(*ds.channel_stats)
-    px = ds.features * row_std
-    px += row_mean
-    px = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
-    return np.hstack([np.stack(label_columns, axis=1).astype(np.uint8), px]).tobytes()
+    out = np.empty((ds.n, len(label_columns) + _PIXELS), dtype=np.uint8)
+    out[:, :-_PIXELS] = np.stack(label_columns, axis=1)
+    for start in range(0, ds.n, _SERIALIZE_ROWS):
+        px = ds.features[start:start + _SERIALIZE_ROWS] * row_std
+        px += row_mean
+        px *= 255.0
+        np.clip(np.rint(px, out=px), 0, 255, out=px)
+        out[start:start + _SERIALIZE_ROWS, -_PIXELS:] = px
+    return out.tobytes()
 
 
 def serialize_cifar10_bin(ds: LongTailDataset) -> bytes:

@@ -167,6 +167,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple:
                                        class_permutation_seed=d.permutation_seed)
         except ValueError as err:
             raise ConfigError(f"data.n_max = {d.n_max} does not fit {d.path}: {err}") from None
+        del balanced  # its pixels go before the test set's arrive
         test = loader(_paths(d.test_path))
     if train.num_classes < 3 or train.n < max(KNN_K):
         raise ConfigError(f"the train set has {train.n} rows of {train.num_classes} classes; a "
@@ -208,7 +209,9 @@ def _forward_rows(pool, params, X):
     pays (``PROBE_WORKER``, 4 rows or more, ``FORWARD_WORKER_MACS``), ``pool``'s
     worker runs the second half of the rows and the caller the first: with 2
     rows or more in each piece every GEMM keeps the whole product's sums (a
-    1-row piece takes NumPy's gemv path, whose sums differ in the last bit)."""
+    1-row piece takes NumPy's gemv path, whose sums differ in the last bit).
+    The gate also keeps narrow pieces, which OpenBLAS's small-matrix kernel
+    sums in another order, off this path (hidden (64,) at D = 3072: <= 5 rows)."""
     n = X.shape[0]
     if PROBE_WORKER and n >= 4 and n * sum(W.size for W, _ in params.layers) >= FORWARD_WORKER_MACS:
         rest = pool.submit(forward, params, X[n // 2:])

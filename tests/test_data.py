@@ -2,6 +2,7 @@
 mixtures, augmentation, the dataset file format and atomic writes."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,112 @@ class TestCifarLoaders:
         p.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="offset 3075"):
             load_cifar100_bin(p)
+
+
+def load_cifar_oracle(raws, n_labels):
+    """The parse as first written, kept as the oracle: ``astype / 255``,
+    NumPy's own ``planes.std`` and std 1 for a constant channel.  Returns
+    (features, (mean, std))."""
+    recs = np.vstack([np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_labels + 3072)
+                      for raw in raws])
+    pixels = recs[:, n_labels:].astype(np.float64) / 255.0
+    planes = pixels.reshape(-1, 3, 1024)
+    mean, std = planes.mean(axis=(0, 2)), planes.std(axis=(0, 2))
+    std = np.where(std > 0.0, std, 1.0)
+    return standardize_planes(pixels, mean, std), (mean, std)
+
+
+# format -> (fixture bytes, loader, serializer, label bytes per record)
+CIFAR_FORMATS = {
+    "cifar10": (cifar10_fixture_bytes, load_cifar10_bin, serialize_cifar10_bin, 1),
+    "cifar100": (cifar100_fixture_bytes, load_cifar100_bin, serialize_cifar100_bin, 2),
+}
+
+
+def assert_parse_matches_oracle(ds, raws, n_labels):
+    features, stats = load_cifar_oracle(raws, n_labels)
+    assert ds.features.dtype == features.dtype and ds.features.shape == features.shape
+    assert ds.features.tobytes() == features.tobytes()
+    for got, expect in zip(ds.channel_stats, stats):
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestCifarParseMatchesOracle:
+    """The one-buffer parse gives the oracle's features and channel
+    constants byte for byte: its std sums in NumPy's own order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
+    def test_one_file(self, tmp_path, fmt, n):
+        make, load, _, n_labels = CIFAR_FORMATS[fmt]
+        raw = make(n=n, seed=20 + n)
+        p = tmp_path / "f.bin"
+        p.write_bytes(raw)
+        assert_parse_matches_oracle(load(p), [raw], n_labels)
+
+    @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
+    def test_two_files(self, tmp_path, fmt):
+        make, load, _, n_labels = CIFAR_FORMATS[fmt]
+        raws = [make(n=5, seed=30), make(n=9, seed=31)]
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for p, raw in zip(paths, raws):
+            p.write_bytes(raw)
+        assert_parse_matches_oracle(load(paths), raws, n_labels)
+
+    @pytest.mark.parametrize("value", [0, 77, 255])
+    def test_one_constant_channel(self, tmp_path, value):
+        recs = np.frombuffer(cifar10_fixture_bytes(n=9, seed=32), dtype=np.uint8)
+        recs = recs.reshape(-1, 3073).copy()
+        recs[:, 1 + 1024:1 + 2048] = value
+        p = tmp_path / "c.bin"
+        p.write_bytes(recs.tobytes())
+        ds = load_cifar10_bin(p)
+        assert_parse_matches_oracle(ds, [recs.tobytes()], 1)
+        if value in (0, 255):  # an exact mean: every deviation is 0
+            assert ds.channel_stats[1][1] == 1.0
+        assert serialize_cifar10_bin(ds) == recs.tobytes()
+
+
+class TestCifarMemory:
+    """A parse holds one float64 pixel buffer beside the file's bytes, and
+    writing it back holds one block of rows beside the records."""
+
+    ROWS = 2000
+
+    def test_parse_peak(self, tmp_path):
+        p = tmp_path / "big.bin"
+        p.write_bytes(cifar10_fixture_bytes(n=self.ROWS, seed=40))
+        ds, peak = traced_peak(lambda: load_cifar10_bin(p))
+        assert peak < 1.1 * (ds.features.nbytes + p.stat().st_size)
+
+    def test_serialize_peak(self, tmp_path):
+        raw = cifar10_fixture_bytes(n=self.ROWS, seed=41)
+        p = tmp_path / "big.bin"
+        p.write_bytes(raw)
+        ds = load_cifar10_bin(p)
+        out, peak = traced_peak(lambda: serialize_cifar10_bin(ds))
+        assert out == raw
+        assert peak < ds.features.nbytes
+
+    @pytest.mark.parametrize("n", [257, 513])
+    @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
+    def test_round_trip_across_row_blocks(self, tmp_path, fmt, n):
+        make, load, serialize, _ = CIFAR_FORMATS[fmt]
+        raw = make(n=n, seed=n)
+        p = tmp_path / "f.bin"
+        p.write_bytes(raw)
+        assert serialize(load(p)) == raw
 
 
 # channel statistics under which standardized rows are the [0, 1] pixels

@@ -60,12 +60,13 @@ from tempcl.runner import (
     _forward_rows,
     _ViewStream,
     analyze_checkpoint,
+    build_datasets,
     eval_checkpoint,
     run_experiment,
     snapshot_epochs,
 )
 from tempcl.schedule import ScheduleConfig
-from test_data import cifar10_fixture_bytes
+from test_data import cifar10_fixture_bytes, traced_peak
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # run name -> its config overrides
@@ -297,6 +298,18 @@ def test_one_blas_thread_gives_the_golden_outputs(data_dir, wide_inline, name, t
 ])
 def test_snapshot_epochs(overrides, expected):
     assert snapshot_epochs(config("unused", **overrides)) == expected
+
+
+def test_build_datasets_drops_the_train_parse_before_the_test_parse(tmp_path):
+    """A 1,000-row train file and a 2,000-row test file: the traced peak is
+    the test parse (its float64 features beside its bytes) and the small
+    long-tail subset, not the balanced train parse too."""
+    (tmp_path / "train.bin").write_bytes(cifar10_fixture_bytes(n=1000, seed=50))
+    (tmp_path / "test.bin").write_bytes(cifar10_fixture_bytes(n=2000, seed=51))
+    cfg = config(tmp_path / "out", tmp_path, **RUNS["pixel"])
+    (train, test), peak = traced_peak(lambda: build_datasets(cfg))
+    assert train.n < 100 and test.n == 2000
+    assert peak < 1.1 * (test.features.nbytes + (tmp_path / "test.bin").stat().st_size)
 
 
 BATCH = 64
@@ -777,6 +790,21 @@ def test_a_split_forward_pass_equals_the_whole_bit_for_bit(monkeypatch, split_op
     for split, inline in ((emb, whole.embeddings), (feats, whole.features)):
         assert split.dtype == inline.dtype and split.shape == inline.shape
         assert split.tobytes() == inline.tobytes()
+
+
+def test_the_gate_keeps_a_split_of_a_narrow_encoder_bit_for_bit(monkeypatch, one_blas_thread):
+    """Hidden (64,) at D = 3072 and embedding 32: 85 rows are the fewest
+    the real gate splits (85 x 198,656 >= 2^24 multiply-adds).  Below the
+    gate this encoder's pieces of 5 rows or fewer differ in the last bits."""
+    params = init_encoder(3072, (64,), 32, seed=1)
+    X = np.random.default_rng(85).standard_normal((85, 3072))
+    calls = patch_forward(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        emb, feats = within(lambda: _forward_rows(pool, params, X))
+    assert sorted(calls) == [(42, False), (43, True)]
+    whole = forward(params, X)
+    assert emb.tobytes() == whole.embeddings.tobytes()
+    assert feats.tobytes() == whole.features.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
