@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Literal, get_args, get_origin
 
-from tempcl.data import AugmentationPolicy
+from tempcl.data import AugmentationPolicy, _by_size
 from tempcl.evaluation import ProbeConfig
 from tempcl.schedule import ScheduleConfig
 
@@ -104,14 +104,15 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
 
-    def schedule_for(self, num_classes: int) -> ScheduleConfig:
-        """The schedule for data of ``num_classes`` classes: under coarse
-        supervision an empty head set becomes the frequent half (ids
-        0..ceil(K/2)-1), and one not a strict subset raises ConfigError."""
-        s = self.schedule
+    def schedule_for(self, class_sizes) -> ScheduleConfig:
+        """The schedule for a train set of these ``class_sizes``: under
+        coarse supervision an empty head set becomes the frequent half (the
+        ceil(K/2) largest classes, ties to the smaller id), and one not a
+        strict subset raises ConfigError."""
+        s, num_classes = self.schedule, len(class_sizes)
         if not s.coarse:
             return s
-        head = s.head_classes or tuple(range((num_classes + 1) // 2))
+        head = s.head_classes or tuple(_by_size(class_sizes)[:(num_classes + 1) // 2].tolist())
         _require(max(head) < num_classes,
                  f"schedule.head_classes must lie in [0, {num_classes})")
         _require(len(set(head)) < num_classes,
@@ -243,8 +244,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(d.class_separation > 0, "data.class_separation must be > 0")
     _require(d.test_per_class >= 1, "data.test_per_class must be >= 1")
     if d.kind != "synthetic":
-        _require(d.path != "", f"data.path required for data.kind = {d.kind}")
-        _require(d.test_path != "", f"data.test_path required for data.kind = {d.kind}")
+        for key in ("path", "test_path"):
+            value = getattr(d, key)  # a CIFAR kind's is a comma-separated list
+            names = [value] if d.kind == "tcld" else value.split(",")
+            _require(any(n.strip() for n in names),
+                     f"data.{key} names no file for data.kind = {d.kind}")
     if d.augment == "pixel":
         _require(d.kind in ("cifar10", "cifar100"),
                  "data.augment = pixel needs data.kind = cifar10 or cifar100 "

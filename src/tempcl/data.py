@@ -2,20 +2,23 @@
 
 Covers exponential-decay class sizing, deterministic subsampling of a
 balanced dataset into a long-tail one, a synthetic Gaussian mixture with
-unit-sphere class means, CIFAR-10/100 binary ingestion with bit-exact
-re-serialization, view augmentation, and the head/mid/tail class split
-used by the evaluation breakdowns.
+unit-sphere class means, CIFAR-10/100 binary ingestion (CIFAR-10 with
+bit-exact re-serialization), view augmentation, and the head/mid/tail
+class split used by the evaluation breakdowns.
 
-A CIFAR parse keeps its per-channel standardization constants
-(``channel_stats``): they write it back byte for byte and let
-:func:`augment_batch` make pixel views of its standardized rows.  A parse
-holds one float64 pixel buffer and keeps NumPy's own std reduction order.
+A dataset holds its ``num_classes``; its ``class_sizes`` are counted from
+its labels.  A CIFAR parse keeps its per-channel standardization
+constants (``channel_stats``): they write a CIFAR-10 parse back byte for
+byte and let :func:`augment_batch` make pixel views of its standardized
+rows.  A parse holds one float64 pixel buffer and keeps NumPy's own std
+reduction order.  A CIFAR-100 record's coarse byte is range-checked and
+dropped.
 """
 
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
@@ -25,14 +28,12 @@ __all__ = [
     "DataFormatError",
     "LongTailDataset",
     "AugmentationPolicy",
-    "GroupPartition",
     "longtail_sizes",
     "subsample_longtail",
     "synth_mixture",
     "load_cifar10_bin",
     "load_cifar100_bin",
     "serialize_cifar10_bin",
-    "serialize_cifar100_bin",
     "augment_batch",
     "head_mid_tail_split",
     "save_dataset",
@@ -53,35 +54,33 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LongTailDataset:
-    """A feature matrix with integer class labels and per-class counts.
+    """A feature matrix with integer class labels in [0, ``num_classes``).
 
-    ``class_sizes[k]`` is the number of samples labelled ``k``.  The
-    long-tail constructors order classes by decreasing frequency (class 0
-    largest); raw file loaders keep the file's labelling.
-    ``channel_stats`` is the (mean, std) pair of per-channel constants
-    that standardized a CIFAR parse's pixels, and None for other data.
+    ``class_sizes[k]``, counted from the labels, is the number of samples
+    labelled ``k``.  The long-tail constructors order classes by
+    decreasing frequency (class 0 largest); raw file loaders keep the
+    file's labelling.  ``channel_stats`` is the (mean, std) pair of
+    per-channel constants that standardized a CIFAR parse's pixels, and
+    None for other data.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    class_sizes: np.ndarray
-    coarse_labels: np.ndarray | None = None
+    num_classes: int
     channel_stats: tuple | None = None
+    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "class_sizes", np.asarray(self.class_sizes, dtype=np.int64))
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
-        K = len(self.class_sizes)
+        K = self.num_classes
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= K):
             raise ValueError(f"labels must lie in [0, {K})")
-        hist = np.bincount(self.labels, minlength=K)
-        if not np.array_equal(hist, self.class_sizes):
-            raise ValueError("class_sizes does not match the label histogram")
+        object.__setattr__(self, "class_sizes", np.bincount(self.labels, minlength=K))
 
     @property
     def n(self) -> int:
@@ -90,10 +89,6 @@ class LongTailDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_sizes)
 
 
 def _round_half_up(x: float) -> int:
@@ -153,12 +148,10 @@ def subsample_longtail(
         ).permutation(K)
 
     keep = np.concatenate(_class_draws(balanced.labels, perm, sizes, seed))
-    coarse = None if balanced.coarse_labels is None else balanced.coarse_labels[keep]
     return LongTailDataset(
         features=balanced.features[keep],
         labels=np.repeat(np.arange(K, dtype=np.int64), sizes),
-        class_sizes=sizes,
-        coarse_labels=coarse,
+        num_classes=K,
         channel_stats=balanced.channel_stats,
     )
 
@@ -195,7 +188,7 @@ def synth_mixture(
     for k in range(K):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream, k]))
         feats.append(means[k] + within_sigma * rng.standard_normal((int(sizes[k]), D)))
-    return LongTailDataset(features=np.vstack(feats), class_sizes=sizes,
+    return LongTailDataset(features=np.vstack(feats), num_classes=K,
                            labels=np.repeat(np.arange(K, dtype=np.int64), sizes))
 
 
@@ -252,8 +245,7 @@ def _load_cifar_bin(paths, label_limits) -> LongTailDataset:
     return LongTailDataset(
         features=pixels,
         labels=labels,
-        class_sizes=np.bincount(labels, minlength=int(labels.max()) + 1),
-        coarse_labels=recs[:, 0].astype(np.int64) if n_labels == 2 else None,
+        num_classes=int(labels.max()) + 1,
         channel_stats=(mean, std),
     )
 
@@ -267,16 +259,18 @@ def load_cifar10_bin(paths) -> LongTailDataset:
 def load_cifar100_bin(paths) -> LongTailDataset:
     """Parse CIFAR-100 binary files (3074-byte records: coarse byte, fine
     byte, 3072 pixel bytes), concatenated in order.  Fine labels become the
-    dataset labels; coarse labels are retained for re-serialization."""
+    dataset labels; the coarse byte is range-checked, then dropped."""
     return _load_cifar_bin(paths, (19, 99))
 
 
-def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
+def serialize_cifar10_bin(ds: LongTailDataset) -> bytes:
+    """Inverse of :func:`load_cifar10_bin`: byte-identical for datasets it
+    produced."""
     if ds.channel_stats is None:
         raise ValueError("dataset carries no channel statistics; not a CIFAR parse")
     row_mean, row_std = _pixel_rows(*ds.channel_stats)
-    out = np.empty((ds.n, len(label_columns) + _PIXELS), dtype=np.uint8)
-    out[:, :-_PIXELS] = np.stack(label_columns, axis=1)
+    out = np.empty((ds.n, 1 + _PIXELS), dtype=np.uint8)
+    out[:, 0] = ds.labels
     for start in range(0, ds.n, _SERIALIZE_ROWS):
         px = ds.features[start:start + _SERIALIZE_ROWS] * row_std
         px += row_mean
@@ -284,18 +278,6 @@ def _serialize_cifar_bin(ds: LongTailDataset, label_columns) -> bytes:
         np.clip(np.rint(px, out=px), 0, 255, out=px)
         out[start:start + _SERIALIZE_ROWS, -_PIXELS:] = px
     return out.tobytes()
-
-
-def serialize_cifar10_bin(ds: LongTailDataset) -> bytes:
-    """Inverse of :func:`load_cifar10_bin`: byte-identical for datasets it
-    produced."""
-    return _serialize_cifar_bin(ds, [ds.labels])
-
-
-def serialize_cifar100_bin(ds: LongTailDataset) -> bytes:
-    if ds.coarse_labels is None:
-        raise ValueError("dataset carries no coarse labels; not a CIFAR-100 parse")
-    return _serialize_cifar_bin(ds, [ds.coarse_labels, ds.labels])
 
 
 @dataclass(frozen=True)
@@ -384,47 +366,32 @@ def augment_batch(policy: AugmentationPolicy, X: np.ndarray, rng: np.random.Gene
     return _pixel_views(policy, X, rng, *channel_stats)
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Disjoint head/mid/tail class-id sets covering all classes."""
-
-    head: frozenset
-    mid: frozenset
-    tail: frozenset
-
-    def __post_init__(self):
-        for name in ("head", "mid", "tail"):
-            object.__setattr__(self, name, frozenset(int(c) for c in getattr(self, name)))
-        groups = [self.head, self.mid, self.tail]
-        total = sum(len(g) for g in groups)
-        union = self.head | self.mid | self.tail
-        if len(union) != total:
-            raise ValueError("head/mid/tail sets must be disjoint")
+def _by_size(class_sizes) -> np.ndarray:
+    """Class ids by descending size, ties broken by the smaller id."""
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    return np.lexsort((np.arange(sizes.size), -sizes))
 
 
-def head_mid_tail_split(class_sizes) -> GroupPartition:
-    """Split classes into head/mid/tail groups by descending size.
+def head_mid_tail_split(class_sizes) -> np.ndarray:
+    """Each class's group id (0 head, 1 mid, 2 tail), the groups taking
+    classes in order of descending size.
 
     100 classes split 34/33/33 (the reference split); other K put roughly
     40% of classes in the head and divide the rest evenly, mid taking any
     odd remainder (10 classes split 4/3/3).  Size ties are broken by class
     id.
     """
-    sizes = np.asarray(class_sizes, dtype=np.int64)
-    K = len(sizes)
+    K = len(class_sizes)
     if K < 3:
         raise ValueError(f"need at least 3 classes to split, got {K}")
     if K == 100:
         n_head, n_mid = 34, 33
     else:
         n_head = max(1, min(K - 2, _round_half_up(K * 0.4)))
-        rem = K - n_head
-        n_mid = (rem + 1) // 2
-    order = np.lexsort((np.arange(K), -sizes))
-    head = order[:n_head]
-    mid = order[n_head : n_head + n_mid]
-    tail = order[n_head + n_mid :]
-    return GroupPartition(head=frozenset(head), mid=frozenset(mid), tail=frozenset(tail))
+        n_mid = (K - n_head + 1) // 2
+    groups = np.empty(K, dtype=np.int64)
+    groups[_by_size(class_sizes)] = np.repeat([0, 1, 2], [n_head, n_mid, K - n_head - n_mid])
+    return groups
 
 
 def save_dataset(ds: LongTailDataset, path) -> None:
@@ -466,11 +433,7 @@ def load_dataset(path) -> LongTailDataset:
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{path}: non-finite feature in record {bad[0]}")
-    return LongTailDataset(
-        features=features,
-        labels=labels,
-        class_sizes=np.bincount(labels, minlength=K),
-    )
+    return LongTailDataset(features=features, labels=labels, num_classes=K)
 
 
 def write_atomic(path, content) -> None:

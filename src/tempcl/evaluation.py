@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tempcl.data import GroupPartition, _class_draws, head_mid_tail_split
+from tempcl.data import _class_draws, head_mid_tail_split
 from tempcl.loss import _check_unit_rows
 
 __all__ = [
@@ -108,8 +108,9 @@ def knn_classify(
     return preds
 
 
-def _rows(name, true_labels, pred, partition: GroupPartition, n_classes) -> list:
-    """The (metric, scope, value) rows of one metric's predictions."""
+def _rows(name, true_labels, pred, partition, n_classes) -> list:
+    """The (metric, scope, value) rows of one metric's predictions; each
+    group of ``partition`` (class -> group id) scores its tested classes."""
     hits = pred == true_labels
     # sums of 0/1 are exact, so each class mean equals hits[mask].mean()
     sizes = np.bincount(true_labels, minlength=n_classes)
@@ -117,9 +118,11 @@ def _rows(name, true_labels, pred, partition: GroupPartition, n_classes) -> list
     np.divide(np.bincount(true_labels, weights=hits, minlength=n_classes), sizes,
               out=per_class, where=sizes > 0)
     rows = [(name, "all", float(hits.mean()))]
-    for group, ids in (("head", partition.head), ("mid", partition.mid), ("tail", partition.tail)):
-        accs = [per_class[c] for c in sorted(ids) if c < n_classes and not np.isnan(per_class[c])]
-        rows.append((name, group, float(np.mean(accs)) if accs else float("nan")))
+    groups = np.asarray(partition)[:n_classes]
+    accs = per_class[:groups.size]
+    for g, group in enumerate(("head", "mid", "tail")):
+        mine = accs[(groups == g) & ~np.isnan(accs)]
+        rows.append((name, group, float(mine.mean()) if mine.size else float("nan")))
     return rows + [(name, f"class_{k}", float(acc)) for k, acc in enumerate(per_class)]
 
 
@@ -129,7 +132,7 @@ def knn_report(
     test_emb,
     test_labels,
     k_values=(1, 10),
-    partition: GroupPartition | None = None,
+    partition: np.ndarray | None = None,
 ) -> list:
     """Rows of the kNN accuracy at each requested k (metric ``knn<k>``), in
     order, on the (balanced) test set."""
@@ -174,7 +177,7 @@ def linear_probe(
     test_emb,
     test_labels,
     cfg: ProbeConfig,
-    partition: GroupPartition,
+    partition: np.ndarray,
 ) -> list:
     """Multinomial logistic regression on frozen embeddings by full-batch
     gradient descent; the rows of its balanced-test accuracy under the

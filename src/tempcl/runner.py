@@ -316,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.analysis.enable and tap < PCA_COMPONENTS:
         raise ConfigError(f"analysis.enable needs a feature tap of at least {PCA_COMPONENTS} "
                           f"dims for its PCA dump; the encoder's tap has {tap}")
-    schedule = cfg.schedule_for(train.num_classes)
+    schedule = cfg.schedule_for(train.class_sizes)
     # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,11 @@ import struct
 import numpy as np
 import pytest
 
+import tempcl.runner
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from tempcl.config import parse_config
-from tempcl.data import LongTailDataset, load_dataset, save_dataset
+from tempcl.data import LongTailDataset, head_mid_tail_split, load_dataset, save_dataset
+from tempcl.encoder import train_epoch
 from tempcl.runner import synthetic_datasets
 from tempcl.schedule import tau_at
 from test_data import cifar10_fixture_bytes
@@ -197,8 +199,41 @@ def test_negative_epoch_exits_1(trained, tmp_path, capsys, command):
 def tcld(path, class_sizes, dim=8, seed=0):
     labels = np.repeat(np.arange(len(class_sizes)), class_sizes)
     features = np.random.default_rng(seed).standard_normal((labels.size, dim))
-    save_dataset(LongTailDataset(features, labels, class_sizes), path)
+    save_dataset(LongTailDataset(features, labels, len(class_sizes)), path)
     return path
+
+
+def test_coarse_default_head_is_the_largest_classes_of_a_tcld_train_set(tmp_path, monkeypatch):
+    """Class ids of a TCLD file need not run from the largest class down:
+    the default coarse head is the train set's frequent half by size, and
+    holds evaluation's head group."""
+    train = tcld(tmp_path / "train.tcld", [2, 4, 8, 16, 32, 64])
+    test = tcld(tmp_path / "test.tcld", [3] * 6, seed=1)
+    heads = []
+
+    def spy(ds, params, state, schedule, *args, **kwargs):
+        heads.append(schedule.head_classes)
+        return train_epoch(ds, params, state, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(tempcl.runner, "train_epoch", spy)
+    config = write_config(tmp_path, extra=f"data.kind = tcld\ndata.path = {train}\n"
+                                          f"data.test_path = {test}\nschedule.coarse = true\n")
+    assert main(["train", "--config", config]) == 0
+    assert heads == [(5, 4, 3)] * 2  # run.epochs
+    groups = head_mid_tail_split(load_dataset(train).class_sizes)
+    assert set(np.flatnonzero(groups == 0)) <= set(heads[0])
+
+
+@pytest.mark.parametrize("kind", ["cifar10", "cifar100"])
+@pytest.mark.parametrize("key, value", [("path", ","), ("test_path", " , ")])
+def test_a_cifar_file_list_that_names_no_file_exits_1(tmp_path, capsys, kind, key, value):
+    files = {"path": tmp_path / "train.bin", "test_path": tmp_path / "test.bin", key: value}
+    config = write_config(tmp_path, extra=f"data.kind = {kind}\n" + "".join(
+        f"data.{k} = {v}\n" for k, v in files.items()))
+    assert main(["train", "--config", config]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: data.{key} names no file for "
+                                       f"data.kind = {kind}\n")
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "analyze"])

@@ -124,7 +124,7 @@ class TestKeysAreFields:
     def test_value_objects_take_the_section_values(self):
         cfg = parse_config("schedule.kind = step\nschedule.step_length = 7\n"
                            "schedule.seed = 3\ndata.flip_prob = 0.25\n")
-        sched = cfg.schedule_for(10)
+        sched = cfg.schedule_for([1] * 10)
         assert (sched.kind, sched.step_length, sched.seed) == ("step", 7, 3)
         assert isinstance(cfg.data, AugmentationPolicy) and cfg.data.flip_prob == 0.25
 
@@ -134,20 +134,34 @@ class TestHeadClasses:
         # data.classes describes the synthetic generator only; loaded data
         # may have more classes
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,50\n")
-        assert cfg.schedule_for(100).head_classes == (0, 50)
+        assert cfg.schedule_for([1] * 100).head_classes == (0, 50)
         with pytest.raises(ConfigError, match=r"must lie in \[0, 40\)"):
-            cfg.schedule_for(40)
+            cfg.schedule_for([1] * 40)
 
     def test_strict_subset(self):
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,1,2\n")
         with pytest.raises(ConfigError, match="strict subset"):
-            cfg.schedule_for(3)
+            cfg.schedule_for([3, 2, 1])
 
     def test_default_is_the_frequent_half(self):
         cfg = parse_config("schedule.coarse = true\n")
-        assert cfg.schedule_for(5) == dataclasses.replace(cfg.schedule, head_classes=(0, 1, 2))
+        assert cfg.schedule_for([9, 7, 5, 3, 1]) == dataclasses.replace(
+            cfg.schedule, head_classes=(0, 1, 2))
+
+    @pytest.mark.parametrize("sizes, head", [
+        ([2, 4, 8, 16, 32, 64], (5, 4, 3)),
+        ([5, 1, 5, 3, 9, 3, 1], (4, 0, 2, 3)),  # ties go to the smaller id
+        ([4, 4, 4, 4], (0, 1)),
+    ])
+    def test_default_head_is_the_largest_classes_in_any_order(self, sizes, head):
+        cfg = parse_config("schedule.coarse = true\n")
+        assert cfg.schedule_for(sizes).head_classes == head
+
+    def test_an_explicit_head_set_is_used_as_given(self):
+        cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 4,0\n")
+        assert cfg.schedule_for([2, 4, 8, 16, 32, 64]).head_classes == (4, 0)
 
     def test_unread_without_coarse_supervision(self):
         # only coarse supervision reads the head set
         cfg = parse_config("schedule.head_classes = 0,1,2\n")
-        assert cfg.schedule_for(3) is cfg.schedule
+        assert cfg.schedule_for([1, 1, 1]) is cfg.schedule

@@ -19,7 +19,6 @@ from tempcl.data import (
     longtail_sizes,
     save_dataset,
     serialize_cifar10_bin,
-    serialize_cifar100_bin,
     subsample_longtail,
     synth_mixture,
     write_atomic,
@@ -69,11 +68,7 @@ def balanced_toy(K=10, per_class=5000, D=2, seed=0):
     n = K * per_class
     feats = rng.standard_normal((n, D))
     labels = np.repeat(np.arange(K), per_class)
-    return LongTailDataset(
-        features=feats,
-        labels=labels,
-        class_sizes=np.full(K, per_class),
-    )
+    return LongTailDataset(features=feats, labels=labels, num_classes=K)
 
 
 class TestSubsampleLongtail:
@@ -169,6 +164,12 @@ def cifar100_fixture_bytes(n=6, seed=0):
     return recs.tobytes()
 
 
+def fine_records(raw, n_labels):
+    """CIFAR records without a CIFAR-100 record's leading coarse byte: the
+    CIFAR-10 records of the fine labels and the pixels."""
+    return np.frombuffer(raw, np.uint8).reshape(-1, n_labels + 3072)[:, n_labels - 1:].tobytes()
+
+
 class TestCifarLoaders:
     def test_two_record_file(self, tmp_path):
         p = tmp_path / "two.bin"
@@ -197,10 +198,11 @@ class TestCifarLoaders:
         assert serialize_cifar10_bin(load_cifar10_bin(p)) == raw
 
     def test_round_trip_cifar100(self, tmp_path):
+        """A CIFAR-100 parse keeps each record's fine label and pixels."""
         raw = cifar100_fixture_bytes(n=10, seed=4)
         p = tmp_path / "f100.bin"
         p.write_bytes(raw)
-        assert serialize_cifar100_bin(load_cifar100_bin(p)) == raw
+        assert serialize_cifar10_bin(load_cifar100_bin(p)) == fine_records(raw, 2)
 
     def test_multiple_train_files_concatenate(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -214,8 +216,8 @@ class TestCifarLoaders:
         a.write_bytes(cifar100_fixture_bytes(n=3, seed=5))
         b.write_bytes(cifar100_fixture_bytes(n=4, seed=6))
         ds = load_cifar100_bin([a, b])
-        assert ds.n == 7 and ds.coarse_labels.shape == (7,)
-        assert serialize_cifar100_bin(ds) == a.read_bytes() + b.read_bytes()
+        assert ds.n == 7
+        assert serialize_cifar10_bin(ds) == fine_records(a.read_bytes() + b.read_bytes(), 2)
 
     def test_standardization_recorded(self, tmp_path):
         p = tmp_path / "s.bin"
@@ -255,6 +257,14 @@ class TestCifarLoaders:
         with pytest.raises(DataFormatError, match="offset 3075"):
             load_cifar100_bin(p)
 
+    def test_cifar100_coarse_label_out_of_range(self, tmp_path):
+        raw = bytearray(cifar100_fixture_bytes(n=2))
+        raw[3074] = 20
+        p = tmp_path / "bad100.bin"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=r"byte 20 out of range \[0, 19\] at offset 3074"):
+            load_cifar100_bin(p)
+
 
 def load_cifar_oracle(raws, n_labels):
     """The parse as first written, kept as the oracle: ``astype / 255``,
@@ -269,10 +279,10 @@ def load_cifar_oracle(raws, n_labels):
     return standardize_planes(pixels, mean, std), (mean, std)
 
 
-# format -> (fixture bytes, loader, serializer, label bytes per record)
+# format -> (fixture bytes, loader, label bytes per record)
 CIFAR_FORMATS = {
-    "cifar10": (cifar10_fixture_bytes, load_cifar10_bin, serialize_cifar10_bin, 1),
-    "cifar100": (cifar100_fixture_bytes, load_cifar100_bin, serialize_cifar100_bin, 2),
+    "cifar10": (cifar10_fixture_bytes, load_cifar10_bin, 1),
+    "cifar100": (cifar100_fixture_bytes, load_cifar100_bin, 2),
 }
 
 
@@ -302,7 +312,7 @@ class TestCifarParseMatchesOracle:
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
     def test_one_file(self, tmp_path, fmt, n):
-        make, load, _, n_labels = CIFAR_FORMATS[fmt]
+        make, load, n_labels = CIFAR_FORMATS[fmt]
         raw = make(n=n, seed=20 + n)
         p = tmp_path / "f.bin"
         p.write_bytes(raw)
@@ -310,7 +320,7 @@ class TestCifarParseMatchesOracle:
 
     @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
     def test_two_files(self, tmp_path, fmt):
-        make, load, _, n_labels = CIFAR_FORMATS[fmt]
+        make, load, n_labels = CIFAR_FORMATS[fmt]
         raws = [make(n=5, seed=30), make(n=9, seed=31)]
         paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
         for p, raw in zip(paths, raws):
@@ -355,11 +365,11 @@ class TestCifarMemory:
     @pytest.mark.parametrize("n", [257, 513])
     @pytest.mark.parametrize("fmt", sorted(CIFAR_FORMATS))
     def test_round_trip_across_row_blocks(self, tmp_path, fmt, n):
-        make, load, serialize, _ = CIFAR_FORMATS[fmt]
+        make, load, n_labels = CIFAR_FORMATS[fmt]
         raw = make(n=n, seed=n)
         p = tmp_path / "f.bin"
         p.write_bytes(raw)
-        assert serialize(load(p)) == raw
+        assert serialize_cifar10_bin(load(p)) == fine_records(raw, n_labels)
 
 
 # channel statistics under which standardized rows are the [0, 1] pixels
@@ -468,38 +478,47 @@ class TestPixelViewsMatchRowOracle:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def group_counts(K):
+    """(n_head, n_mid, n_tail) of K classes: 34/33/33 at K = 100, else a
+    head of round(0.4 K) (at least 1, leaving 2) and the rest halved, mid
+    taking any odd one."""
+    if K == 100:
+        return 34, 33, 33
+    n_head = max(1, min(K - 2, int(np.floor(0.4 * K + 0.5))))
+    n_mid = (K - n_head + 1) // 2
+    return n_head, n_mid, K - n_head - n_mid
+
+
 class TestHeadMidTailSplit:
     def test_ten_classes(self):
         sizes = longtail_sizes(10, 5000, 100)
-        part = head_mid_tail_split(sizes)
-        assert part.head == frozenset({0, 1, 2, 3})
-        assert part.mid == frozenset({4, 5, 6})
-        assert part.tail == frozenset({7, 8, 9})
+        np.testing.assert_array_equal(head_mid_tail_split(sizes), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
     def test_hundred_classes(self):
-        part = head_mid_tail_split(longtail_sizes(100, 500, 100))
-        assert (len(part.head), len(part.mid), len(part.tail)) == (34, 33, 33)
+        groups = head_mid_tail_split(longtail_sizes(100, 500, 100))
+        np.testing.assert_array_equal(np.bincount(groups), [34, 33, 33])
 
     def test_three_classes(self):
-        part = head_mid_tail_split([9, 5, 2])
-        assert (len(part.head), len(part.mid), len(part.tail)) == (1, 1, 1)
+        np.testing.assert_array_equal(head_mid_tail_split([2, 9, 5]), [2, 0, 1])
 
     def test_ties_broken_by_class_id(self):
-        part = head_mid_tail_split([5, 5, 5, 5, 5, 5, 5, 5, 5, 5])
-        assert part.head == frozenset({0, 1, 2, 3})
-        assert part.tail == frozenset({7, 8, 9})
+        groups = head_mid_tail_split([5, 5, 5, 5, 5, 5, 5, 5, 5, 5])
+        np.testing.assert_array_equal(groups, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 3"):
             head_mid_tail_split([3, 1])
 
     def test_partition_covers_all_classes(self):
+        """Every class gets one id of 0, 1, 2, in the group counts of K, and
+        the ids never fall along classes by descending size, ties by id."""
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            K = int(rng.integers(3, 60))
-            sizes = rng.integers(1, 100, size=K)
-            part = head_mid_tail_split(sizes)
-            assert part.head | part.mid | part.tail == set(range(K))
+        for K in range(3, 121):
+            sizes = rng.integers(1, 1 + int(rng.integers(1, 2 * K)), size=K)  # ties
+            groups = head_mid_tail_split(sizes)
+            assert groups.shape == (K,) and set(groups.tolist()) <= {0, 1, 2}
+            assert tuple(np.bincount(groups, minlength=3)) == group_counts(K)
+            assert np.all(np.diff(groups[np.argsort(-sizes, kind="stable")]) >= 0)
 
 
 class TestDatasetFile:
@@ -538,13 +557,11 @@ class TestDatasetFile:
 
 
 class TestDatasetValidation:
-    def test_histogram_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="histogram"):
-            LongTailDataset(
-                features=np.zeros((3, 2)),
-                labels=np.array([0, 0, 1]),
-                class_sizes=np.array([1, 2]),
-            )
+    def test_class_sizes_are_the_label_histogram(self):
+        ds = LongTailDataset(features=np.zeros((3, 2)), labels=[0, 0, 2], num_classes=4)
+        np.testing.assert_array_equal(ds.class_sizes, [2, 0, 1, 0])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            LongTailDataset(features=np.zeros((3, 2)), labels=[0, 0, 2], num_classes=2)
 
     def test_imbalance_ratio(self):
         ds = synth_mixture(4, 8, 100, 10.0, seed=0)

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from tempcl.data import GroupPartition, head_mid_tail_split
+from tempcl.data import head_mid_tail_split
 from tempcl.evaluation import (
     ProbeConfig,
     _probe_grads,
+    _rows,
     fewshot_subset,
     knn_classify,
     knn_report,
@@ -165,9 +166,43 @@ class TestKnnClassify:
             knn_classify(np.eye(3), [0, 1, 2], np.eye(2), (1,))
 
 
+def group_means_oracle(per_class, groups, n_classes):
+    """The head, mid and tail values as the former set-based partition made
+    them: the mean of each group's non-NaN class accuracies below
+    ``n_classes``, in class order, NaN for a group with none."""
+    means = []
+    for g in range(3):
+        accs = [per_class[c] for c in sorted(set(np.flatnonzero(groups == g)))
+                if c < n_classes and not np.isnan(per_class[c])]
+        means.append(float(np.mean(accs)) if accs else float("nan"))
+    return means
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("extra", [-2, 0, 3])  # partition length - n_classes
+    def test_group_means_equal_the_set_oracle_bit_for_bit(self, extra):
+        rng = np.random.default_rng(40 + extra)
+        for trial in range(50):
+            n_classes = int(rng.integers(3, 30))
+            tested = rng.random(n_classes) < 0.8  # the others are NaN classes
+            labels = rng.choice(np.flatnonzero(tested) if tested.any() else [0], size=60)
+            pred = np.where(rng.random(60) < 0.6, labels, rng.integers(0, n_classes, size=60))
+            groups = rng.integers(0, 3, size=n_classes + extra)
+            if trial % 6 < 3:  # empty group trial % 6 into the next one
+                groups[groups == trial % 6] = (trial + 1) % 3
+            m = scores(_rows("knn1", labels, pred, groups, n_classes), "knn1")
+            expect = group_means_oracle(per_class(m, n_classes), groups, n_classes)
+            got = [m[g] for g in ("head", "mid", "tail")]
+            assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+    def test_an_empty_group_is_nan(self):
+        m = scores(_rows("knn1", np.arange(3), np.arange(3), np.array([0, 2, 2]), 3), "knn1")
+        assert (m["head"], m["tail"]) == (1.0, 1.0) and math.isnan(m["mid"])
+
+
 class TestKnnReport:
     def partition(self):
-        return GroupPartition(head=frozenset({0}), mid=frozenset({1}), tail=frozenset({2}))
+        return np.array([0, 1, 2])
 
     def test_all_correct(self):
         train = np.eye(3)
@@ -185,16 +220,12 @@ class TestKnnReport:
         test = circle([10.0, -10.0, 170.0, 190.0])
         # class 1 centroids flipped: both class-1 queries sit nearer class 0?
         rows = knn_report(train, [0, 1], test, [0, 0, 1, 1], k_values=(1,),
-                          partition=GroupPartition(head=frozenset({0}),
-                                                   mid=frozenset(),
-                                                   tail=frozenset({1})))
+                          partition=np.array([0, 2]))
         m = scores(rows, "knn1")
         assert m["class_0"] == 1.0 and m["class_1"] == 1.0
         # now corrupt the train labels so class 1 is always wrong
         rows = knn_report(train, [0, 0], test, [0, 0, 1, 1], k_values=(1,),
-                          partition=GroupPartition(head=frozenset({0}),
-                                                   mid=frozenset(),
-                                                   tail=frozenset({1})))
+                          partition=np.array([0, 2]))
         m = scores(rows, "knn1")
         assert m["all"] == 0.5
         assert m["class_1"] == 0.0
@@ -210,8 +241,8 @@ class TestKnnReport:
                           partition=part)
         for name in ("knn1", "knn10"):
             m = scores(rows, name)
-            for group, ids in (("head", part.head), ("mid", part.mid), ("tail", part.tail)):
-                accs = [m[f"class_{c}"] for c in sorted(ids)]
+            for g, group in enumerate(("head", "mid", "tail")):
+                accs = [m[f"class_{c}"] for c in np.flatnonzero(part == g)]
                 assert abs(m[group] - np.mean(accs)) < 1e-12
 
     def test_overall_is_frequency_weighted_mean(self):
@@ -258,7 +289,7 @@ class TestLinearProbe:
         labels = np.repeat([0, 1], 20)
         test = np.vstack([np.tile([1.0, 0.0], (5, 1)), np.tile([-1.0, 0.0], (5, 1))])
         test_labels = np.repeat([0, 1], 5)
-        part = GroupPartition(head=frozenset({0}), mid=frozenset(), tail=frozenset({1}))
+        part = np.array([0, 2])
         cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5)
         rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
         assert scores(rows, "lt_lp")["all"] == 1.0
@@ -322,16 +353,14 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match="one class"):
             linear_probe(np.eye(3), [1, 1, 1], np.eye(3), [0, 1, 2],
                          ProbeConfig(mode="LT_LP", epochs=10, lr=0.1),
-                         partition=GroupPartition(head={0}, mid={1}, tail={2}))
+                         partition=np.array([0, 1, 2]))
 
 
 class TestEvalReportRows:
     def test_rows_cover_all_scopes(self):
         train = np.eye(3)
         rows = knn_report(train, [0, 1, 2], train, [0, 1, 2], k_values=(1,),
-                          partition=GroupPartition(head=frozenset({0}),
-                                                   mid=frozenset({1}),
-                                                   tail=frozenset({2})))
+                          partition=np.array([0, 1, 2]))
         scopes = [scope for _, scope, _ in rows]
         assert scopes == ["all", "head", "mid", "tail", "class_0", "class_1", "class_2"]
         assert all(type(value) is float for _, _, value in rows)
