@@ -29,13 +29,6 @@ from tempcl.runner import (
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-EPOCH_HELP = "epoch label (default: parsed from the file name, else run.epochs)"
-
-
-def _add_common(p):
-    p.add_argument("--config", help="experiment config file (section.key = value lines)")
-    p.add_argument("--seed", type=int, help="override run.seed")
-    p.add_argument("--output", help="override run.output_dir")
 
 
 def _load_config(args):
@@ -117,30 +110,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contrastive learning with dynamic temperature schedules on long-tail data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="run a full experiment")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--epoch", type=int, help=EPOCH_HELP)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("analyze", help="analysis dumps for a saved checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--epoch", type=int, help=EPOCH_HELP)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("schedule-preview", help="emit the epoch,tau schedule as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_schedule_preview)
-
-    p = sub.add_parser("gen-data", help="write the synthetic dataset files")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
+    for name, text, func, reads_checkpoint in [
+        ("train", "run a full experiment", cmd_train, False),
+        ("eval", "evaluate a saved checkpoint", cmd_eval, True),
+        ("analyze", "analysis dumps for a saved checkpoint", cmd_analyze, True),
+        ("schedule-preview", "emit the epoch,tau schedule as CSV", cmd_schedule_preview, False),
+        ("gen-data", "write the synthetic dataset files", cmd_gen_data, False),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="experiment config file (section.key = value lines)")
+        p.add_argument("--seed", type=int, help="override run.seed")
+        p.add_argument("--output", help="override run.output_dir")
+        if reads_checkpoint:
+            p.add_argument("--checkpoint", required=True)
+            p.add_argument("--epoch", type=int, help="epoch label (default: parsed from the "
+                                                     "file name, else run.epochs)")
+        p.set_defaults(func=func)
     return parser
 
 

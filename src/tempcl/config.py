@@ -265,10 +265,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     if e.symmetrize:
         _require(e.negatives == "in_batch", "encoder.symmetrize requires in_batch negatives")
 
-    if r.epochs > 0 and s.kind in ("cosine", "linear_oscillation"):
+    # coarse supervision reads neither the period nor the step length
+    if r.epochs > 0 and not s.coarse and s.kind in ("cosine", "linear_oscillation"):
         _require(s.period_T <= r.epochs,
                  "schedule.period_T must be <= run.epochs for periodic schedules")
-    if r.epochs > 0 and s.kind == "step":
+    if r.epochs > 0 and not s.coarse and s.kind == "step":
         _require(s.step_length <= r.epochs, "schedule.step_length must be <= run.epochs")
 
     _require(cfg.analysis.bins >= 1, "analysis.bins must be >= 1")

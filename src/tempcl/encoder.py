@@ -203,7 +203,6 @@ class OptimState:
     total_epochs: int = 400
     weight_decay: float = 1e-4
     sgd_momentum: float = 0.9
-    epoch: int = 0
     scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,34 +228,31 @@ def lr_at(state: OptimState, epoch: int) -> float:
     return 0.5 * state.base_lr * (1.0 + np.cos(np.pi * (epoch - state.warmup_epochs) / span))
 
 
-def sgd_step(params: EncoderParams, grads: EncoderParams | list,
-             state: OptimState) -> EncoderParams:
+def sgd_step(params: EncoderParams, grads: list, state: OptimState, lr: float) -> EncoderParams:
     """In-place SGD update from the sum of the batch's gradient sets:
     g <- grad_1 + grad_2 + ... + wd * p; buf <- mom * buf + g;
     p <- p - lr * buf.
 
-    ``grads`` is one :class:`EncoderParams` or a list of them (one per
-    view); the sum is formed in place in the first.  Each array is worked
+    ``grads`` holds one :class:`EncoderParams` per view that carries a
+    gradient; the sum is formed in place in the first.  Each array is worked
     through in row blocks of about ``_BLOCK_BYTES`` with the block-sized
     ``state.scratch``, so it crosses memory about once per step rather than
     once per operation, with the same operations, in the same order, on
     every element.
     """
-    sets = [grads] if isinstance(grads, EncoderParams) else list(grads)
     arrays = params.arrays()
-    for g in sets:
+    for g in grads:
         g_arrays = g.arrays()
         if len(g_arrays) != len(arrays):
             raise ValueError(f"{len(g_arrays)} gradient arrays for {len(arrays)} parameters")
         for p, g_a in zip(arrays, g_arrays):
             if p.shape != g_a.shape:
                 raise ValueError(f"gradient shape {g_a.shape} does not match parameter {p.shape}")
-    lr = lr_at(state, state.epoch)
     wd, mom = state.weight_decay, state.sgd_momentum
     size = max([_BLOCK_BYTES // 8] + [p[:1].size for p in arrays])
     if state.scratch is None or state.scratch.size < size:
         state.scratch = np.empty(size)
-    for p, m, gs in zip(arrays, state.buffers.arrays(), zip(*(g.arrays() for g in sets))):
+    for p, m, gs in zip(arrays, state.buffers.arrays(), zip(*(g.arrays() for g in grads))):
         row = p[:1].size
         rows = max(1, min(len(p), state.scratch.size // max(row, 1)))
         block = state.scratch[: rows * row].reshape((rows,) + p.shape[1:])
@@ -336,15 +332,15 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
         r2 = forward(params, v2)
         V = r2.embeddings
         S = similarity_matrix(U, V)
-        bd = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
-        grads = [backward(params, bd.grad @ V, r1), backward(params, bd.grad.T @ U, r2)]
-        return grads, bd.mean
+        per_anchor, G = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
+        grads = [backward(params, G @ V, r1), backward(params, G.T @ U, r2)]
+        return grads, float(per_anchor.mean())
 
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
     queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
-    bd = info_nce(similarity_matrix(U, V, v_checked=True), tau)
-    return [backward(params, bd.grad @ V, r1)], bd.mean
+    per_anchor, G = info_nce(similarity_matrix(U, V, v_checked=True), tau)
+    return [backward(params, G @ V, r1)], float(per_anchor.mean())
 
 
 def _epoch_views(dataset, policy, seed, epoch, batch_size):
@@ -375,8 +371,8 @@ def train_epoch(
     symmetrize: bool = False,
     views=None,
 ) -> tuple[EncoderParams, float]:
-    """One pass over the dataset; returns the updated parameters and the
-    mean batch loss.
+    """One pass over the dataset, every step at ``lr_at(state, epoch)``;
+    returns the updated parameters and the mean batch loss.
 
     ``schedule`` gives each batch per-anchor temperatures from its labels
     (:func:`per_anchor_tau`) when ``schedule.coarse`` is set, and otherwise
@@ -393,7 +389,7 @@ def train_epoch(
     if views is None:
         views = _epoch_views(dataset, policy, seed, epoch, batch_size)
 
-    state.epoch = epoch
+    lr = lr_at(state, epoch)
     losses = []
     for b, (idx, v1, v2) in enumerate(views):
         if schedule.coarse:
@@ -403,7 +399,7 @@ def train_epoch(
         grads, loss = _batch_gradients(params, v1, v2, tau, negative_source, symmetrize)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {b}")
-        sgd_step(params, grads, state)
+        sgd_step(params, grads, state, lr)
         if negative_source.kind == "momentum_queue":
             momentum_update(params, negative_source.key_params, negative_source.momentum_m)
         losses.append(loss)

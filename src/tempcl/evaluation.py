@@ -108,9 +108,9 @@ def knn_classify(
     return preds
 
 
-def _rows(name, true_labels, pred, partition, n_classes) -> list:
+def _rows(name, true_labels, pred, groups, n_classes) -> list:
     """The (metric, scope, value) rows of one metric's predictions; each
-    group of ``partition`` (class -> group id) scores its tested classes."""
+    group of ``groups`` (class -> group id) scores its tested classes."""
     hits = pred == true_labels
     # sums of 0/1 are exact, so each class mean equals hits[mask].mean()
     sizes = np.bincount(true_labels, minlength=n_classes)
@@ -118,7 +118,7 @@ def _rows(name, true_labels, pred, partition, n_classes) -> list:
     np.divide(np.bincount(true_labels, weights=hits, minlength=n_classes), sizes,
               out=per_class, where=sizes > 0)
     rows = [(name, "all", float(hits.mean()))]
-    groups = np.asarray(partition)[:n_classes]
+    groups = np.asarray(groups)[:n_classes]
     accs = per_class[:groups.size]
     for g, group in enumerate(("head", "mid", "tail")):
         mine = accs[(groups == g) & ~np.isnan(accs)]
@@ -132,18 +132,16 @@ def knn_report(
     test_emb,
     test_labels,
     k_values=(1, 10),
-    partition: np.ndarray | None = None,
 ) -> list:
     """Rows of the kNN accuracy at each requested k (metric ``knn<k>``), in
-    order, on the (balanced) test set."""
+    order, on the (balanced) test set; classes group by their train sizes."""
     train_labels = np.asarray(train_labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
     K = int(max(train_labels.max(), test_labels.max())) + 1
-    if partition is None:
-        partition = head_mid_tail_split(np.bincount(train_labels, minlength=K))
+    groups = head_mid_tail_split(np.bincount(train_labels))
     preds = knn_classify(train_emb, train_labels, test_emb, k_values)
     return [row for k, pred in zip(k_values, preds)
-            for row in _rows(f"knn{k}", test_labels, pred, partition, K)]
+            for row in _rows(f"knn{k}", test_labels, pred, groups, K)]
 
 
 def fewshot_subset(labels, seed: int) -> np.ndarray:
@@ -177,11 +175,11 @@ def linear_probe(
     test_emb,
     test_labels,
     cfg: ProbeConfig,
-    partition: np.ndarray,
 ) -> list:
     """Multinomial logistic regression on frozen embeddings by full-batch
     gradient descent; the rows of its balanced-test accuracy under the
-    metric name 'fs_lp' or 'lt_lp'."""
+    metric name 'fs_lp' or 'lt_lp', classes grouped by their sizes in
+    ``labels`` (for FS_LP too)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -195,6 +193,7 @@ def linear_probe(
         X, y = embeddings, labels
     if np.unique(y).size < 2:
         raise ValueError("degenerate training data: only one class present")
+    groups = head_mid_tail_split(np.bincount(labels))
 
     D = X.shape[1]
     W = np.zeros((D, K))
@@ -210,4 +209,4 @@ def linear_probe(
 
     pred = np.argmax(test_emb @ W + b, axis=1)
     name = "fs_lp" if cfg.mode == "FS_LP" else "lt_lp"
-    return _rows(name, test_labels, pred, partition, K)
+    return _rows(name, test_labels, pred, groups, K)

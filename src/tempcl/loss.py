@@ -12,12 +12,9 @@ are additional negatives shared by every anchor (queue-style negatives).
 All computation is in 64-bit floats.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LossBreakdown",
     "similarity_matrix",
     "info_nce",
     "info_nce_symmetrized",
@@ -25,22 +22,6 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-6
 _SIM_BOUND_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-anchor contrastive loss, its mean, and the gradient of the mean.
-
-    per_anchor[i] = -log(exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i)), which
-    equals log(1 + exp(d_ii) * sum_{j != i} exp(-d_ij)) with
-    d_ij = (1 - s_ij) / tau_i; it is always computed through a stable
-    log-space path.  ``mean`` is the arithmetic mean of ``per_anchor``, and
-    ``grad`` its gradient with respect to the similarity matrix.
-    """
-
-    per_anchor: np.ndarray
-    mean: float
-    grad: np.ndarray
 
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +103,9 @@ def _as_tau_vector(tau, n: int) -> np.ndarray:
     return taus
 
 
-def info_nce(S: np.ndarray, tau) -> LossBreakdown:
+def info_nce(S: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     """Contrastive loss from a similarity matrix, softmax form, with its
-    gradient.
+    gradient: (per_anchor, grad), ``grad`` that of the mean loss.
 
     per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ).  With
     w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient is
@@ -145,7 +126,7 @@ def info_nce(S: np.ndarray, tau) -> LossBreakdown:
     return _info_nce(S, _as_tau_vector(tau, S.shape[0]))
 
 
-def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
+def _info_nce(S: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`info_nce` of a validated S and temperature vector, worked in
     place in one n x m buffer (fresh ones cost more than the arithmetic):
     the shifted logits, their exponentials, the softmax, then the gradient."""
@@ -167,21 +148,19 @@ def _info_nce(S: np.ndarray, taus: np.ndarray) -> LossBreakdown:
     g /= taus[:, None]
     g[idx, idx] = (w_pos - 1.0) / taus
     g /= n
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()), grad=g)
+    return per_anchor, g
 
 
-def info_nce_symmetrized(S: np.ndarray, tau) -> LossBreakdown:
+def info_nce_symmetrized(S: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     """Average of the loss and its transposed-roles counterpart.
 
-    Square matrices only.  ``per_anchor``, ``mean`` and ``grad`` are the
-    per-index averages of the two directions.
+    Square matrices only.  Returns (per_anchor, grad) as :func:`info_nce`
+    does, each the per-index average of the two directions.
     """
     S = _validate_similarities(S)
     if S.shape[0] != S.shape[1]:
         raise ValueError("symmetrized loss requires a square similarity matrix")
     taus = _as_tau_vector(tau, S.shape[0])
-    fwd = _info_nce(S, taus)
-    rev = _info_nce(S.T, taus)
-    per_anchor = 0.5 * (fwd.per_anchor + rev.per_anchor)
-    return LossBreakdown(per_anchor=per_anchor, mean=float(per_anchor.mean()),
-                         grad=0.5 * (fwd.grad + rev.grad.T))
+    fwd, fwd_grad = _info_nce(S, taus)
+    rev, rev_grad = _info_nce(S.T, taus)
+    return 0.5 * (fwd + rev), 0.5 * (fwd_grad + rev_grad.T)

@@ -53,7 +53,6 @@ from tempcl.data import (
     load_cifar100_bin,
     load_dataset,
     longtail_sizes,
-    head_mid_tail_split,
     subsample_longtail,
     synth_mixture,
     write_atomic,
@@ -230,7 +229,7 @@ def _embed_train(cfg, pool, params, train):
     return emb, _unit_rows(feats)[0], hist
 
 
-def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition):
+def _start_snapshot(cfg, pool, params, train_feat, hist, train, test):
     """Start one evaluation snapshot: each probe fit wide enough goes to
     ``pool``'s worker (see the module docstring), then kNN runs here.
     Returns (join, deferred): ``join()`` takes the fits in row order,
@@ -241,7 +240,7 @@ def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition)
 
     def probe(mode):
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
-                            cfg.probe_config(mode), partition=partition)
+                            cfg.probe_config(mode))
 
     # each fit's rows (FS_LP's: the smallest class's size of every class);
     # LT_LP, the longer, goes first, so a join that finds FS_LP not started
@@ -250,8 +249,7 @@ def _start_snapshot(cfg, pool, params, train_feat, hist, train, test, partition)
     fits = {mode: pool.submit(probe, mode) for mode, n in fit_rows.items()
             if cfg.eval.run_probes and PROBE_WORKER
             and n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS}
-    rows = knn_report(train_feat, train.labels, test_feat, test.labels,
-                      k_values=KNN_K, partition=partition)
+    rows = knn_report(train_feat, train.labels, test_feat, test.labels, k_values=KNN_K)
 
     def join():
         for mode in ("FS_LP", "LT_LP") if cfg.eval.run_probes else ():
@@ -322,8 +320,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.resolved", render_config(cfg))
 
-    partition = head_mid_tail_split(train.class_sizes)
-
     E = cfg.run.epochs
     params = init_encoder(train.dim, cfg.encoder.hidden_dims, cfg.encoder.embed_dim,
                           projection_layers=cfg.encoder.projection_layers,
@@ -351,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     def record(epoch, extra_rows=()):
         settle()  # the last snapshot's fits, which ran while these epochs trained
         emb, feats, hist = _embed_train(cfg, pool, params, train)
-        join, deferred = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
+        join, deferred = _start_snapshot(cfg, pool, params, feats, hist, train, test)
         if cfg.analysis.enable:  # before join(), so that it overlaps the worker's fits
             _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
         pending.append((epoch, join, extra_rows))
@@ -419,8 +415,7 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     with _one_worker() as pool:  # as a run's one worker
         out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(
             cfg, pool, checkpoint_path)
-        partition = head_mid_tail_split(train.class_sizes)
-        join, _ = _start_snapshot(cfg, pool, params, feats, hist, train, test, partition)
+        join, _ = _start_snapshot(cfg, pool, params, feats, hist, train, test)
         rows = join()
     lines = ["epoch,tau,metric,scope,value\n"]
     lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))

@@ -1,6 +1,7 @@
 """Tests for the command-line exit-code contract: 0 on success, 1 for a
 configuration error, 2 for a data error, 3 for numeric divergence."""
 
+import argparse
 import math
 import struct
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import tempcl.runner
-from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+import tempcl.cli
+from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from tempcl.config import parse_config
 from tempcl.data import LongTailDataset, head_mid_tail_split, load_dataset, save_dataset
 from tempcl.encoder import train_epoch
@@ -530,6 +532,16 @@ def test_schedule_preview_prints_the_cosine_curve(tmp_path, capsys):
     assert [t for _, t in rows] == [tau_at(cfg.schedule, e) for e, _ in rows]
 
 
+@pytest.mark.parametrize("kind", ["cosine", "step"])
+def test_coarse_supervision_trains_past_a_schedule_longer_than_the_run(tmp_path, kind):
+    """The default period_T (400) and step_length (200) exceed run.epochs = 2;
+    coarse supervision reads neither."""
+    text = TINY.replace("schedule.period_T = 2\n", f"schedule.kind = {kind}\n")
+    config = write_config(tmp_path, text, "schedule.coarse = true\n")
+    assert main(["train", "--config", config]) == 0
+    assert (tmp_path / "out" / "metrics.csv").is_file()
+
+
 def test_schedule_preview_under_coarse_supervision_is_nan(tmp_path, capsys):
     """Coarse runs train on per-anchor temperatures; metrics.csv labels tau
     nan, and so does the preview."""
@@ -554,3 +566,44 @@ def test_gen_data_writes_the_synthetic_sets_that_train_reads(tmp_path, capsys):
                                       f"data.test_path = {out / 'test.tcld'}\n")
     assert main(["train", "--config", config]) == 0
     assert (runs / "out" / "metrics.csv").is_file()
+
+
+COMMANDS = [
+    ("train", "run a full experiment"),
+    ("eval", "evaluate a saved checkpoint"),
+    ("analyze", "analysis dumps for a saved checkpoint"),
+    ("schedule-preview", "emit the epoch,tau schedule as CSV"),
+    ("gen-data", "write the synthetic dataset files"),
+]
+
+
+def test_the_parser_lists_the_five_subcommands_in_order():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(a.dest, a.help) for a in sub._choices_actions] == COMMANDS
+
+
+@pytest.mark.parametrize("name", [name for name, _ in COMMANDS])
+def test_every_subcommand_takes_config_seed_and_output(name):
+    checkpoint = ["--checkpoint", "c.tclp"] if name in ("eval", "analyze") else []
+    args = build_parser().parse_args([name, "--config", "a.cfg", "--seed", "3",
+                                      "--output", "o"] + checkpoint)
+    assert (args.config, args.seed, args.output) == ("a.cfg", 3, "o")
+    assert args.func is getattr(tempcl.cli, "cmd_" + name.replace("-", "_"))
+
+
+@pytest.mark.parametrize("name", ["eval", "analyze"])
+def test_checkpoint_commands_require_a_checkpoint_and_accept_an_epoch(name, capsys):
+    args = build_parser().parse_args([name, "--checkpoint", "c.tclp", "--epoch", "4"])
+    assert (args.checkpoint, args.epoch) == ("c.tclp", 4)
+    assert build_parser().parse_args([name, "--checkpoint", "c.tclp"]).epoch is None
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name])
+    assert "the following arguments are required: --checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["train", "schedule-preview", "gen-data"])
+@pytest.mark.parametrize("flag", ["--checkpoint", "--epoch"])
+def test_other_subcommands_reject_the_checkpoint_flags(name, flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, flag, "1"])
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

@@ -93,6 +93,17 @@ class TestErrors:
         with pytest.raises(ConfigError, match="period_T must be <= run.epochs"):
             parse_config("run.epochs = 10\nschedule.period_T = 20\n")
 
+    @pytest.mark.parametrize("kind, key", [("cosine", "period_T"), ("step", "step_length")])
+    def test_schedule_length_rules_hold_without_coarse_supervision(self, kind, key):
+        with pytest.raises(ConfigError, match=f"schedule.{key} must be <= run.epochs"):
+            parse_config(f"run.epochs = 6\nschedule.kind = {kind}\nschedule.{key} = 20\n")
+
+    @pytest.mark.parametrize("kind, key", [("cosine", "period_T"), ("step", "step_length")])
+    def test_coarse_supervision_reads_no_schedule_length(self, kind, key):
+        cfg = parse_config(f"run.epochs = 6\nschedule.kind = {kind}\nschedule.{key} = 20\n"
+                           "schedule.coarse = true\n")
+        assert cfg.schedule.coarse and getattr(cfg.schedule, key) == 20
+
 
 class TestPixelAugmentation:
     @pytest.mark.parametrize("text", [

@@ -40,14 +40,14 @@ def batch_loss(params, X1, X2, tau) -> float:
     finite-difference oracles."""
     U = forward(params, X1).embeddings
     V = forward(params, X2).embeddings
-    return info_nce(similarity_matrix(U, V), tau).mean
+    return float(info_nce(similarity_matrix(U, V), tau)[0].mean())
 
 
 def batch_grads(params, X1, X2, tau) -> EncoderParams:
     r1 = forward(params, X1)
     r2 = forward(params, X2)
     U, V = r1.embeddings, r2.embeddings
-    G = info_nce(similarity_matrix(U, V), tau).grad
+    _, G = info_nce(similarity_matrix(U, V), tau)
     g1 = backward(params, G @ V, r1)
     g2 = backward(params, G.T @ U, r2)
     for (W, b), (dW, db) in zip(g1.layers, g2.layers):
@@ -260,9 +260,8 @@ def scalar_params(value: float) -> EncoderParams:
     return EncoderParams([(np.array([[value]]), np.zeros(1))], 0)
 
 
-def scalar_state(params, lr, momentum=0.0, wd=0.0) -> OptimState:
-    return OptimState(buffers=params.zeros_like(), base_lr=lr, warmup_epochs=0,
-                      total_epochs=1, weight_decay=wd, sgd_momentum=momentum)
+def scalar_state(params, momentum=0.0, wd=0.0) -> OptimState:
+    return OptimState(buffers=params.zeros_like(), weight_decay=wd, sgd_momentum=momentum)
 
 
 class TestSgdStep:
@@ -271,32 +270,32 @@ class TestSgdStep:
         before = flat(params).copy()
         state = init_optim_state(params, base_lr=0.5, warmup_epochs=0,
                                  total_epochs=5, weight_decay=0.0)
-        sgd_step(params, params.zeros_like(), state)
+        sgd_step(params, [params.zeros_like()], state, 0.5)
         np.testing.assert_array_equal(flat(params), before)
 
     def test_plain_gradient_descent(self):
         """One step on f(w) = w^2 from w=1 at lr 0.1 lands on 0.8."""
         params = scalar_params(1.0)
         grads = scalar_params(2.0)
-        sgd_step(params, grads, scalar_state(params, lr=0.1))
+        sgd_step(params, [grads], scalar_state(params), 0.1)
         assert params.layers[0][0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
         params = scalar_params(2.0)
-        sgd_step(params, params.zeros_like(), scalar_state(params, lr=0.1, wd=0.5))
+        sgd_step(params, [params.zeros_like()], scalar_state(params, wd=0.5), 0.1)
         # g = 0 + 0.5 * 2 = 1; w = 2 - 0.1 * 1
         assert params.layers[0][0][0, 0] == pytest.approx(1.9, abs=1e-15)
 
     def test_momentum_accumulates(self):
         params = scalar_params(0.0)
-        state = scalar_state(params, lr=1.0, momentum=0.5)
+        state = scalar_state(params, momentum=0.5)
         grads = scalar_params(1.0)
-        sgd_step(params, grads, state)   # buf = 1, w = -1
-        sgd_step(params, grads, state)   # buf = 1.5, w = -2.5
+        sgd_step(params, [grads], state, 1.0)   # buf = 1, w = -1
+        sgd_step(params, [grads], state, 1.0)   # buf = 1.5, w = -2.5
         assert params.layers[0][0][0, 0] == pytest.approx(-2.5, abs=1e-14)
 
 
-def sgd_step_oracle(params, grad_sets, state):
+def sgd_step_oracle(params, grad_sets, state, lr):
     """The unblocked update: the gradient sets summed in place into the
     first, then g + wd * p, the momentum and the step, one whole array at
     a time."""
@@ -305,7 +304,6 @@ def sgd_step_oracle(params, grad_sets, state):
         for (W, b), (dW, db) in zip(grads.layers, other.layers):
             W += dW
             b += db
-    lr = lr_at(state, state.epoch)
     for p, g, m in zip(params.arrays(), grads.arrays(), state.buffers.arrays()):
         m *= state.sgd_momentum
         m += g + state.weight_decay * p
@@ -339,10 +337,10 @@ class TestBlockedSgdStep:
         ref_params, ref_state = self.make(80)
         rng = np.random.default_rng(81)
         for epoch in range(4):
-            state.epoch = ref_state.epoch = epoch
+            lr = lr_at(state, epoch)
             sets = [random_like(params, rng) for _ in range(n_sets)]
-            sgd_step_oracle(ref_params, [g.copy() for g in sets], ref_state)
-            sgd_step(params, sets[0] if n_sets == 1 else sets, state)
+            sgd_step_oracle(ref_params, [g.copy() for g in sets], ref_state, lr)
+            sgd_step(params, sets, state, lr)
         for got, want in zip(params.arrays() + state.buffers.arrays(),
                              ref_params.arrays() + ref_state.buffers.arrays()):
             assert np.array_equal(got, want)
@@ -356,9 +354,9 @@ class TestBlockedSgdStep:
         second = params.zeros_like()
         second.layers[0] = (second.layers[0][0], np.zeros(1))
         with pytest.raises(ValueError, match=r"gradient shape \(1,\) does not match parameter \(256,\)"):
-            sgd_step(params, [params.zeros_like(), second], state)
+            sgd_step(params, [params.zeros_like(), second], state, 0.5)
         with pytest.raises(ValueError, match="gradient arrays"):
-            sgd_step(params, [EncoderParams(params.layers[1:], 0)], state)
+            sgd_step(params, [EncoderParams(params.layers[1:], 0)], state, 0.5)
         np.testing.assert_array_equal(flat(params), before)
 
     def test_no_parameter_sized_temporaries(self):
@@ -369,7 +367,7 @@ class TestBlockedSgdStep:
         sets = [random_like(params, np.random.default_rng(14)) for _ in range(2)]
         tracemalloc.start()
         try:
-            sgd_step(params, sets, state)
+            sgd_step(params, sets, state, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +392,7 @@ class TestOptimState:
         state = init_optim_state(params, total_epochs=7)
         direct = OptimState(buffers=params.zeros_like(), total_epochs=7)
         for name in ("base_lr", "warmup_epochs", "total_epochs", "weight_decay",
-                     "sgd_momentum", "epoch"):
+                     "sgd_momentum"):
             assert getattr(state, name) == getattr(direct, name)
         assert not flat(state.buffers).any()
 
@@ -403,9 +401,9 @@ class TestOptimState:
         is no hyper-parameter, so no caller can pass one in."""
         params = init_encoder(3, (4,), embed_dim=2, seed=10)
         state = init_optim_state(params, total_epochs=7)
-        sgd_step(params, params.zeros_like(), state)
+        sgd_step(params, [params.zeros_like()], state, 0.5)
         scratch = state.scratch
-        sgd_step(params, params.zeros_like(), state)
+        sgd_step(params, [params.zeros_like()], state, 0.5)
         assert state.scratch is scratch
         assert state == OptimState(buffers=state.buffers, total_epochs=7)
         with pytest.raises(TypeError):
@@ -496,8 +494,27 @@ class TestTrainEpoch:
         batch_losses = []
         for b in range(ds.n // 8):
             U = forward(params, ds.features[order[b * 8 : (b + 1) * 8]]).embeddings
-            batch_losses.append(info_nce(similarity_matrix(U, U), 0.5).mean)
+            batch_losses.append(float(info_nce(similarity_matrix(U, U), 0.5)[0].mean()))
         assert loss == float(np.mean(batch_losses))
+
+    @pytest.mark.parametrize("epoch, lr", [(1, 0.15), (5, 0.15 * (1 + np.cos(np.pi / 6)))],
+                             ids=["warmup", "cosine"])
+    def test_every_step_of_an_epoch_takes_the_epochs_lr(self, monkeypatch, epoch, lr):
+        """lr_at(state, epoch) reaches each of a 3-batch epoch's steps: 0.3 * 2 / 4
+        at epoch 1 of a 4-epoch warmup, the cosine's value at epoch 5 of 10."""
+        ds, params, state, source, policy, sched = toy_setup()
+        state.warmup_epochs = 4
+        step, lrs = tempcl.encoder.sgd_step, []
+
+        def record(params, grads, state, lr):
+            lrs.append(lr)
+            return step(params, grads, state, lr)
+
+        monkeypatch.setattr(tempcl.encoder, "sgd_step", record)
+        train_epoch(ds, params, state, sched, source, policy,
+                    seed=0, epoch=epoch, batch_size=ds.n // 3)
+        assert lrs == [lr_at(state, epoch)] * 3
+        assert lrs[0] == pytest.approx(lr, rel=1e-15)
 
     def test_bitwise_deterministic(self):
         runs = []

@@ -201,33 +201,27 @@ class TestGroupRows:
 
 
 class TestKnnReport:
-    def partition(self):
-        return np.array([0, 1, 2])
-
     def test_all_correct(self):
         train = np.eye(3)
         test = np.eye(3)
-        rows = knn_report(train, [0, 1, 2], test, [0, 1, 2], k_values=(1,),
-                          partition=self.partition())
+        rows = knn_report(train, [0, 1, 2], test, [0, 1, 2], k_values=(1,))
         m = scores(rows, "knn1")
         assert m["all"] == 1.0
         np.testing.assert_array_equal(per_class(m, 3), [1.0, 1.0, 1.0])
         assert [m[g] for g in ("head", "mid", "tail")] == [1.0, 1.0, 1.0]
 
     def test_one_class_always_wrong(self):
-        """Binary balanced test where one class is always misclassified."""
-        train = circle([0.0, 180.0])
-        test = circle([10.0, -10.0, 170.0, 190.0])
-        # class 1 centroids flipped: both class-1 queries sit nearer class 0?
-        rows = knn_report(train, [0, 1], test, [0, 0, 1, 1], k_values=(1,),
-                          partition=np.array([0, 2]))
+        """Three-class balanced test where one class is always misclassified."""
+        train = circle([0.0, 180.0, 90.0])
+        test = circle([10.0, -10.0, 170.0, 190.0, 80.0, 100.0])
+        test_labels = [0, 0, 1, 1, 2, 2]
+        rows = knn_report(train, [0, 1, 2], test, test_labels, k_values=(1,))
         m = scores(rows, "knn1")
-        assert m["class_0"] == 1.0 and m["class_1"] == 1.0
+        assert m["class_0"] == 1.0 and m["class_1"] == 1.0 and m["class_2"] == 1.0
         # now corrupt the train labels so class 1 is always wrong
-        rows = knn_report(train, [0, 0], test, [0, 0, 1, 1], k_values=(1,),
-                          partition=np.array([0, 2]))
+        rows = knn_report(train, [0, 0, 2], test, test_labels, k_values=(1,))
         m = scores(rows, "knn1")
-        assert m["all"] == 0.5
+        assert m["all"] == 4 / 6
         assert m["class_1"] == 0.0
 
     def test_group_means_match_independent_recomputation(self):
@@ -237,8 +231,7 @@ class TestKnnReport:
         test = unit_rows(rng, 48, 5)
         test_labels = rng.integers(0, 6, size=48)
         part = head_mid_tail_split(np.bincount(train_labels, minlength=6))
-        rows = knn_report(train, train_labels, test, test_labels, k_values=(1, 10),
-                          partition=part)
+        rows = knn_report(train, train_labels, test, test_labels, k_values=(1, 10))
         for name in ("knn1", "knn10"):
             m = scores(rows, name)
             for g, group in enumerate(("head", "mid", "tail")):
@@ -283,15 +276,13 @@ class TestFewshotSubset:
 
 
 class TestLinearProbe:
-    def test_separable_two_class(self):
-        """Means at +-e1 with zero noise reach perfect accuracy quickly."""
-        train = np.vstack([np.tile([1.0, 0.0], (20, 1)), np.tile([-1.0, 0.0], (20, 1))])
-        labels = np.repeat([0, 1], 20)
-        test = np.vstack([np.tile([1.0, 0.0], (5, 1)), np.tile([-1.0, 0.0], (5, 1))])
-        test_labels = np.repeat([0, 1], 5)
-        part = np.array([0, 2])
+    def test_separable_three_class(self):
+        """Means at +-e1 and e2 with zero noise reach perfect accuracy quickly."""
+        means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        train, labels = np.repeat(means, 20, axis=0), np.repeat([0, 1, 2], 20)
+        test, test_labels = np.repeat(means, 5, axis=0), np.repeat([0, 1, 2], 5)
         cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5)
-        rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
+        rows = linear_probe(train, labels, test, test_labels, cfg)
         assert scores(rows, "lt_lp")["all"] == 1.0
 
     def test_shuffled_labels_hit_chance_level(self):
@@ -304,8 +295,7 @@ class TestLinearProbe:
             test = unit_rows(rng, 500, 16)
             test_labels = rng.integers(0, K, size=500)
             cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5, seed=seed)
-            part = head_mid_tail_split(np.bincount(labels, minlength=K))
-            rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
+            rows = linear_probe(train, labels, test, test_labels, cfg)
             acc = scores(rows, "lt_lp")["all"]
             assert 0.05 < acc < 0.15, f"seed {seed}: acc {acc}"
 
@@ -345,22 +335,55 @@ class TestLinearProbe:
         test = unit_rows(rng, 30, 4)
         test_labels = rng.integers(0, 3, size=30)
         cfg = ProbeConfig(mode="FS_LP", epochs=50, lr=0.5, seed=3)
-        part = head_mid_tail_split(np.bincount(labels))
-        rows = linear_probe(train, labels, test, test_labels, cfg, partition=part)
+        rows = linear_probe(train, labels, test, test_labels, cfg)
         assert {name for name, _, _ in rows} == {"fs_lp"}
 
     def test_single_class_training_rejected(self):
         with pytest.raises(ValueError, match="one class"):
             linear_probe(np.eye(3), [1, 1, 1], np.eye(3), [0, 1, 2],
-                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1),
-                         partition=np.array([0, 1, 2]))
+                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1))
 
 
 class TestEvalReportRows:
     def test_rows_cover_all_scopes(self):
         train = np.eye(3)
-        rows = knn_report(train, [0, 1, 2], train, [0, 1, 2], k_values=(1,),
-                          partition=np.array([0, 1, 2]))
+        rows = knn_report(train, [0, 1, 2], train, [0, 1, 2], k_values=(1,))
         scopes = [scope for _, scope, _ in rows]
         assert scopes == ["all", "head", "mid", "tail", "class_0", "class_1", "class_2"]
         assert all(type(value) is float for _, _, value in rows)
+
+
+def report(kind, train, labels, test, test_labels):
+    """The rows of one scorer: kNN at k = 1, or a probe of mode ``kind``."""
+    if kind == "knn":
+        return scores(knn_report(train, labels, test, test_labels, k_values=(1,)), "knn1")
+    cfg = ProbeConfig(mode=kind, epochs=200, lr=0.5)
+    return scores(linear_probe(train, labels, test, test_labels, cfg), kind.lower())
+
+
+@pytest.mark.parametrize("kind", ["knn", "FS_LP", "LT_LP"])
+class TestDerivedGroups:
+    """Every scorer groups classes by their sizes in the full train labels."""
+
+    def test_groups_follow_the_train_sizes_not_the_ids(self, kind):
+        """Sizes 10/60/20 put class 1 in the head, 2 in the mid and 0 in the
+        tail; grouping FS_LP's balanced subset would put class 0 in the
+        head.  Test accuracies 1, 1/2 and 0 tell the groups apart."""
+        sizes = [10, 60, 20]
+        train, labels = np.repeat(np.eye(3), sizes, axis=0), np.repeat([0, 1, 2], sizes)
+        test = np.eye(3)[[0, 0, 1, 0, 0, 0]]  # class 1 half right, class 2 always wrong
+        m = report(kind, train, labels, test, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(per_class(m, 3), [1.0, 0.5, 0.0])
+        assert [m[g] for g in ("head", "mid", "tail")] == [0.5, 0.0, 1.0]
+
+    def test_a_test_class_beyond_the_train_classes_is_in_no_group(self, kind):
+        sizes = [3, 2, 2]
+        train, labels = np.repeat(np.eye(4)[:3], sizes, axis=0), np.repeat([0, 1, 2], sizes)
+        m = report(kind, train, labels, np.eye(4)[[0, 1, 2, 3]], [0, 1, 2, 3])
+        assert m["class_3"] == 0.0 and m["all"] == 0.75
+        assert [m[g] for g in ("head", "mid", "tail")] == [1.0, 1.0, 1.0]
+
+    def test_a_two_class_train_set_cannot_be_split(self, kind):
+        train, labels = np.eye(2)[[0, 0, 1, 1]], np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="need at least 3 classes to split, got 2"):
+            report(kind, train, labels, train, labels)

@@ -136,22 +136,22 @@ class TestInfoNce:
     def test_two_way_uniform(self):
         """All-zero similarities with two terms give log 2 per anchor."""
         S = np.zeros((2, 2))
-        bd = info_nce(S, 1.0)
-        np.testing.assert_allclose(bd.per_anchor, math.log(2.0), rtol=1e-12)
-        np.testing.assert_allclose(bd.mean, math.log(2.0), rtol=1e-12)
+        per_anchor, _ = info_nce(S, 1.0)
+        np.testing.assert_allclose(per_anchor, math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(per_anchor.mean(), math.log(2.0), rtol=1e-12)
 
     def test_shift_invariance_constant_matrix(self):
         """Any constant similarity matrix of size N gives log N."""
         for value in (-0.8, 0.0, 0.37, 1.0):
             for tau in (0.07, 0.5, 2.0):
-                bd = info_nce(np.full((4, 4), value), tau)
-                np.testing.assert_allclose(bd.per_anchor, math.log(4.0), rtol=1e-12)
+                per_anchor, _ = info_nce(np.full((4, 4), value), tau)
+                np.testing.assert_allclose(per_anchor, math.log(4.0), rtol=1e-12)
 
     def test_frozen_hard_positive_value(self):
         """s_ii = 1, s_ij = -1, tau = 0.5 gives log(1 + e^-4)."""
         S = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        bd = info_nce(S, 0.5)
-        np.testing.assert_allclose(bd.per_anchor, 0.01814992791780978, rtol=1e-12)
+        per_anchor, _ = info_nce(S, 0.5)
+        np.testing.assert_allclose(per_anchor, 0.01814992791780978, rtol=1e-12)
 
     def test_breakdown_identity(self):
         """per_anchor equals log(1 + positive_factor * negative_sum)."""
@@ -159,11 +159,10 @@ class TestInfoNce:
         for n in (2, 5, 16):
             S = random_similarities(rng, n)
             taus = rng.uniform(0.05, 2.0, size=n)
-            bd = info_nce(S, taus)
+            per_anchor, _ = info_nce(S, taus)
             positive, negative = distance_factors(S, taus)
             recon = np.log1p(positive * negative)
-            np.testing.assert_allclose(bd.per_anchor, recon, rtol=1e-12)
-            np.testing.assert_allclose(bd.mean, bd.per_anchor.mean(), rtol=1e-12)
+            np.testing.assert_allclose(per_anchor, recon, rtol=1e-12)
 
     def test_rejects_bad_tau(self):
         S = np.zeros((2, 2))
@@ -188,7 +187,7 @@ class TestInfoNce:
 
     def test_accepts_rounding_past_the_unit_bound(self):
         S = np.array([[1.0 + 1e-12, 0.0], [0.0, -1.0 - 1e-12]])
-        assert np.all(np.isfinite(info_nce(S, 1.0).per_anchor))
+        assert np.all(np.isfinite(info_nce(S, 1.0)[0]))
 
     def test_underflowing_negatives_give_zero_without_warning(self):
         """Negatives 2/tau below the positive underflow to zero weight; the
@@ -196,9 +195,9 @@ class TestInfoNce:
         S = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bd = info_nce(S, 0.001)
-        np.testing.assert_array_equal(bd.per_anchor, 0.0)
-        assert np.all(np.isfinite(bd.grad))
+            per_anchor, grad = info_nce(S, 0.001)
+        np.testing.assert_array_equal(per_anchor, 0.0)
+        assert np.all(np.isfinite(grad))
 
     def test_rejects_single_column(self):
         with pytest.raises(ValueError, match="negative"):
@@ -241,10 +240,10 @@ class TestTwoSoftmaxOracle:
         S = similarity_matrix(U, np.vstack([keys, unit_rows(rng, 1024, 32)]))
         taus = rng.choice([0.07, 0.2, 0.5], size=128)
         per_anchor, grad = two_softmax_oracle(S, taus)
-        bd = info_nce(S, taus)
-        assert np.array_equal(bd.grad, grad)
-        np.testing.assert_allclose(bd.per_anchor, per_anchor, rtol=1e-13)
-        np.testing.assert_allclose(bd.mean, per_anchor.mean(), rtol=1e-13)
+        got, got_grad = info_nce(S, taus)
+        assert np.array_equal(got_grad, grad)
+        np.testing.assert_allclose(got, per_anchor, rtol=1e-13)
+        np.testing.assert_allclose(got.mean(), per_anchor.mean(), rtol=1e-13)
 
     def test_square_at_a_small_tau_with_vanishing_losses(self):
         """At tau = 0.005 with positives well above every negative the
@@ -253,10 +252,10 @@ class TestTwoSoftmaxOracle:
         S = rng.uniform(-1.0, 0.2, size=(64, 64))
         np.fill_diagonal(S, rng.uniform(0.9, 1.0, size=64))
         per_anchor, grad = two_softmax_oracle(S, 0.005)
-        bd = info_nce(S, 0.005)
+        got, got_grad = info_nce(S, 0.005)
         assert per_anchor.min() < 1e-60
-        assert np.array_equal(bd.grad, grad)
-        np.testing.assert_allclose(bd.per_anchor, per_anchor, rtol=1e-13)
+        assert np.array_equal(got_grad, grad)
+        np.testing.assert_allclose(got, per_anchor, rtol=1e-13)
 
 
 class TestDistanceForm:
@@ -268,7 +267,7 @@ class TestDistanceForm:
             (np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.5),
         ]
         for S, tau in fixtures:
-            a = info_nce(S, tau).per_anchor
+            a = info_nce(S, tau)[0]
             b = info_nce_distance_form(S, tau)
             np.testing.assert_allclose(a, b, rtol=1e-9)
 
@@ -300,7 +299,7 @@ class TestFormEquivalence:
             n = int(rng.choice([2, 8, 64]))
             S = rng.uniform(-1.0, 1.0, size=(n, n))
             taus = rng.uniform(0.05, 2.0, size=n)
-            a = info_nce(S, taus).per_anchor
+            a = info_nce(S, taus)[0]
             b = info_nce_distance_form(S, taus)
             np.testing.assert_allclose(a, b, rtol=1e-9)
 
@@ -311,14 +310,14 @@ class TestFormEquivalence:
             n = int(rng.choice([2, 8]))
             S = rng.uniform(-1.0, 1.0, size=(n, n + int(rng.integers(1, 30))))
             tau = float(rng.uniform(0.05, 2.0))
-            a = info_nce(S, tau).per_anchor
+            a = info_nce(S, tau)[0]
             b = info_nce_distance_form(S, tau)
             np.testing.assert_allclose(a, b, rtol=1e-9)
 
     def test_tiny_loss_still_agrees(self):
         """Near-zero losses keep full relative agreement."""
         S = np.array([[0.999, -0.999], [-0.999, 0.999]])
-        a = info_nce(S, 0.05).per_anchor
+        a = info_nce(S, 0.05)[0]
         b = info_nce_distance_form(S, 0.05)
         assert a.min() > 0
         np.testing.assert_allclose(a, b, rtol=1e-9)
@@ -332,7 +331,7 @@ class TestLossProperties:
             n = int(rng.integers(2, 20))
             S = rng.uniform(-1.0, 1.0, size=(n, n))
             taus = rng.uniform(0.05, 2.0, size=n)
-            per = info_nce(S, taus).per_anchor
+            per = info_nce(S, taus)[0]
             bound = np.log1p((n - 1) * np.exp(-2.0 / taus))
             assert np.all(per >= 0.0)
             assert np.all(per >= bound - 1e-12)
@@ -347,23 +346,23 @@ class TestLossProperties:
             i = int(rng.integers(n))
             shifted = S.copy()
             shifted[i] += float(rng.uniform(-0.4, 0.4))
-            a = info_nce(S, taus).per_anchor[i]
-            b = info_nce(shifted, taus).per_anchor[i]
+            a = info_nce(S, taus)[0][i]
+            b = info_nce(shifted, taus)[0][i]
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_per_anchor_tau_matches_scalar(self):
         """A constant temperature vector reproduces the scalar result exactly."""
         rng = np.random.default_rng(33)
         S = random_similarities(rng, 6)
-        a = info_nce(S, 0.3)
-        b = info_nce(S, np.full(6, 0.3))
-        np.testing.assert_array_equal(a.per_anchor, b.per_anchor)
+        a, _ = info_nce(S, 0.3)
+        b, _ = info_nce(S, np.full(6, 0.3))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestInfoNceGrad:
     def test_uniform_matrix_frozen_values(self):
         """All-equal similarities: off-diagonal 0.125, diagonal -0.375."""
-        G = info_nce(np.full((4, 4), 0.2), 0.5).grad
+        _, G = info_nce(np.full((4, 4), 0.2), 0.5)
         off = G[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, 0.125, rtol=1e-12)
         np.testing.assert_allclose(np.diag(G), -0.375, rtol=1e-12)
@@ -374,7 +373,7 @@ class TestInfoNceGrad:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             S = random_similarities(rng, n)
-            G = info_nce(S, rng.uniform(0.05, 2.0, size=n)).grad
+            _, G = info_nce(S, rng.uniform(0.05, 2.0, size=n))
             np.testing.assert_allclose(G.sum(axis=1), 0.0, atol=1e-14)
 
     def test_signs(self):
@@ -383,7 +382,7 @@ class TestInfoNceGrad:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             S = random_similarities(rng, n)
-            G = info_nce(S, float(rng.uniform(0.05, 2.0))).grad
+            _, G = info_nce(S, float(rng.uniform(0.05, 2.0)))
             off = ~np.eye(n, dtype=bool)
             assert np.all(G[off] > 0.0)
             assert np.all(np.diag(G) < 0.0)
@@ -392,7 +391,7 @@ class TestInfoNceGrad:
         """Within a row, the gradient grows with the negative's similarity."""
         rng = np.random.default_rng(42)
         S = random_similarities(rng, 8)
-        G = info_nce(S, 0.2).grad
+        _, G = info_nce(S, 0.2)
         for i in range(8):
             cols = [j for j in range(8) if j != i]
             order = np.argsort(S[i, cols])
@@ -408,14 +407,15 @@ class TestInfoNceGrad:
                   for _ in range(11)]
         for n, tau in cases:
             S = rng.uniform(-0.9, 0.9, size=(n, n))
-            G = info_nce(S, tau).grad
+            _, G = info_nce(S, tau)
             fd = np.zeros_like(G)
             for i in range(n):
                 for j in range(n):
                     Sp, Sm = S.copy(), S.copy()
                     Sp[i, j] += h
                     Sm[i, j] -= h
-                    fd[i, j] = (info_nce(Sp, tau).mean - info_nce(Sm, tau).mean) / (2 * h)
+                    up, down = info_nce(Sp, tau)[0].mean(), info_nce(Sm, tau)[0].mean()
+                    fd[i, j] = (up - down) / (2 * h)
             err = np.abs(G - fd).max() / np.abs(G).max()
             assert err < 1e-5, f"n={n}, tau={tau}: rel err {err:.2e}"
 
@@ -428,18 +428,18 @@ class TestSymmetrized:
     def test_mean_is_average_of_directions(self):
         rng = np.random.default_rng(50)
         S = random_similarities(rng, 5)
-        sym = info_nce_symmetrized(S, 0.4)
-        fwd = info_nce(S, 0.4)
-        rev = info_nce(S.T, 0.4)
-        np.testing.assert_allclose(sym.mean, 0.5 * (fwd.mean + rev.mean), rtol=1e-12)
+        sym, _ = info_nce_symmetrized(S, 0.4)
+        fwd, _ = info_nce(S, 0.4)
+        rev, _ = info_nce(S.T, 0.4)
+        np.testing.assert_allclose(sym.mean(), 0.5 * (fwd.mean() + rev.mean()), rtol=1e-12)
 
     def test_symmetric_matrix_is_fixed_point(self):
         rng = np.random.default_rng(51)
         A = random_similarities(rng, 4)
         S = 0.5 * (A + A.T)
         np.testing.assert_allclose(
-            info_nce_symmetrized(S, 0.3).per_anchor,
-            info_nce(S, 0.3).per_anchor,
+            info_nce_symmetrized(S, 0.3)[0],
+            info_nce(S, 0.3)[0],
             rtol=1e-12,
         )
 
@@ -448,7 +448,7 @@ class TestSymmetrized:
         rng = np.random.default_rng(52)
         S = rng.uniform(-0.9, 0.9, size=(5, 5))
         tau = 0.3
-        G = info_nce_symmetrized(S, tau).grad
+        _, G = info_nce_symmetrized(S, tau)
         h = 1e-5
         fd = np.zeros_like(G)
         for i in range(5):
@@ -456,7 +456,6 @@ class TestSymmetrized:
                 Sp, Sm = S.copy(), S.copy()
                 Sp[i, j] += h
                 Sm[i, j] -= h
-                fd[i, j] = (
-                    info_nce_symmetrized(Sp, tau).mean - info_nce_symmetrized(Sm, tau).mean
-                ) / (2 * h)
+                up, down = info_nce_symmetrized(Sp, tau)[0], info_nce_symmetrized(Sm, tau)[0]
+                fd[i, j] = (up.mean() - down.mean()) / (2 * h)
         assert np.abs(G - fd).max() / np.abs(G).max() < 1e-5
