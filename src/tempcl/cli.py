@@ -2,9 +2,10 @@
 
 Subcommands: ``train`` (full experiment), ``eval --checkpoint`` and
 ``analyze --checkpoint`` (re-evaluate a saved encoder), ``schedule-preview``
-(epoch,tau CSV on stdout), and ``gen-data`` (write the synthetic dataset
-files).  Exit codes: 1 for configuration errors, 2 for data errors, 3 for
-numeric divergence.  A train file that holds one class, or no row of a
+(epoch,tau CSV on stdout, nan under coarse supervision), and ``gen-data``
+(write the synthetic dataset files).  Exit codes: 1 for configuration
+errors (an unreadable or non-UTF-8 ``--config`` too), 2 for data errors, 3
+for numeric divergence.  A train file that holds one class, or no row of a
 class below its class count (a TCLD header's K, a CIFAR file's largest
 label + 1), is a data error.  A config that asks more of a file than it
 holds is a configuration error: an ``n_max`` beyond a class's rows, or a
@@ -18,13 +19,8 @@ from pathlib import Path
 
 from tempcl.config import ConfigError, parse_config, render_config
 from tempcl.data import DataFormatError, save_dataset, write_atomic
-from tempcl.runner import (
-    _tau_label,
-    analyze_checkpoint,
-    eval_checkpoint,
-    run_experiment,
-    synthetic_datasets,
-)
+from tempcl.runner import analyze_checkpoint, eval_checkpoint, run_experiment, synthetic_datasets
+from tempcl.schedule import tau_at
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -36,6 +32,8 @@ def _load_config(args):
         text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     except UnicodeDecodeError as err:
         raise ConfigError(f"{args.config} is not UTF-8 text: {err}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read {args.config}: {err.strerror}") from None
     cfg = parse_config(text)
     if args.seed is not None:
         if args.seed < 0:
@@ -87,7 +85,7 @@ def cmd_schedule_preview(args) -> int:
     cfg = _load_config(args)
     print("epoch,tau")
     for t in range(cfg.run.epochs + 1):
-        print(f"{t},{_tau_label(cfg, t)!r}")
+        print(f"{t},{tau_at(cfg.schedule, t)!r}")
     return 0
 
 

@@ -25,7 +25,7 @@ from typing import Literal, get_args, get_origin
 
 from tempcl.data import AugmentationPolicy, _by_size
 from tempcl.evaluation import ProbeConfig
-from tempcl.schedule import ScheduleConfig
+from tempcl.schedule import PERIODIC_KINDS, ScheduleConfig
 
 __all__ = [
     "ConfigError",
@@ -266,7 +266,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(e.negatives == "in_batch", "encoder.symmetrize requires in_batch negatives")
 
     # coarse supervision reads neither the period nor the step length
-    if r.epochs > 0 and not s.coarse and s.kind in ("cosine", "linear_oscillation"):
+    if r.epochs > 0 and not s.coarse and s.kind in PERIODIC_KINDS:
         _require(s.period_T <= r.epochs,
                  "schedule.period_T must be <= run.epochs for periodic schedules")
     if r.epochs > 0 and not s.coarse and s.kind == "step":

@@ -43,7 +43,7 @@ from tempcl.loss import (
     info_nce_symmetrized,
     similarity_matrix,
 )
-from tempcl.schedule import ScheduleConfig, per_anchor_tau, tau_at
+from tempcl.schedule import ScheduleConfig, per_anchor_tau
 
 __all__ = [
     "EncoderParams",
@@ -374,11 +374,10 @@ def train_epoch(
     """One pass over the dataset, every step at ``lr_at(state, epoch)``;
     returns the updated parameters and the mean batch loss.
 
-    ``schedule`` gives each batch per-anchor temperatures from its labels
-    (:func:`per_anchor_tau`) when ``schedule.coarse`` is set, and otherwise
-    the epoch's one temperature (:func:`tau_at`).  ``views`` yields the
-    epoch's batches, as :func:`_epoch_views` does; by default that runs
-    here, making each batch's views between steps.
+    ``schedule`` gives each batch its anchors' temperatures at this epoch
+    (:func:`per_anchor_tau`).  ``views`` yields the epoch's batches, as
+    :func:`_epoch_views` does; by default that runs here, making each
+    batch's views between steps.
     """
     n = dataset.n
     n_batches = n // batch_size
@@ -392,10 +391,7 @@ def train_epoch(
     lr = lr_at(state, epoch)
     losses = []
     for b, (idx, v1, v2) in enumerate(views):
-        if schedule.coarse:
-            tau = per_anchor_tau(dataset.labels[idx], schedule)
-        else:
-            tau = tau_at(schedule, epoch)
+        tau = per_anchor_tau(dataset.labels[idx], schedule, epoch)
         grads, loss = _batch_gradients(params, v1, v2, tau, negative_source, symmetrize)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {b}")

@@ -2,7 +2,8 @@
 
 Assembles datasets from a parsed config, runs the training loop with
 evaluation snapshots (kNN, probes, coverage), writes analysis CSVs and
-checkpoints, and emits a deterministic metrics.csv.  Also provides the
+checkpoints, and emits a deterministic metrics.csv, whose evaluation epochs
+and tau column are :mod:`tempcl.schedule`'s.  Also provides the
 checkpoint-based evaluation and analysis entry points used by the CLI.
 
 A run owns one worker thread (a one-worker executor) for work that spends
@@ -69,7 +70,7 @@ from tempcl.encoder import (
 )
 from tempcl.evaluation import knn_report, linear_probe
 from tempcl.loss import _unit_rows, similarity_matrix
-from tempcl.schedule import recommended_eval_epoch, tau_at
+from tempcl.schedule import eval_epochs, tau_at
 
 __all__ = [
     "build_datasets",
@@ -179,28 +180,13 @@ def build_datasets(cfg: ExperimentConfig) -> tuple:
     return train, test
 
 
-def _recommended_points(cfg: ExperimentConfig) -> set:
-    """Each completed period's recommended evaluation epoch (periodic schedules)."""
-    E, s = cfg.run.epochs, cfg.schedule
-    if s.coarse or s.kind not in ("cosine", "linear_oscillation") or E < s.period_T:
-        return set()
-    return {recommended_eval_epoch(k * s.period_T, s.period_T)
-            for k in range(1, E // s.period_T + 1)}
-
-
 def snapshot_epochs(cfg: ExperimentConfig) -> list:
     """Epochs at which metrics are recorded: 0, every eval_every, each
-    period's recommended evaluation epoch, and the final epoch."""
+    period's evaluation epoch (:func:`eval_epochs`), and the final epoch."""
     E = cfg.run.epochs
-    points = {0, E} | _recommended_points(cfg)
+    points = {0, E} | eval_epochs(cfg.schedule, E)
     points.update(range(0, E + 1, cfg.run.eval_every))
     return sorted(points)
-
-
-def _tau_label(cfg: ExperimentConfig, epoch: int) -> float:
-    """The tau column of metrics.csv and schedule-preview: nan under coarse
-    supervision, whose temperatures are per anchor."""
-    return float("nan") if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
 
 
 def _forward_rows(pool, params, X):
@@ -298,8 +284,14 @@ class _ViewStream:
         wait([self._pending])
 
 
-def _format_rows(epoch, tau, rows):
-    return [f"{epoch},{tau!r},{metric},{scope},{value!r}\n" for metric, scope, value in rows]
+def _metrics_csv(cfg, snapshots):
+    """The metrics CSV text of (epoch, rows) snapshots; the tau column is
+    :func:`tau_at`'s, nan under coarse supervision."""
+    lines = ["epoch,tau,metric,scope,value\n"]
+    for epoch, rows in snapshots:
+        tau = tau_at(cfg.schedule, epoch)
+        lines += [f"{epoch},{tau!r},{metric},{scope},{value!r}\n" for metric, scope, value in rows]
+    return "".join(lines)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -331,17 +323,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         source = NegativeSource.in_batch()
 
     snapshots = set(snapshot_epochs(cfg))
-    checkpoints = _recommended_points(cfg)
+    checkpoints = eval_epochs(cfg.schedule, E)
     views_ahead = cfg.data.augment == "pixel"  # made on the worker (see _ViewStream)
-    lines = ["epoch,tau,metric,scope,value\n"]
-    pending = []  # (epoch, join, extra rows) of a started snapshot whose rows are not in lines
-    last_rows = None
+    joined = []  # (epoch, rows) of each joined snapshot
+    pending = []  # (epoch, join, extra rows) of a started snapshot not yet joined
 
     def settle():
-        nonlocal last_rows
         for epoch, join, extra_rows in pending:
-            last_rows = join() + list(extra_rows)
-            lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), last_rows))
+            joined.append((epoch, join() + list(extra_rows)))
         pending.clear()
 
     def record(epoch, extra_rows=()):
@@ -381,10 +370,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     save_checkpoint(params, out_dir / f"checkpoint_epoch{done:05d}.tclp")
         save_checkpoint(params, out_dir / "checkpoint_final.tclp")
 
-    write_atomic(out_dir / "metrics.csv", "".join(lines))
+    write_atomic(out_dir / "metrics.csv", _metrics_csv(cfg, joined))
 
     summary = {}
-    for metric, scope, value in last_rows:
+    for metric, scope, value in joined[-1][1]:
         if scope == "all":
             summary[metric] = float(value)
             print(f"final {metric} = {value!r}")
@@ -417,9 +406,7 @@ def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
             cfg, pool, checkpoint_path)
         join, _ = _start_snapshot(cfg, pool, params, feats, hist, train, test)
         rows = join()
-    lines = ["epoch,tau,metric,scope,value\n"]
-    lines.extend(_format_rows(epoch, _tau_label(cfg, epoch), rows))
-    write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", "".join(lines))
+    write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", _metrics_csv(cfg, [(epoch, rows)]))
     return rows
 
 

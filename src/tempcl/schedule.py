@@ -3,8 +3,9 @@
 Provides the oscillating cosine schedule plus the alternatives it is
 compared against (triangle wave, step function, per-epoch random draws,
 constant), coarse per-anchor temperature supervision keyed on head/tail
-class membership, and the period-aware rule for picking the evaluation
-epoch.
+class membership, and each period's evaluation epoch (:func:`eval_epochs`).
+Every rule of what a kind or coarse supervision means lives here; under
+coarse supervision an epoch has no one temperature, and :func:`tau_at` is NaN.
 """
 
 import math
@@ -15,13 +16,15 @@ import numpy as np
 
 __all__ = [
     "SCHEDULE_KINDS",
+    "PERIODIC_KINDS",
     "ScheduleConfig",
     "tau_at",
     "per_anchor_tau",
-    "recommended_eval_epoch",
+    "eval_epochs",
 ]
 
 SCHEDULE_KINDS = ("constant", "cosine", "linear_oscillation", "step", "random")
+PERIODIC_KINDS = ("cosine", "linear_oscillation")  # the kinds that period_T drives
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,14 @@ def tau_at(config: ScheduleConfig, t: int) -> float:
     triangle wave shares that phase and the same endpoints; step alternates
     tau_minus -> tau_plus -> ... holding each level for ``step_length``
     epochs; random draws once per epoch from uniform[tau_minus, tau_plus],
-    keyed by (seed, t).  The result always lies in [tau_minus, tau_plus].
+    keyed by (seed, t).  The result lies in [tau_minus, tau_plus]; it is
+    NaN under coarse supervision, whose temperatures are per anchor.
     """
     t = int(t)
     if t < 0:
         raise ValueError(f"epoch index must be >= 0, got {t}")
+    if config.coarse:
+        return math.nan
     lo, hi = config.tau_minus, config.tau_plus
     kind = config.kind
     if kind == "constant":
@@ -100,27 +106,24 @@ def tau_at(config: ScheduleConfig, t: int) -> float:
     return min(max(value, lo), hi)
 
 
-def per_anchor_tau(labels, config: ScheduleConfig) -> np.ndarray:
-    """Per-anchor temperature vector of coarse supervision: tau_head where
-    the anchor's class is in ``head_classes``, tau_tail otherwise."""
+def per_anchor_tau(labels, config: ScheduleConfig, t: int) -> np.ndarray:
+    """Every anchor's temperature at epoch ``t``: under coarse supervision
+    tau_head where the anchor's class is in ``head_classes`` and tau_tail
+    otherwise, else the epoch's one temperature (:func:`tau_at`)."""
+    if not config.coarse:
+        return np.full(len(labels), tau_at(config, t))
     if not config.head_classes:
         raise ValueError("coarse supervision needs a non-empty head_classes")
-    head = np.isin(np.asarray(labels), config.head_classes)
-    return np.where(head, config.tau_head, config.tau_tail).astype(np.float64)
+    return np.where(np.isin(labels, config.head_classes), config.tau_head,
+                    config.tau_tail).astype(np.float64)
 
 
-def recommended_eval_epoch(total_epochs: int, T: int) -> int:
-    """Evaluation epoch for a periodic schedule: round((n - 0.3) * T) with
-    n the number of completed periods, clamped to [1, total_epochs].
-
-    Raises when the run is shorter than one period; use a fixed temperature
-    or a shorter period in that case.
-    """
-    if total_epochs < T:
-        raise ValueError(
-            f"run of {total_epochs} epochs is shorter than one period (T={T}); "
-            "use a constant temperature or a shorter period"
-        )
-    n = total_epochs // T
-    epoch = int(round((n - 0.3) * T))
-    return min(max(epoch, 1), total_epochs)
+def eval_epochs(config: ScheduleConfig, total_epochs: int) -> set:
+    """The evaluation epoch of each completed period of a run of
+    ``total_epochs``: round((n - 0.3) * T) for the n-th period, clamped to
+    [1, n * T].  Empty for kinds without a period, under coarse supervision
+    and for a run shorter than one period."""
+    if config.coarse or config.kind not in PERIODIC_KINDS:
+        return set()
+    T = config.period_T
+    return {min(max(round((n - 0.3) * T), 1), n * T) for n in range(1, total_epochs // T + 1)}

@@ -109,6 +109,19 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_a_config_that_cannot_be_read_exits_1(tmp_path, capsys, what):
+    config = tmp_path / "run.cfg"
+    if what == "directory":
+        config.mkdir()
+    output = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--output", str(output)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read {config}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not output.exists()
+
+
 def test_missing_checkpoint_exits_2(trained, tmp_path, capsys):
     config, _ = trained
     missing = str(tmp_path / "none.tclp")
@@ -467,15 +480,15 @@ def test_analyze_of_a_checkpoint_with_a_narrow_tap_exits_2(tmp_path, capsys):
     assert not output.exists()  # a refused run writes nothing
 
 
-@pytest.mark.parametrize("where", ["config", "checkpoint", "data.path"])
+@pytest.mark.parametrize("where", ["checkpoint", "data.path"])
 def test_a_directory_given_as_an_input_file_exits_2(trained, tmp_path, capsys, where):
+    """A directory given as --config exits 1 instead
+    (test_a_config_that_cannot_be_read_exits_1)."""
     config, out = trained
     checkpoint = str(out / "checkpoint_final.tclp")
     folder = tmp_path / "folder"
     folder.mkdir()
-    if where == "config":
-        config = str(folder)
-    elif where == "checkpoint":
+    if where == "checkpoint":
         checkpoint = str(folder)
     else:
         config = write_config(tmp_path, extra=f"data.kind = tcld\ndata.path = {folder}\n"

@@ -12,7 +12,8 @@ and regenerate them on purpose.  The momentum-queue and pixel runs are
 repeated in a fresh process with two BLAS threads, which must give the
 same ``metrics.csv`` and checkpoint, and with one BLAS thread, under which
 the runner's import-time rule opens its worker paths; so is a run whose
-probes are wide enough for the worker.
+probes are wide enough for the worker.  The in-batch run without probes
+must give its golden less the probe rows.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -229,6 +230,23 @@ def test_analyze_checkpoint_reproduces_the_final_analysis(runs, data_dir, name, 
     for kind in ("coverage", "curves", "pca"):
         name = f"{kind}_epoch{EPOCHS:05d}.csv"
         assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_a_run_without_probes_gives_the_golden_less_its_probe_rows(data_dir, tmp_path):
+    """eval.run_probes = false drops the fs_lp and lt_lp rows and nothing
+    else: training, so the checkpoint, and every other row are the in-batch
+    golden's, and eval_checkpoint gives the final snapshot's rows."""
+    overrides = {**RUNS["in_batch"], "eval__run_probes": "false"}
+    run_dir = tmp_path / "run"
+    run_experiment(config(run_dir, data_dir, **overrides))
+    golden = (GOLDEN / "metrics_in_batch.csv").read_text().splitlines(keepends=True)
+    assert (run_dir / "metrics.csv").read_text().splitlines(keepends=True) == [
+        line for line in golden if ",fs_lp," not in line and ",lt_lp," not in line]
+    assert sha256(run_dir / "checkpoint_final.tclp") == HASHES["in_batch"]["checkpoint"]
+    rows = eval_checkpoint(config(tmp_path / "eval", data_dir, **overrides),
+                           run_dir / "checkpoint_final.tclp", EPOCHS)
+    final = [line.rstrip("\n").split(",")[2:] for line in _final_lines(run_dir)]
+    assert [[metric, scope, repr(value)] for metric, scope, value in rows] == final
 
 
 # runs one golden config, or WIDE, given (output dir, data dir, run name)

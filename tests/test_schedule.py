@@ -1,14 +1,17 @@
 """Tests for temperature schedules, coarse supervision, and the
-period-aware evaluation-epoch rule."""
+period-aware evaluation epochs."""
+
+import math
 
 import numpy as np
 import pytest
 
 from tempcl.schedule import (
+    PERIODIC_KINDS,
     SCHEDULE_KINDS,
     ScheduleConfig,
+    eval_epochs,
     per_anchor_tau,
-    recommended_eval_epoch,
     tau_at,
 )
 
@@ -126,32 +129,79 @@ class TestPerAnchorTau:
         """Anchors in head classes take tau_head, all others tau_tail."""
         coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(5)), tau_head=1.0,
                                 tau_tail=0.1)
-        np.testing.assert_array_equal(per_anchor_tau([0, 7], coarse), [1.0, 0.1])
+        np.testing.assert_array_equal(per_anchor_tau([0, 7], coarse, 0), [1.0, 0.1])
 
     def test_degenerate_supervision(self):
         coarse = ScheduleConfig(coarse=True, head_classes=(0,), tau_head=0.3, tau_tail=0.3)
-        np.testing.assert_array_equal(per_anchor_tau([0, 1, 2], coarse), [0.3, 0.3, 0.3])
+        np.testing.assert_array_equal(per_anchor_tau([0, 1, 2], coarse, 5), [0.3, 0.3, 0.3])
 
     def test_all_head(self):
         coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(4)), tau_head=0.8,
                                 tau_tail=0.1)
-        np.testing.assert_array_equal(per_anchor_tau([2, 0, 3], coarse), [0.8, 0.8, 0.8])
+        np.testing.assert_array_equal(per_anchor_tau([2, 0, 3], coarse, 9), [0.8, 0.8, 0.8])
 
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            per_anchor_tau([0, 1], ScheduleConfig(coarse=True))
+            per_anchor_tau([0, 1], ScheduleConfig(coarse=True), 0)
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_without_coarse_supervision_every_anchor_takes_the_epochs_tau(self, kind):
+        """Bit for bit the epoch's one temperature, as a float64 vector."""
+        cfg = ScheduleConfig(kind=kind, tau_minus=0.13, tau_plus=0.87, period_T=7,
+                             step_length=3, seed=4, constant_tau=0.3)
+        labels = np.arange(40) % 6
+        for t in range(30):
+            taus = per_anchor_tau(labels, cfg, t)
+            assert taus.dtype == np.float64
+            assert taus.tobytes() == np.full(40, tau_at(cfg, t)).tobytes()
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_tau_at_is_nan_under_coarse_supervision(kind):
+    cfg = ScheduleConfig(kind=kind, coarse=True, head_classes=(0,))
+    assert all(math.isnan(tau_at(cfg, t)) for t in range(0, 900, 37))
+
+
+def recommended_eval_epoch(total_epochs: int, T: int) -> int:
+    """The rule :func:`eval_epochs` replaced, kept as its oracle: round((n -
+    0.3) * T) with n the completed periods of the run, clamped to [1,
+    total_epochs]; a run shorter than one period raised."""
+    if total_epochs < T:
+        raise ValueError(
+            f"run of {total_epochs} epochs is shorter than one period (T={T}); "
+            "use a constant temperature or a shorter period"
+        )
+    n = total_epochs // T
+    epoch = int(round((n - 0.3) * T))
+    return min(max(epoch, 1), total_epochs)
 
 
 class TestRecommendedEvalEpoch:
     def test_five_periods(self):
-        assert recommended_eval_epoch(2000, 400) == 1880
+        assert max(eval_epochs(ScheduleConfig(period_T=400), 2000)) == 1880
 
     def test_single_period(self):
-        assert recommended_eval_epoch(400, 400) == 280
+        assert eval_epochs(ScheduleConfig(period_T=400), 400) == {280}
 
     def test_partial_trailing_period(self):
-        assert recommended_eval_epoch(1000, 400) == 680
+        assert eval_epochs(ScheduleConfig(period_T=400), 1000) == {280, 680}
 
     def test_run_shorter_than_period(self):
-        with pytest.raises(ValueError, match="shorter"):
-            recommended_eval_epoch(100, 400)
+        assert eval_epochs(ScheduleConfig(period_T=400), 100) == set()
+
+    @pytest.mark.parametrize("kind", PERIODIC_KINDS)
+    def test_equals_the_old_rule_at_every_period_and_length(self, kind):
+        """Each completed period's epoch, as the old rule gave it for a run
+        that ends with that period."""
+        for T in range(1, 121):
+            cfg = ScheduleConfig(kind=kind, period_T=T)
+            for E in range(0, 401):
+                expected = {recommended_eval_epoch(k * T, T) for k in range(1, E // T + 1)}
+                assert eval_epochs(cfg, E) == expected, (T, E)
+
+    @pytest.mark.parametrize("kind", sorted(set(SCHEDULE_KINDS) - set(PERIODIC_KINDS)))
+    def test_kinds_without_a_period_have_none(self, kind):
+        assert eval_epochs(ScheduleConfig(kind=kind, period_T=3), 30) == set()
+
+    def test_coarse_supervision_has_none(self):
+        assert eval_epochs(ScheduleConfig(coarse=True, period_T=3), 30) == set()
