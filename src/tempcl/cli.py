@@ -8,8 +8,9 @@ errors (an unreadable or non-UTF-8 ``--config`` too), 2 for data errors, 3
 for numeric divergence.  A train file that holds one class, or no row of a
 class below its class count (a TCLD header's K, a CIFAR file's largest
 label + 1), is a data error.  A config that asks more of a file than it
-holds is a configuration error: an ``n_max`` beyond a class's rows, or a
-train set below the 3 classes and 10 rows that a snapshot scores.
+holds is a configuration error: an ``n_max`` beyond a class's rows, a
+train set below the 3 classes and 10 rows that a snapshot scores, or a
+``gen-data`` of more classes than a TCLD file's u16 labels hold.
 """
 
 import argparse
@@ -91,6 +92,8 @@ def cmd_schedule_preview(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
+    if cfg.data.classes > 0xFFFF:  # before anything is written
+        raise ConfigError(f"data.classes = {cfg.data.classes} exceeds the 65535 of u16 labels")
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.resolved", render_config(cfg))

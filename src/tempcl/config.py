@@ -13,17 +13,16 @@ the format is finite and >= 0, and the parser rejects any other.  Each
 section is built once from its values, and a range its constructor
 refuses is reported against the section, as are the ranges
 :class:`ProbeConfig` checks.  Rules that need the loaded data, such as the
-coarse head set (:meth:`ExperimentConfig.schedule_for`), are checked once
-it is loaded.
+coarse head set (:func:`tempcl.schedule.class_tau`), are checked once it
+is loaded.
 """
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Literal, get_args, get_origin
 
-from tempcl.data import AugmentationPolicy, _by_size
+from tempcl.data import AugmentationPolicy
 from tempcl.evaluation import ProbeConfig
 from tempcl.schedule import PERIODIC_KINDS, ScheduleConfig
 
@@ -103,21 +102,6 @@ class ExperimentConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
-
-    def schedule_for(self, class_sizes) -> ScheduleConfig:
-        """The schedule for a train set of these ``class_sizes``: under
-        coarse supervision an empty head set becomes the frequent half (the
-        ceil(K/2) largest classes, ties to the smaller id), and one not a
-        strict subset raises ConfigError."""
-        s, num_classes = self.schedule, len(class_sizes)
-        if not s.coarse:
-            return s
-        head = s.head_classes or tuple(_by_size(class_sizes)[:(num_classes + 1) // 2].tolist())
-        _require(max(head) < num_classes,
-                 f"schedule.head_classes must lie in [0, {num_classes})")
-        _require(len(set(head)) < num_classes,
-                 "schedule.head_classes must be a strict subset of all classes")
-        return dataclasses.replace(s, head_classes=head)
 
     def probe_config(self, mode: str) -> ProbeConfig:
         ev = self.eval

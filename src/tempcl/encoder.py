@@ -43,7 +43,7 @@ from tempcl.loss import (
     info_nce_symmetrized,
     similarity_matrix,
 )
-from tempcl.schedule import ScheduleConfig, per_anchor_tau
+from tempcl.schedule import ScheduleConfig, class_tau
 
 __all__ = [
     "EncoderParams",
@@ -374,10 +374,10 @@ def train_epoch(
     """One pass over the dataset, every step at ``lr_at(state, epoch)``;
     returns the updated parameters and the mean batch loss.
 
-    ``schedule`` gives each batch its anchors' temperatures at this epoch
-    (:func:`per_anchor_tau`).  ``views`` yields the epoch's batches, as
-    :func:`_epoch_views` does; by default that runs here, making each
-    batch's views between steps.
+    ``schedule`` gives each class its temperature at this epoch
+    (:func:`class_tau`), and each anchor takes its class's.  ``views``
+    yields the epoch's batches, as :func:`_epoch_views` does; by default
+    that runs here, making each batch's views between steps.
     """
     n = dataset.n
     n_batches = n // batch_size
@@ -389,10 +389,11 @@ def train_epoch(
         views = _epoch_views(dataset, policy, seed, epoch, batch_size)
 
     lr = lr_at(state, epoch)
+    taus = class_tau(schedule, dataset.class_sizes, epoch)
     losses = []
     for b, (idx, v1, v2) in enumerate(views):
-        tau = per_anchor_tau(dataset.labels[idx], schedule, epoch)
-        grads, loss = _batch_gradients(params, v1, v2, tau, negative_source, symmetrize)
+        grads, loss = _batch_gradients(params, v1, v2, taus[dataset.labels[idx]],
+                                       negative_source, symmetrize)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {b}")
         sgd_step(params, grads, state, lr)

@@ -70,7 +70,7 @@ from tempcl.encoder import (
 )
 from tempcl.evaluation import knn_report, linear_probe
 from tempcl.loss import _unit_rows, similarity_matrix
-from tempcl.schedule import eval_epochs, tau_at
+from tempcl.schedule import class_tau, eval_epochs, tau_at
 
 __all__ = [
     "build_datasets",
@@ -306,7 +306,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.analysis.enable and tap < PCA_COMPONENTS:
         raise ConfigError(f"analysis.enable needs a feature tap of at least {PCA_COMPONENTS} "
                           f"dims for its PCA dump; the encoder's tap has {tap}")
-    schedule = cfg.schedule_for(train.class_sizes)
+    try:  # the coarse head set is checked against the loaded classes
+        class_tau(cfg.schedule, train.class_sizes, 0)
+    except ValueError as err:
+        raise ConfigError(f"schedule.{err}") from None
     # the config is written only once every rule that needs the data holds
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 for epoch in range(E))) if views_ahead else None
             for epoch in range(E):
                 views = ahead.take(train.n // batch_size) if ahead else None
-                _, loss = train_epoch(train, params, state, schedule, source,
+                _, loss = train_epoch(train, params, state, cfg.schedule, source,
                                       cfg.data, seed=cfg.run.seed, epoch=epoch,
                                       batch_size=batch_size,
                                       symmetrize=cfg.encoder.symmetrize, views=views)

@@ -2,8 +2,8 @@
 
 Provides the oscillating cosine schedule plus the alternatives it is
 compared against (triangle wave, step function, per-epoch random draws,
-constant), coarse per-anchor temperature supervision keyed on head/tail
-class membership, and each period's evaluation epoch (:func:`eval_epochs`).
+constant), coarse per-class temperatures keyed on head/tail membership
+(:func:`class_tau`), and each period's evaluation epoch (:func:`eval_epochs`).
 Every rule of what a kind or coarse supervision means lives here; under
 coarse supervision an epoch has no one temperature, and :func:`tau_at` is NaN.
 """
@@ -14,12 +14,14 @@ from typing import Literal
 
 import numpy as np
 
+from tempcl.data import _by_size
+
 __all__ = [
     "SCHEDULE_KINDS",
     "PERIODIC_KINDS",
     "ScheduleConfig",
     "tau_at",
-    "per_anchor_tau",
+    "class_tau",
     "eval_epochs",
 ]
 
@@ -33,13 +35,13 @@ class ScheduleConfig:
 
     By default every anchor of an epoch gets the one temperature of an
     epoch-indexed schedule (:func:`tau_at`).  ``tau_minus``/``tau_plus``
-    bound every kind.  ``period_T`` drives the cosine and triangle kinds,
-    ``step_length`` the step kind, ``seed`` the random kind, and
-    ``constant_tau`` the constant kind.
+    bound every kind but the constant one.  ``period_T`` drives the cosine
+    and triangle kinds, ``step_length`` the step kind, ``seed`` the random
+    kind, and ``constant_tau``, used as given, the constant kind.
 
     With ``coarse`` set, temperatures come from the anchor's class instead
-    (:func:`per_anchor_tau`): ``tau_head`` for classes in ``head_classes``,
-    ``tau_tail`` for all others.
+    (:func:`class_tau`): ``tau_head`` for the head set, ``head_classes`` or
+    else the frequent half of the classes, and ``tau_tail`` for all others.
     """
 
     kind: Literal[SCHEDULE_KINDS] = "cosine"
@@ -80,8 +82,8 @@ def tau_at(config: ScheduleConfig, t: int) -> float:
     triangle wave shares that phase and the same endpoints; step alternates
     tau_minus -> tau_plus -> ... holding each level for ``step_length``
     epochs; random draws once per epoch from uniform[tau_minus, tau_plus],
-    keyed by (seed, t).  The result lies in [tau_minus, tau_plus]; it is
-    NaN under coarse supervision, whose temperatures are per anchor.
+    keyed by (seed, t).  All but constant stay in [tau_minus, tau_plus];
+    the result is NaN under coarse supervision, whose taus are per class.
     """
     t = int(t)
     if t < 0:
@@ -106,16 +108,23 @@ def tau_at(config: ScheduleConfig, t: int) -> float:
     return min(max(value, lo), hi)
 
 
-def per_anchor_tau(labels, config: ScheduleConfig, t: int) -> np.ndarray:
-    """Every anchor's temperature at epoch ``t``: under coarse supervision
-    tau_head where the anchor's class is in ``head_classes`` and tau_tail
-    otherwise, else the epoch's one temperature (:func:`tau_at`)."""
+def class_tau(config: ScheduleConfig, class_sizes, t: int) -> np.ndarray:
+    """Each class's float64 temperature at epoch ``t``: the epoch's one
+    temperature (:func:`tau_at`), or under coarse supervision tau_head for
+    the head set, ``head_classes`` or else the ceil(K/2) largest classes
+    (ties to the smaller id), and tau_tail for the rest.  A head id >= K or
+    a head set that is not a strict subset of the K classes raises."""
+    K = len(class_sizes)
     if not config.coarse:
-        return np.full(len(labels), tau_at(config, t))
-    if not config.head_classes:
-        raise ValueError("coarse supervision needs a non-empty head_classes")
-    return np.where(np.isin(labels, config.head_classes), config.tau_head,
-                    config.tau_tail).astype(np.float64)
+        return np.full(K, tau_at(config, t))
+    head = config.head_classes or _by_size(class_sizes)[:(K + 1) // 2].tolist()
+    if max(head) >= K:
+        raise ValueError(f"head_classes must lie in [0, {K})")
+    if len(set(head)) >= K:
+        raise ValueError("head_classes must be a strict subset of all classes")
+    taus = np.full(K, config.tau_tail)
+    taus[list(head)] = config.tau_head
+    return taus
 
 
 def eval_epochs(config: ScheduleConfig, total_epochs: int) -> set:

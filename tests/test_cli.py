@@ -8,12 +8,12 @@ import struct
 import numpy as np
 import pytest
 
-import tempcl.runner
 import tempcl.cli
+import tempcl.encoder
 from tempcl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from tempcl.config import parse_config
 from tempcl.data import LongTailDataset, head_mid_tail_split, load_dataset, save_dataset
-from tempcl.encoder import train_epoch
+from tempcl.encoder import _batch_gradients, _epoch_views
 from tempcl.runner import synthetic_datasets
 from tempcl.schedule import tau_at
 from test_data import cifar10_fixture_bytes
@@ -224,19 +224,30 @@ def test_coarse_default_head_is_the_largest_classes_of_a_tcld_train_set(tmp_path
     holds evaluation's head group."""
     train = tcld(tmp_path / "train.tcld", [2, 4, 8, 16, 32, 64])
     test = tcld(tmp_path / "test.tcld", [3] * 6, seed=1)
-    heads = []
+    labels, steps = load_dataset(train).labels, []  # (anchor labels, temperatures) of each step
 
-    def spy(ds, params, state, schedule, *args, **kwargs):
-        heads.append(schedule.head_classes)
-        return train_epoch(ds, params, state, schedule, *args, **kwargs)
+    def views_spy(*args):
+        for idx, v1, v2 in _epoch_views(*args):
+            steps.append((labels[idx], None))
+            yield idx, v1, v2
 
-    monkeypatch.setattr(tempcl.runner, "train_epoch", spy)
+    def gradients_spy(params, v1, v2, tau, *args):
+        steps[-1] = (steps[-1][0], tau)
+        return _batch_gradients(params, v1, v2, tau, *args)
+
+    monkeypatch.setattr(tempcl.encoder, "_epoch_views", views_spy)
+    monkeypatch.setattr(tempcl.encoder, "_batch_gradients", gradients_spy)
     config = write_config(tmp_path, extra=f"data.kind = tcld\ndata.path = {train}\n"
                                           f"data.test_path = {test}\nschedule.coarse = true\n")
     assert main(["train", "--config", config]) == 0
-    assert heads == [(5, 4, 3)] * 2  # run.epochs
+    assert len(steps) == 2 * (labels.size // 16)  # run.epochs of full batches
+    head = {5, 4, 3}
+    for anchor_labels, tau in steps:
+        # tau_head for the head, tau_tail for the rest
+        expected = [1.0 if c in head else 0.1 for c in anchor_labels.tolist()]
+        assert tau.dtype == np.float64 and tau.tolist() == expected
     groups = head_mid_tail_split(load_dataset(train).class_sizes)
-    assert set(np.flatnonzero(groups == 0)) <= set(heads[0])
+    assert set(np.flatnonzero(groups == 0)) <= head
 
 
 @pytest.mark.parametrize("kind", ["cifar10", "cifar100"])
@@ -442,6 +453,16 @@ def test_coarse_head_class_outside_the_data_exits_1(tmp_path, cifar100_files, ca
     assert "config error: schedule.head_classes must lie in [0, 100)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head", ["0,1,2,3", "3,1,0,2,1"])
+def test_a_head_set_of_every_class_exits_1_and_writes_nothing(tmp_path, capsys, head):
+    config = write_config(tmp_path,
+                          extra=f"schedule.coarse = true\nschedule.head_classes = {head}\n")
+    assert main(["train", "--config", config]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: schedule.head_classes must be a strict subset of all classes\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_n_max_beyond_the_loaded_class_sizes_exits_1(tmp_path, cifar100_files, capsys):
     config = cifar100_config(tmp_path, cifar100_files, n_max=3)
     assert main(["train", "--config", config]) == EXIT_CONFIG
@@ -579,6 +600,19 @@ def test_gen_data_writes_the_synthetic_sets_that_train_reads(tmp_path, capsys):
                                       f"data.test_path = {out / 'test.tcld'}\n")
     assert main(["train", "--config", config]) == 0
     assert (runs / "out" / "metrics.csv").is_file()
+
+
+def test_gen_data_of_more_classes_than_u16_labels_hold_exits_1(tmp_path, capsys):
+    """Refused before anything is written (the generator would make the sets first)."""
+    text = TINY.replace("data.classes = 4", "data.classes = 70000").replace(
+        "data.n_max = 20", "data.n_max = 1").replace("data.test_per_class = 5",
+                                                     "data.test_per_class = 1")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-data", "--config", write_config(tmp_path, text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: data.classes = 70000 exceeds the 65535 of u16 labels\n"
+    assert list(out.iterdir()) == []
 
 
 COMMANDS = [

@@ -1,13 +1,14 @@
 """Tests for the config format: the render/parse round trip, line-numbered
 errors, and the cross-field rules."""
 
-import dataclasses
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from tempcl.config import ConfigError, ExperimentConfig, parse_config, render_config
 from tempcl.data import AugmentationPolicy
+from tempcl.schedule import class_tau
 
 NON_DEFAULT = """\
 # every kind of value: int, float, str, bool, choice, int list, optional int
@@ -135,9 +136,15 @@ class TestKeysAreFields:
     def test_value_objects_take_the_section_values(self):
         cfg = parse_config("schedule.kind = step\nschedule.step_length = 7\n"
                            "schedule.seed = 3\ndata.flip_prob = 0.25\n")
-        sched = cfg.schedule_for([1] * 10)
+        sched = cfg.schedule
         assert (sched.kind, sched.step_length, sched.seed) == ("step", 7, 3)
         assert isinstance(cfg.data, AugmentationPolicy) and cfg.data.flip_prob == 0.25
+
+
+def head_of(cfg, class_sizes):
+    """The classes that take tau_head in the config's per-class table."""
+    taus = class_tau(cfg.schedule, class_sizes, 0)
+    return set(np.flatnonzero(taus == cfg.schedule.tau_head).tolist())
 
 
 class TestHeadClasses:
@@ -145,34 +152,32 @@ class TestHeadClasses:
         # data.classes describes the synthetic generator only; loaded data
         # may have more classes
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,50\n")
-        assert cfg.schedule_for([1] * 100).head_classes == (0, 50)
-        with pytest.raises(ConfigError, match=r"must lie in \[0, 40\)"):
-            cfg.schedule_for([1] * 40)
+        assert head_of(cfg, [1] * 100) == {0, 50}
+        with pytest.raises(ValueError, match=r"must lie in \[0, 40\)"):
+            class_tau(cfg.schedule, [1] * 40, 0)
 
     def test_strict_subset(self):
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 0,1,2\n")
-        with pytest.raises(ConfigError, match="strict subset"):
-            cfg.schedule_for([3, 2, 1])
+        with pytest.raises(ValueError, match="strict subset"):
+            class_tau(cfg.schedule, [3, 2, 1], 0)
 
     def test_default_is_the_frequent_half(self):
         cfg = parse_config("schedule.coarse = true\n")
-        assert cfg.schedule_for([9, 7, 5, 3, 1]) == dataclasses.replace(
-            cfg.schedule, head_classes=(0, 1, 2))
+        assert class_tau(cfg.schedule, [9, 7, 5, 3, 1], 0).tolist() == [1.0, 1.0, 1.0, 0.1, 0.1]
 
     @pytest.mark.parametrize("sizes, head", [
-        ([2, 4, 8, 16, 32, 64], (5, 4, 3)),
-        ([5, 1, 5, 3, 9, 3, 1], (4, 0, 2, 3)),  # ties go to the smaller id
-        ([4, 4, 4, 4], (0, 1)),
+        ([2, 4, 8, 16, 32, 64], {5, 4, 3}),
+        ([5, 1, 5, 3, 9, 3, 1], {4, 0, 2, 3}),  # ties go to the smaller id
+        ([4, 4, 4, 4], {0, 1}),
     ])
     def test_default_head_is_the_largest_classes_in_any_order(self, sizes, head):
-        cfg = parse_config("schedule.coarse = true\n")
-        assert cfg.schedule_for(sizes).head_classes == head
+        assert head_of(parse_config("schedule.coarse = true\n"), sizes) == head
 
     def test_an_explicit_head_set_is_used_as_given(self):
         cfg = parse_config("schedule.coarse = true\nschedule.head_classes = 4,0\n")
-        assert cfg.schedule_for([2, 4, 8, 16, 32, 64]).head_classes == (4, 0)
+        assert head_of(cfg, [2, 4, 8, 16, 32, 64]) == {0, 4}
 
     def test_unread_without_coarse_supervision(self):
         # only coarse supervision reads the head set
         cfg = parse_config("schedule.head_classes = 0,1,2\n")
-        assert cfg.schedule_for([1, 1, 1]) is cfg.schedule
+        assert class_tau(cfg.schedule, [1, 1, 1], 0).tolist() == [1.0] * 3  # cosine at t = 0

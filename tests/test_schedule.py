@@ -10,8 +10,8 @@ from tempcl.schedule import (
     PERIODIC_KINDS,
     SCHEDULE_KINDS,
     ScheduleConfig,
+    class_tau,
     eval_epochs,
-    per_anchor_tau,
     tau_at,
 )
 
@@ -100,6 +100,13 @@ class TestConstant:
         cfg = ScheduleConfig(kind="constant", constant_tau=0.2)
         assert all(tau_at(cfg, t) == 0.2 for t in range(0, 1000, 97))
 
+    @pytest.mark.parametrize("value", [5.0, 0.01])
+    def test_constant_tau_is_used_as_given_outside_the_bounds(self, value):
+        """tau_minus/tau_plus do not clamp the constant kind."""
+        cfg = ScheduleConfig(kind="constant", constant_tau=value)
+        assert tau_at(cfg, 3) == value
+        assert class_tau(cfg, [1] * 4, 3).tolist() == [value] * 4
+
 
 class TestConfigValidation:
     def test_bounds_order(self):
@@ -124,25 +131,45 @@ class TestConfigValidation:
             tau_at(DEFAULTS, -1)
 
 
+def per_anchor_tau(labels, config, class_sizes, t):
+    """The form :func:`class_tau` replaced, kept as its oracle: an empty
+    head set resolved to the ceil(K/2) largest classes (ties to the smaller
+    id), then ``np.isin`` on every batch's labels."""
+    if not config.coarse:
+        return np.full(len(labels), tau_at(config, t))
+    K = len(class_sizes)
+    by_size = sorted(range(K), key=lambda k: (-class_sizes[k], k))
+    head = config.head_classes or by_size[:(K + 1) // 2]
+    return np.where(np.isin(labels, head), config.tau_head, config.tau_tail).astype(np.float64)
+
+
 class TestPerAnchorTau:
+    """An anchor's temperature is its class's entry of :func:`class_tau`."""
+
     def test_head_tail_assignment(self):
         """Anchors in head classes take tau_head, all others tau_tail."""
         coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(5)), tau_head=1.0,
                                 tau_tail=0.1)
-        np.testing.assert_array_equal(per_anchor_tau([0, 7], coarse, 0), [1.0, 0.1])
+        np.testing.assert_array_equal(class_tau(coarse, [1] * 8, 0)[[0, 7]], [1.0, 0.1])
 
     def test_degenerate_supervision(self):
         coarse = ScheduleConfig(coarse=True, head_classes=(0,), tau_head=0.3, tau_tail=0.3)
-        np.testing.assert_array_equal(per_anchor_tau([0, 1, 2], coarse, 5), [0.3, 0.3, 0.3])
+        np.testing.assert_array_equal(class_tau(coarse, [1] * 3, 5)[[0, 1, 2]], [0.3, 0.3, 0.3])
 
     def test_all_head(self):
         coarse = ScheduleConfig(coarse=True, head_classes=tuple(range(4)), tau_head=0.8,
                                 tau_tail=0.1)
-        np.testing.assert_array_equal(per_anchor_tau([2, 0, 3], coarse, 9), [0.8, 0.8, 0.8])
+        np.testing.assert_array_equal(class_tau(coarse, [1] * 5, 9)[[2, 0, 3]], [0.8, 0.8, 0.8])
 
-    def test_empty_head_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            per_anchor_tau([0, 1], ScheduleConfig(coarse=True), 0)
+    def test_an_empty_head_set_is_the_frequent_half(self):
+        coarse = ScheduleConfig(coarse=True, tau_head=0.7, tau_tail=0.2)
+        assert class_tau(coarse, [1, 3, 2], 4).tolist() == [0.2, 0.7, 0.7]
+
+    @pytest.mark.parametrize("head, K", [((2, 0, 1, 0), 3), ((), 1)])
+    def test_a_head_set_of_every_class_raises(self, head, K):
+        """Repeated ids count once; one class's default head is that class."""
+        with pytest.raises(ValueError, match="head_classes must be a strict subset"):
+            class_tau(ScheduleConfig(coarse=True, head_classes=head), [1] * K, 0)
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     def test_without_coarse_supervision_every_anchor_takes_the_epochs_tau(self, kind):
@@ -151,9 +178,30 @@ class TestPerAnchorTau:
                              step_length=3, seed=4, constant_tau=0.3)
         labels = np.arange(40) % 6
         for t in range(30):
-            taus = per_anchor_tau(labels, cfg, t)
+            taus = class_tau(cfg, [1] * 6, t)[labels]
             assert taus.dtype == np.float64
             assert taus.tobytes() == np.full(40, tau_at(cfg, t)).tobytes()
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_indexing_the_table_equals_the_isin_form(self, kind, coarse):
+        """Byte for byte over random labels and class sizes, explicit head
+        sets with repeated ids, and the default head set."""
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            K = int(rng.integers(2, 30))
+            sizes = rng.integers(1, 6, K).tolist()  # small sizes, so that ties occur
+            n_head = int(rng.integers(1, K))  # drawn with replacement: ids repeat
+            head = () if trial % 4 == 0 else tuple(rng.choice(K, n_head).tolist())
+            cfg = ScheduleConfig(kind=kind, period_T=5, step_length=2, seed=trial,
+                                 coarse=coarse, head_classes=head,
+                                 tau_head=float(rng.uniform(0.05, 2)),
+                                 tau_tail=float(rng.uniform(0.05, 2)))
+            labels = rng.integers(0, K, 128)
+            t = int(rng.integers(0, 50))
+            taus = class_tau(cfg, sizes, t)[labels]
+            assert taus.dtype == np.float64
+            assert taus.tobytes() == per_anchor_tau(labels, cfg, sizes, t).tobytes(), trial
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
