@@ -3,12 +3,15 @@
 Hypersphere coverage histograms (how evenly the embeddings fill randomly
 sampled directions), individual vs. cumulative negative-contribution
 curves as a function of anchor similarity, and PCA projections.  Each
-diagnostic has a CSV renderer; plotting is left to external tooling.
+diagnostic has a CSV renderer; plotting is left to external tooling.  Each
+n x m product of embeddings is formed in row blocks (``loss._row_blocks``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from tempcl.loss import _check_unit_rows, _row_blocks
 
 __all__ = [
     "ContributionCurves",
@@ -39,7 +42,8 @@ def coverage_histogram(embeddings: np.ndarray, B: int = 500, seed: int = 0) -> n
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 4]))
     dirs = rng.standard_normal((B, embeddings.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    assign = np.argmax(embeddings @ dirs.T, axis=1)
+    assign = np.concatenate([np.argmax(embeddings[a:b] @ dirs.T, axis=1)
+                             for a, b in _row_blocks(embeddings.shape[0], 8 * B)])
     return np.bincount(assign, minlength=B)
 
 
@@ -76,6 +80,12 @@ def _bin_of(values: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, N_SIM_BINS - 1, out=idx)
 
 
+def _curves(hist: np.ndarray, cumulative: np.ndarray, tau: float) -> ContributionCurves:
+    """The curve set of the per-bin negative counts and summed weights."""
+    individual = np.exp((_BIN_CENTERS - _BIN_CENTERS.max()) / tau)
+    return ContributionCurves(individual / individual.max(), cumulative / cumulative.max(), hist)
+
+
 def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCurves:
     """Contribution curves for one anchor's negatives.
 
@@ -90,25 +100,41 @@ def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCur
         raise ValueError("similarities must lie in [-1, 1]")
     if not tau > 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
-
-    individual = np.exp((_BIN_CENTERS - _BIN_CENTERS.max()) / tau)
-    individual /= individual.max()
-
     idx = _bin_of(s)
-    hist = np.bincount(idx, minlength=N_SIM_BINS)
-    weights = np.exp((s - s.max()) / tau)
-    cumulative = np.bincount(idx, weights=weights, minlength=N_SIM_BINS)
-    cumulative /= cumulative.max()
-    return ContributionCurves(individual=individual, cumulative=cumulative, histogram=hist)
+    cumulative = np.bincount(idx, weights=np.exp((s - s.max()) / tau), minlength=N_SIM_BINS)
+    return _curves(np.bincount(idx, minlength=N_SIM_BINS), cumulative, tau)
 
 
-def aggregate_contribution_curves(S: np.ndarray, tau: float) -> ContributionCurves:
-    """Curves of a square similarity matrix: every off-diagonal similarity
-    of every anchor pooled into one curve set."""
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 2:
-        raise ValueError("need a square similarity matrix with N >= 2")
-    return contribution_curves(S[~np.eye(S.shape[0], dtype=bool)], tau)
+def aggregate_contribution_curves(emb: np.ndarray, tau: float) -> ContributionCurves:
+    """:func:`contribution_curves` of the off-diagonal entries of
+    ``similarity_matrix(emb, emb)``, formed twice in row blocks: pass 1 takes
+    the maximum, pass 2 adds weights by ``np.add.at`` in one ``bincount``'s
+    row-major order.  A diagonal entry, at -inf, adds 0.0 to bin 0's sum."""
+    emb = np.asarray(emb, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] < 2:
+        raise ValueError("need a 2-D embedding matrix with N >= 2 rows")
+    if not tau > 0:
+        raise ValueError(f"temperature must be > 0, got {tau}")
+    _check_unit_rows(emb, "embeddings")
+    blocks = _row_blocks(emb.shape[0], 8 * emb.shape[0])
+
+    def sims(a, b):
+        S = emb[a:b] @ emb.T
+        np.clip(S, -1.0, 1.0, out=S)
+        S[np.arange(b - a), np.arange(a, b)] = -np.inf
+        return S
+
+    top = max(sims(a, b).max() for a, b in blocks)
+    hist, cumulative = np.zeros(N_SIM_BINS, dtype=np.int64), np.zeros(N_SIM_BINS)
+    for a, b in blocks:
+        S = sims(a, b)
+        idx = _bin_of(S).ravel()
+        hist += np.bincount(idx, minlength=N_SIM_BINS)
+        S -= top
+        S /= tau
+        np.add.at(cumulative, idx, np.exp(S, out=S).ravel())
+    hist[0] -= emb.shape[0]  # the diagonal's count
+    return _curves(hist, cumulative, tau)
 
 
 def pca_project(embeddings: np.ndarray, components: int = 3) -> np.ndarray:

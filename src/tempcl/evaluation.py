@@ -17,8 +17,8 @@ k unless the k-th similarity also occurs outside them, in which case the
 partition may have kept a larger train index than the rule allows; those
 rare rows are re-ranked with a full stable sort.  One ranking serves every
 k: the exact top k under that order is the first k columns of the exact
-top max(k), so the similarity product is formed, checked and ranked once
-and each k votes on its prefix.  Votes for all rows are counted at once.
+top max(k), so each k votes on its prefix.  Ranking is per row, so the
+product is formed and ranked in blocks of test rows (``loss._row_blocks``).
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempcl.data import _class_draws, head_mid_tail_split
-from tempcl.loss import _check_unit_rows
+from tempcl.loss import _check_unit_rows, _row_blocks
 
 __all__ = [
     "ProbeConfig",
@@ -90,7 +90,9 @@ def knn_classify(
             raise ValueError(f"k={k} outside [1, {train_emb.shape[0]}]")
     _check_unit_rows(train_emb, "train embeddings")
     _check_unit_rows(test_emb, "test embeddings")
-    idx, top = _rank_neighbours(test_emb @ train_emb.T, max(k_values))
+    ranked = [_rank_neighbours(test_emb[a:b] @ train_emb.T, max(k_values))
+              for a, b in _row_blocks(test_emb.shape[0], 8 * train_emb.shape[0])]
+    idx, top = (np.concatenate(parts) for parts in zip(*ranked))
     votes = train_labels[idx]
     rows = np.arange(idx.shape[0])
     shape = (idx.shape[0], int(train_labels.max()) + 1)

@@ -22,6 +22,9 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-6
 _SIM_BOUND_SLACK = 1e-9
+# float64 products held at once by a row-blocked product; freed 1 MiB blocks leave
+# glibc's mmap threshold below a training step's loss matrix, which then faults
+_PRODUCT_BLOCK_BYTES = 2 << 20
 
 
 def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,6 +51,16 @@ def _check_unit_rows(X: np.ndarray, name: str) -> None:
         raise ValueError(
             f"row {i} of {name} is not unit-norm (|norm - 1| = {abs(norms[i] - 1.0):.3e})"
         )
+
+
+def _row_blocks(n: int, row_bytes: int) -> list:
+    """(start, stop) pairs covering rows [0, n) in order, each ~``_PRODUCT_BLOCK_BYTES``
+    of products of ``row_bytes`` a row; one if they fit.  A 1-row remainder
+    joins the block before it: a 1-row product takes gemv, whose sums differ."""
+    starts = list(range(0, n, max(2, _PRODUCT_BLOCK_BYTES // row_bytes))) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def similarity_matrix(U: np.ndarray, V: np.ndarray, *, v_checked: bool = False) -> np.ndarray:

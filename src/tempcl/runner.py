@@ -69,7 +69,7 @@ from tempcl.encoder import (
     train_epoch,
 )
 from tempcl.evaluation import knn_report, linear_probe
-from tempcl.loss import _unit_rows, similarity_matrix
+from tempcl.loss import _unit_rows
 from tempcl.schedule import class_tau, eval_epochs, tau_at
 
 __all__ = [
@@ -250,8 +250,7 @@ def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
     write_atomic(out_dir / f"coverage_{tag}.csv", coverage_csv(hist))
 
     tau = cfg.schedule.tau_tail if cfg.schedule.coarse else tau_at(cfg.schedule, epoch)
-    curves = aggregate_contribution_curves(similarity_matrix(emb, emb), tau)
-    write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(curves))
+    write_atomic(out_dir / f"curves_{tag}.csv", curves_csv(aggregate_contribution_curves(emb, tau)))
 
     coords = pca_project(feats, components=PCA_COMPONENTS)
     write_atomic(out_dir / f"pca_{tag}.csv", pca_csv(coords, labels))

@@ -1,10 +1,12 @@
 """Tests for coverage histograms, negative-contribution curves, and PCA."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import tempcl.loss
 from tempcl.analysis import (
     N_SIM_BINS,
     SIM_BIN_EDGES,
@@ -18,10 +20,24 @@ from tempcl.analysis import (
     pca_project,
     uniformity_stat,
 )
+from tempcl.evaluation import knn_classify
+from tempcl.loss import _PRODUCT_BLOCK_BYTES, _row_blocks, similarity_matrix
+from test_data import traced_peak
 from test_loss import unit_rows
 
 
 class TestCoverageHistogram:
+    @pytest.mark.parametrize("n", [3000, 2 * (_PRODUCT_BLOCK_BYTES // 4000) + 1])
+    def test_blocks_give_the_whole_product_argmax(self, n, monkeypatch):
+        """Row blocks of the embeddings x 500 directions product (the second
+        case with a folded 1-row remainder) assign as one whole product does."""
+        emb = unit_rows(np.random.default_rng(13), n, 16)
+        assert len(_row_blocks(n, 8 * 500)) > 1
+        blocked = coverage_histogram(emb, B=500, seed=3)
+        monkeypatch.setattr(tempcl.loss, "_PRODUCT_BLOCK_BYTES", 1 << 62)
+        assert _row_blocks(n, 8 * 500) == [(0, n)]
+        np.testing.assert_array_equal(blocked, coverage_histogram(emb, B=500, seed=3))
+
     def test_degenerate_mass_in_one_bin(self):
         emb = np.tile([1.0, 0.0, 0.0], (50, 1))
         counts = coverage_histogram(emb, B=20, seed=0)
@@ -165,18 +181,84 @@ class TestBinOf:
         np.testing.assert_array_equal(_bin_of(s), expect)
 
 
+def pooled_oracle(emb, tau):
+    """The curves of the whole similarity matrix's off-diagonal entries."""
+    off = ~np.eye(emb.shape[0], dtype=bool)
+    return contribution_curves(similarity_matrix(emb, emb)[off], tau)
+
+
 class TestAggregateCurves:
-    def square_sims(self):
-        rng = np.random.default_rng(7)
-        return rng.uniform(-0.9, 0.9, size=(6, 6))
+    """The curves of unit embeddings, from row blocks of their product,
+    equal the oracle: bit for bit from one block, within 1e-12 from several
+    (GEMM row blocks round apart from the whole product's SYRK)."""
 
     def test_pooled_equals_offdiagonal_pool(self):
-        S = self.square_sims()
-        agg = aggregate_contribution_curves(S, 0.3)
-        off = S[~np.eye(6, dtype=bool)]
-        direct = contribution_curves(off, 0.3)
+        emb = unit_rows(np.random.default_rng(7), 6, 4)
+        agg = aggregate_contribution_curves(emb, 0.3)
+        direct = pooled_oracle(emb, 0.3)
         np.testing.assert_array_equal(agg.cumulative, direct.cumulative)
+        np.testing.assert_array_equal(agg.histogram, direct.histogram)
         assert agg.histogram.sum() == 30
+
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5])
+    def test_one_block_keeps_the_bits(self, tau):
+        """Duplicate rows put off-diagonal entries at s = 1 and tiny tau
+        underflows most weights; the diagonal still leaves no trace."""
+        base = unit_rows(np.random.default_rng(20), 100, 16)
+        emb = np.vstack([base, base[:50]])
+        assert len(_row_blocks(150, 8 * 150)) == 1
+        agg, direct = aggregate_contribution_curves(emb, tau), pooled_oracle(emb, tau)
+        for got, expect in zip(astuple(agg), astuple(direct), strict=True):
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
+        assert agg.histogram[-1] == 100
+
+    @pytest.mark.parametrize("n", [722, 1242])
+    @pytest.mark.parametrize("tau", [0.07, 0.5])
+    def test_several_blocks_agree_within_1e_12(self, n, tau):
+        emb = unit_rows(np.random.default_rng(21), n, 32)
+        assert len(_row_blocks(n, 8 * n)) > 1
+        agg, direct = aggregate_contribution_curves(emb, tau), pooled_oracle(emb, tau)
+        np.testing.assert_array_equal(agg.histogram, direct.histogram)
+        np.testing.assert_array_equal(agg.individual, direct.individual)
+        np.testing.assert_allclose(agg.cumulative, direct.cumulative, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("emb, tau, match", [
+        (np.eye(3)[:1], 0.5, "N >= 2"),
+        (np.ones(3) / np.sqrt(3), 0.5, "N >= 2"),
+        (np.eye(3), 0.0, "temperature"),
+        (2.0 * np.eye(3), 0.5, "row 0 of embeddings is not unit-norm"),
+    ], ids=["one_row", "one_dim", "zero_tau", "not_unit"])
+    def test_bad_input_rejected(self, emb, tau, match):
+        with pytest.raises(ValueError, match=match):
+            aggregate_contribution_curves(emb, tau)
+
+
+class TestSnapshotMemory:
+    """At 4,000 rows each snapshot product stays in row blocks: the traced
+    peak is at most 16 MiB where the whole products took 245 MiB (kNN at
+    D=128) and 610 MiB (curves at D=32).  Coverage's whole 4,000 x 500
+    product took 15.4 MiB, under that bound, so its bound is 4 MiB."""
+
+    LIMIT = 16 << 20
+    N = 4000
+
+    def test_knn(self):
+        rng = np.random.default_rng(50)
+        train, test = unit_rows(rng, self.N, 128), unit_rows(rng, self.N, 128)
+        labels = rng.integers(0, 10, size=self.N)
+        _, peak = traced_peak(lambda: knn_classify(train, labels, test, (1, 10)))
+        assert peak <= self.LIMIT
+
+    def test_curves(self):
+        emb = unit_rows(np.random.default_rng(51), self.N, 32)
+        _, peak = traced_peak(lambda: aggregate_contribution_curves(emb, 0.1))
+        assert peak <= self.LIMIT
+
+    def test_coverage(self):
+        emb = unit_rows(np.random.default_rng(52), self.N, 32)
+        _, peak = traced_peak(lambda: coverage_histogram(emb, B=500, seed=0))
+        assert peak <= 4 << 20
 
 
 def eigh_basis(X):

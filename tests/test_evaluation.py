@@ -12,12 +12,14 @@ from tempcl.data import head_mid_tail_split
 from tempcl.evaluation import (
     ProbeConfig,
     _probe_grads,
+    _rank_neighbours,
     _rows,
     fewshot_subset,
     knn_classify,
     knn_report,
     linear_probe,
 )
+from tempcl.loss import _PRODUCT_BLOCK_BYTES, _row_blocks
 from test_loss import unit_rows
 
 
@@ -164,6 +166,74 @@ class TestKnnClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             knn_classify(np.eye(3), [0, 1, 2], np.eye(2), (1,))
+
+
+def whole_matrix_knn(train_emb, train_labels, test_emb, k_values):
+    """The kNN of one whole test x train product, ranked at once, with the
+    same votes: the oracle of the row-blocked ranking."""
+    idx, top = _rank_neighbours(test_emb @ train_emb.T, max(k_values))
+    votes = np.asarray(train_labels)[idx]
+    rows = np.arange(idx.shape[0])
+    shape = (idx.shape[0], int(np.max(train_labels)) + 1)
+    preds = []
+    for k in k_values:
+        counts = np.zeros(shape, dtype=np.int64)
+        nearest = np.full(shape, -np.inf)
+        for j in reversed(range(k)):
+            counts[rows, votes[:, j]] += 1
+            nearest[rows, votes[:, j]] = top[:, j]
+        tied = counts == counts.max(axis=1, keepdims=True)
+        preds.append(np.argmax(np.where(tied, nearest, -np.inf), axis=1))
+    return preds
+
+
+class TestBlockedKnn:
+    """Test rows are ranked in row blocks; the predictions equal those of
+    the whole product bit for bit."""
+
+    def assert_matches_whole_matrix(self, train, labels, test, k_values):
+        mine = knn_classify(train, labels, test, k_values)
+        for got, expect in zip(mine, whole_matrix_knn(train, labels, test, k_values),
+                               strict=True):
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("n_train, n_test", [(722, 1000), (1242, 1000)])
+    def test_several_blocks(self, n_train, n_test):
+        rng = np.random.default_rng(40)
+        train, test = unit_rows(rng, n_train, 32), unit_rows(rng, n_test, 32)
+        assert len(_row_blocks(n_test, 8 * n_train)) > 1
+        self.assert_matches_whole_matrix(train, rng.integers(0, 100, size=n_train), test,
+                                         (1, 10))
+
+    def test_a_folded_1_row_remainder(self):
+        rng = np.random.default_rng(41)
+        step = _PRODUCT_BLOCK_BYTES // (8 * 1024)
+        train, test = unit_rows(rng, 1024, 16), unit_rows(rng, 2 * step + 1, 16)
+        assert _row_blocks(test.shape[0], 8 * 1024) == [(0, step), (step, 2 * step + 1)]
+        self.assert_matches_whole_matrix(train, rng.integers(0, 10, size=1024), test,
+                                         (1, 5, 10))
+
+    def test_duplicate_train_rows_tied_across_a_block_boundary(self):
+        """Train rows repeat 40 distinct vectors, so every test row that is
+        one of them ties with its copies; the same queries sit on both sides
+        of a block boundary and rank alike."""
+        rng = np.random.default_rng(42)
+        distinct = unit_rows(rng, 40, 8)
+        train = distinct[rng.integers(0, 40, size=1024)]
+        labels = rng.integers(0, 6, size=1024)
+        test = distinct[rng.integers(0, 40, size=600)]
+        (_, b), (c, _) = _row_blocks(600, 8 * 1024)[:2]
+        assert b == c
+        test[b - 3:b + 3] = distinct[[5, 6, 7, 5, 6, 7]]
+        self.assert_matches_whole_matrix(train, labels, test, (1, 10, 25))
+        for k_pred in knn_classify(train, labels, test, (1, 10, 25)):
+            np.testing.assert_array_equal(k_pred[b - 3:b], k_pred[b:b + 3])
+
+    def test_no_test_rows(self):
+        preds = knn_classify(np.eye(3), [0, 1, 2], np.zeros((0, 3)), (1,))
+        assert len(preds) == 1
+        assert preds[0].shape == (0,) and preds[0].dtype == np.int64
 
 
 def group_means_oracle(per_class, groups, n_classes):

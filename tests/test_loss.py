@@ -7,9 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+from tempcl.analysis import aggregate_contribution_curves
 from tempcl.encoder import NegativeSource, queue_push
 from tempcl.evaluation import knn_classify
-from tempcl.loss import info_nce, info_nce_symmetrized, similarity_matrix
+from tempcl.loss import (
+    _PRODUCT_BLOCK_BYTES,
+    _row_blocks,
+    info_nce,
+    info_nce_symmetrized,
+    similarity_matrix,
+)
 
 
 def unit_rows(rng, n, d):
@@ -123,13 +130,48 @@ class TestSimilarityMatrix:
     lambda X: similarity_matrix(np.eye(3), X),
     lambda X: knn_classify(np.eye(3), [0, 1, 2], X, [1]),
     lambda X: queue_push(NegativeSource(kind="momentum_queue", queue=np.empty((0, 3))), X),
-], ids=["similarity_matrix", "knn_classify", "queue_push"])
+    lambda X: aggregate_contribution_curves(X, 0.5),
+], ids=["similarity_matrix", "knn_classify", "queue_push", "aggregate_contribution_curves"])
 def test_nan_row_is_not_unit_norm(check):
     """|nan - 1| > tol is False, so the unit-norm check must not pass it."""
     X = np.eye(3)
     X[1, 2] = np.nan
     with pytest.raises(ValueError, match="row 1 of .* is not unit-norm"):
         check(X)
+
+
+class TestRowBlocks:
+    """The row blocks of an n x m product: an ordered cover of [0, n) in
+    blocks of about ``_PRODUCT_BLOCK_BYTES``, none of 1 row among several."""
+
+    ROW_BYTES = [8, 8 * 722, 8 * 4000, _PRODUCT_BLOCK_BYTES // 3, _PRODUCT_BLOCK_BYTES,
+                 4 * _PRODUCT_BLOCK_BYTES]
+
+    @pytest.mark.parametrize("row_bytes", ROW_BYTES)
+    def test_ordered_cover_without_a_1_row_block(self, row_bytes):
+        step = max(2, _PRODUCT_BLOCK_BYTES // row_bytes)
+        for n in sorted({0, 1, 2, 3, 5, step - 1, step, step + 1, step + 2,
+                         2 * step + 1, 3 * step, 3 * step + 1}):
+            blocks = _row_blocks(n, row_bytes)
+            assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+            assert blocks[-1][1] == n
+            assert all(b - a >= 2 for a, b in blocks) or blocks == [(0, n)]
+            # each block is about the budget: a folded remainder adds one row
+            assert all(b - a <= step + 1 for a, b in blocks)
+
+    @pytest.mark.parametrize("row_bytes", ROW_BYTES)
+    def test_a_product_that_fits_is_one_block(self, row_bytes):
+        n = max(2, _PRODUCT_BLOCK_BYTES // row_bytes)
+        assert _row_blocks(n, row_bytes) == [(0, n)]
+        assert len(_row_blocks(n + 2, row_bytes)) == 2
+
+    def test_a_1_row_remainder_joins_the_block_before(self):
+        row_bytes = _PRODUCT_BLOCK_BYTES // 128
+        assert _row_blocks(2 * 128 + 1, row_bytes) == [(0, 128), (128, 257)]
+        assert _row_blocks(2 * 128 + 2, row_bytes) == [(0, 128), (128, 256), (256, 258)]
+
+    def test_an_empty_product_is_one_empty_block(self):
+        assert _row_blocks(0, 8 * 5) == [(0, 0)]
 
 
 class TestInfoNce:
