@@ -11,12 +11,15 @@ in-batch negatives or a momentum encoder feeding a FIFO key queue.
 All arrays are float64 and every update is performed in a fixed order, so
 training is bitwise reproducible for a given seed.  Views come from one RNG
 per (seed, epoch) and never read the parameters, so making them ahead on
-another thread (as the runner does for pixel views) keeps the bits.  The
-SGD update is memory-bound: at D=3072 the first layer, its momentum buffer
-and each view's gradient are 6.3 MB apiece, larger than a core's L2, and
-each update operation is one multiply or add per element.
-:func:`sgd_step` therefore works through every array in row blocks that
-fit in L2, doing all of its operations on one block before the next.
+another thread (as the runner does for pixel views) keeps the bits.  Each
+parameter set (the weights, a gradient set, the momentum buffers, the key
+encoder) is one float64 vector in the checkpoint body's order, and its
+layers are views into it.  The SGD update is memory-bound: at D=3072 the
+vector, its momentum buffer and each view's gradient are 6.3 MB apiece,
+larger than a core's L2, and each update operation is one multiply or add
+per element.  :func:`sgd_step` therefore works through the vectors in
+blocks that fit in L2, doing all of its operations on one block before the
+next.
 
 A forward pass keeps one tape for backprop: each layer's input, the output's
 row norms and the embeddings.  Layer i's ReLU mask is ``> 0`` on layer i + 1's
@@ -25,6 +28,7 @@ input, where the (finite) pre-activation is; a zero row is one of norm 0.
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,32 +70,40 @@ __all__ = [
 TCLP_MAGIC = b"TCLP"
 # sgd_step's block size.  Five blocks are live at once (parameter, momentum,
 # two gradients, scratch), within a core's L2; on the 3072 x 256 layer,
-# 64-row blocks ran faster than both 32-row blocks and whole arrays.
+# 64-row (128 KiB) blocks ran faster than both 32-row blocks and whole arrays.
 _BLOCK_BYTES = 128 * 1024
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EncoderParams:
-    """The chain's (W, b) pairs in order, ReLU after every layer but the
-    last; the first ``n_backbone`` layers are the backbone, the rest the
-    projection head.  The same container holds parameter gradients."""
+    """One parameter set (weights, a gradient set, momentum buffers) as the
+    float64 vector ``flat``: each layer's W (row-major, of shape ``dims[i]``,
+    a tuple of (d_in, d_out) tuples), then its b, in chain order, which is
+    the TCLP body's order.  ``layers`` holds each (W, b) as views into
+    ``flat``.  The chain has ReLU after every layer but the last; the first
+    ``n_backbone`` layers are the backbone, the rest the projection head."""
 
-    layers: list
+    flat: np.ndarray
+    dims: tuple
     n_backbone: int
+    layers: tuple = field(init=False, repr=False)
 
-    def arrays(self):
-        return [a for pair in self.layers for a in pair]
+    def __post_init__(self):
+        size = sum((d_in + 1) * d_out for d_in, d_out in self.dims)
+        if self.flat.shape != (size,):
+            raise ValueError(f"flat of shape {self.flat.shape} does not fit dims {self.dims}")
+        layers, i = [], 0
+        for d_in, d_out in self.dims:
+            j = i + d_in * d_out
+            layers.append((self.flat[i:j].reshape(d_in, d_out), self.flat[j : j + d_out]))
+            i = j + d_out
+        object.__setattr__(self, "layers", tuple(layers))
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams([(W.copy(), b.copy()) for W, b in self.layers], self.n_backbone)
+        return EncoderParams(self.flat.copy(), self.dims, self.n_backbone)
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams([(np.zeros_like(W), np.zeros_like(b)) for W, b in self.layers],
-                             self.n_backbone)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
+        return EncoderParams(np.zeros_like(self.flat), self.dims, self.n_backbone)
 
 
 def init_encoder(
@@ -106,13 +118,13 @@ def init_encoder(
     if projection_layers not in (1, 2):
         raise ValueError(f"projection_layers must be 1 or 2, got {projection_layers}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
-    dims = [int(in_dim)] + [int(h) for h in hidden_dims]
-    dims += [dims[-1]] * (projection_layers - 1) + [embed_dim]
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        W = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-        layers.append((W, np.zeros(d_out)))
-    return EncoderParams(layers, len(hidden_dims))
+    widths = [int(in_dim)] + [int(h) for h in hidden_dims]
+    widths += [widths[-1]] * (projection_layers - 1) + [embed_dim]
+    dims = tuple(zip(widths[:-1], widths[1:]))
+    params = EncoderParams(np.zeros(sum((i + 1) * o for i, o in dims)), dims, len(hidden_dims))
+    for W, _ in params.layers:
+        W[...] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[0])
+    return params
 
 
 @dataclass
@@ -167,8 +179,8 @@ def backward(params: EncoderParams, upstream: np.ndarray, result: ForwardResult)
     ``result`` is the batch's forward pass and ``upstream`` is
     dLoss/dEmbeddings.  The normalization backward projects onto the
     tangent space: dz = (du - (du . u) u) / ||z||; zero projection rows
-    propagate no gradient.  Returns parameter gradients in an
-    :class:`EncoderParams` container.
+    propagate no gradient.  Returns the parameter gradients as an
+    :class:`EncoderParams` of ``params``' dims.
     """
     dU = np.asarray(upstream, dtype=np.float64)
     U = result.embeddings
@@ -181,21 +193,22 @@ def backward(params: EncoderParams, upstream: np.ndarray, result: ForwardResult)
     dz[zero_rows] = 0.0
 
     last = len(params.layers) - 1
-    grads = [None] * (last + 1)
+    grads = EncoderParams(np.empty_like(params.flat), params.dims, params.n_backbone)
     d = dz
-    for i in range(last, -1, -1):
+    for i in range(last, -1, -1):  # the views tile grads.flat, so each value is written
         if i < last:
             d = d * (result.inputs[i + 1] > 0.0)
-        grads[i] = (result.inputs[i].T @ d, d.sum(axis=0))
+        np.matmul(result.inputs[i].T, d, out=grads.layers[i][0])
+        np.sum(d, axis=0, out=grads.layers[i][1])
         if i > 0:  # the gradient of the encoder's input is never used
             d = d @ params.layers[i][0].T
-    return EncoderParams(grads, params.n_backbone)
+    return grads
 
 
 @dataclass
 class OptimState:
     """SGD-with-momentum state and the learning-rate schedule parameters;
-    ``scratch`` is :func:`sgd_step`'s block buffer, made by its first call."""
+    ``scratch`` is :func:`sgd_step`'s block buffer."""
 
     buffers: EncoderParams
     base_lr: float = 0.5
@@ -203,7 +216,8 @@ class OptimState:
     total_epochs: int = 400
     weight_decay: float = 1e-4
     sgd_momentum: float = 0.9
-    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(_BLOCK_BYTES // 8),
+                                init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_lr <= 0 or self.total_epochs < 1 or self.warmup_epochs < 0:
@@ -234,39 +248,27 @@ def sgd_step(params: EncoderParams, grads: list, state: OptimState, lr: float) -
     p <- p - lr * buf.
 
     ``grads`` holds one :class:`EncoderParams` per view that carries a
-    gradient; the sum is formed in place in the first.  Each array is worked
-    through in row blocks of about ``_BLOCK_BYTES`` with the block-sized
-    ``state.scratch``, so it crosses memory about once per step rather than
-    once per operation, with the same operations, in the same order, on
-    every element.
+    gradient; the sum is formed in place in the first.  The vectors are
+    worked through in blocks of ``_BLOCK_BYTES`` with the block-sized
+    ``state.scratch``, so each crosses memory about once per step rather
+    than once per operation, with the same operations, in the same order,
+    on every element.
     """
-    arrays = params.arrays()
-    for g in grads:
-        g_arrays = g.arrays()
-        if len(g_arrays) != len(arrays):
-            raise ValueError(f"{len(g_arrays)} gradient arrays for {len(arrays)} parameters")
-        for p, g_a in zip(arrays, g_arrays):
-            if p.shape != g_a.shape:
-                raise ValueError(f"gradient shape {g_a.shape} does not match parameter {p.shape}")
-    wd, mom = state.weight_decay, state.sgd_momentum
-    size = max([_BLOCK_BYTES // 8] + [p[:1].size for p in arrays])
-    if state.scratch is None or state.scratch.size < size:
-        state.scratch = np.empty(size)
-    for p, m, gs in zip(arrays, state.buffers.arrays(), zip(*(g.arrays() for g in grads))):
-        row = p[:1].size
-        rows = max(1, min(len(p), state.scratch.size // max(row, 1)))
-        block = state.scratch[: rows * row].reshape((rows,) + p.shape[1:])
-        for i in range(0, len(p), rows):
-            g, pb, mb = gs[0][i : i + rows], p[i : i + rows], m[i : i + rows]
-            for other in gs[1:]:
-                g += other[i : i + rows]
-            s = block[: len(pb)]
-            np.multiply(pb, wd, out=s)
-            np.add(g, s, out=s)
-            mb *= mom
-            mb += s
-            np.multiply(mb, lr, out=s)
-            pb -= s
+    if any(g.dims != params.dims for g in grads):
+        raise ValueError(f"a gradient set's dims differ from the parameters' {params.dims}")
+    wd, mom, n = state.weight_decay, state.sgd_momentum, state.scratch.size
+    p, m, gs = params.flat, state.buffers.flat, [g.flat for g in grads]
+    for i in range(0, p.size, n):
+        g, pb, mb = gs[0][i : i + n], p[i : i + n], m[i : i + n]
+        s = state.scratch[: len(pb)]
+        for other in gs[1:]:
+            g += other[i : i + n]
+        np.multiply(pb, wd, out=s)
+        np.add(g, s, out=s)
+        mb *= mom
+        mb += s
+        np.multiply(mb, lr, out=s)
+        pb -= s
     return params
 
 
@@ -274,11 +276,11 @@ def momentum_update(f_params: EncoderParams, key_params: EncoderParams, m: float
     """key <- m * key + (1 - m) * f, elementwise and in place."""
     if not (0.0 < m <= 1.0):
         raise ValueError(f"momentum must be in (0, 1], got {m}")
-    for f, k in zip(f_params.arrays(), key_params.arrays()):
-        if f.shape != k.shape:
-            raise ValueError("parameter shapes of the two encoders differ")
-        k *= m
-        k += (1.0 - m) * f
+    if f_params.dims != key_params.dims:
+        raise ValueError("parameter shapes of the two encoders differ")
+    k = key_params.flat
+    k *= m
+    k += (1.0 - m) * f_params.flat
     return key_params
 
 
@@ -306,7 +308,7 @@ class NegativeSource:
             capacity=int(capacity),
             momentum_m=float(momentum_m),
             key_params=params.copy(),
-            queue=np.empty((0, params.embed_dim)),
+            queue=np.empty((0, params.dims[-1][1])),
         )
 
 
@@ -405,14 +407,11 @@ def train_epoch(
 
 def save_checkpoint(params: EncoderParams, path) -> None:
     """Binary checkpoint: magic "TCLP", u32 backbone and projection layer
-    counts, per-layer (u32 d_in, u32 d_out), then all weights and biases as
-    little-endian float64 in declaration order."""
-    n_proj = len(params.layers) - params.n_backbone
-    header = [TCLP_MAGIC, struct.pack("<II", params.n_backbone, n_proj)]
-    for W, _ in params.layers:
-        header.append(struct.pack("<II", W.shape[0], W.shape[1]))
-    body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
-    write_atomic(path, b"".join(header) + b"".join(body))
+    counts, per-layer (u32 d_in, u32 d_out), then ``params.flat`` (each
+    layer's weights, then its biases) as little-endian float64."""
+    counts = (params.n_backbone, len(params.dims) - params.n_backbone)
+    header = struct.pack(f"<{2 + 2 * len(params.dims)}I", *counts, *chain(*params.dims))
+    write_atomic(path, TCLP_MAGIC + header + params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> EncoderParams:
@@ -435,15 +434,9 @@ def load_checkpoint(path) -> EncoderParams:
         raise DataFormatError(f"{path}: weights need {expected} bytes, file has {len(raw)}")
     if expected < len(raw):
         raise DataFormatError(f"{path}: trailing bytes in checkpoint")
-    layers = []
-    for d_in, d_out in dims:
-        W = np.frombuffer(raw, dtype="<f8", count=d_in * d_out, offset=off).reshape(d_in, d_out)
-        off += 8 * d_in * d_out
-        b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off)
-        off += 8 * d_out
-        layers.append((W.copy(), b.copy()))
-    params = EncoderParams(layers, n_back)
-    for i, (W, b) in enumerate(layers):
+    flat = np.frombuffer(raw, "<f8", offset=off).astype(np.float64)  # a native, writable copy
+    params = EncoderParams(flat, tuple(dims), n_back)
+    for i, (W, b) in enumerate(params.layers):
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise DataFormatError(f"{path}: non-finite weight or bias in {_layer_name(params, i)}")
     return params

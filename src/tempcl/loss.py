@@ -44,7 +44,7 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_unit_rows(X: np.ndarray, name: str) -> None:
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))  # no squared copy of X
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))  # NaN norms are bad too
     if bad.size:
         i = int(bad[0])

@@ -31,8 +31,15 @@ from tempcl.schedule import ScheduleConfig
 from test_loss import unit_rows
 
 
-def flat(params: EncoderParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
+def params_of(layers, n_backbone: int) -> EncoderParams:
+    """An :class:`EncoderParams` holding copies of the given (W, b) pairs."""
+    return EncoderParams(np.concatenate([np.ravel(a) for pair in layers for a in pair]),
+                         tuple(np.shape(W) for W, _ in layers), n_backbone)
+
+
+def arrays(params: EncoderParams) -> list:
+    """Each layer's W, then its b, in chain order: the per-array form."""
+    return [a for pair in params.layers for a in pair]
 
 
 def batch_loss(params, X1, X2, tau) -> float:
@@ -50,9 +57,7 @@ def batch_grads(params, X1, X2, tau) -> EncoderParams:
     _, G = info_nce(similarity_matrix(U, V), tau)
     g1 = backward(params, G @ V, r1)
     g2 = backward(params, G.T @ U, r2)
-    for (W, b), (dW, db) in zip(g1.layers, g2.layers):
-        W += dW
-        b += db
+    np.add(g1.flat, g2.flat, out=g1.flat)
     return g1
 
 
@@ -67,28 +72,65 @@ def smooth_neighbourhood(params, X, kink_margin=1e-3, norm_floor=0.3) -> bool:
 
 
 def fd_grads(params, X1, X2, tau, h=1e-5) -> np.ndarray:
-    base = flat(params)
+    base = params.flat.copy()
     out = np.zeros_like(base)
-    arrays = params.arrays()
-    pos = 0
-    for a in arrays:
-        for i in range(a.size):
-            orig = a.flat[i]
-            a.flat[i] = orig + h
-            up = batch_loss(params, X1, X2, tau)
-            a.flat[i] = orig - h
-            down = batch_loss(params, X1, X2, tau)
-            a.flat[i] = orig
-            out[pos + i] = (up - down) / (2 * h)
-        pos += a.size
-    assert np.array_equal(flat(params), base)
+    for i, orig in enumerate(base):
+        params.flat[i] = orig + h
+        up = batch_loss(params, X1, X2, tau)
+        params.flat[i] = orig - h
+        down = batch_loss(params, X1, X2, tau)
+        params.flat[i] = orig
+        out[i] = (up - down) / (2 * h)
+    assert np.array_equal(params.flat, base)
     return out
+
+
+class TestLayout:
+    """One vector per parameter set: the layers are views that tile it."""
+
+    @pytest.mark.parametrize("hidden, proj", [((), 1), ((9,), 2), ((9, 5), 1)])
+    def test_layer_views_tile_flat_in_chain_order(self, hidden, proj):
+        params = init_encoder(7, hidden, embed_dim=3, projection_layers=proj, seed=1)
+        assert params.dims == tuple(W.shape for W, _ in params.layers)
+        assert all(b.shape == (W.shape[1],) for W, b in params.layers)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays(params)]),
+                                      params.flat)
+        for a in arrays(params):
+            assert np.shares_memory(a, params.flat)
+        params.layers[-1][1][-1] = 7.0
+        assert params.flat[-1] == 7.0
+
+    def test_backward_and_copies_share_the_layout(self):
+        params = init_encoder(5, (6,), embed_dim=4, seed=6)
+        X = np.random.default_rng(7).standard_normal((3, 5))
+        grads = backward(params, np.ones((3, 4)), forward(params, X))
+        for other in (grads, params.copy(), params.zeros_like()):
+            assert other.dims == params.dims and other.n_backbone == params.n_backbone
+            assert not np.shares_memory(other.flat, params.flat)
+            for a in arrays(other):
+                assert np.shares_memory(a, other.flat)
+
+    def test_layers_cannot_be_rebound(self):
+        params = init_encoder(4, (8,), embed_dim=3)
+        with pytest.raises(TypeError):
+            params.layers[0] = params.layers[1]
+        with pytest.raises(AttributeError):
+            params.layers = params.layers[:1]
+        with pytest.raises(AttributeError):
+            params.flat = params.flat.copy()
+
+    @pytest.mark.parametrize("shape", [(0,), (12,), (14,), (13, 1)])
+    def test_flat_of_the_wrong_size_refused(self, shape):
+        """dims ((2, 3), (3, 1)) hold (2 + 1) * 3 + (3 + 1) * 1 = 13 values."""
+        EncoderParams(np.zeros(13), ((2, 3), (3, 1)), 1)
+        with pytest.raises(ValueError, match="does not fit dims"):
+            EncoderParams(np.zeros(shape), ((2, 3), (3, 1)), 1)
 
 
 class TestForward:
     def test_identity_projection_returns_input(self):
         """No hidden layers and an identity projection pass unit rows through."""
-        params = EncoderParams([(np.eye(3), np.zeros(3))], 0)
+        params = params_of([(np.eye(3), np.zeros(3))], 0)
         X = np.eye(3)
         res = forward(params, X)
         np.testing.assert_allclose(res.embeddings, X, atol=1e-15)
@@ -129,7 +171,7 @@ class TestForward:
         np.testing.assert_allclose(np.linalg.norm(res.embeddings, axis=1), 1.0, atol=1e-9)
 
     def test_zero_projection_row_replaced_and_flagged(self):
-        params = EncoderParams([(np.eye(2), np.zeros(2))], 0)
+        params = params_of([(np.eye(2), np.zeros(2))], 0)
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
         res = forward(params, X)
         np.testing.assert_array_equal(res.norms, [0.0, 5.0])
@@ -146,7 +188,7 @@ class TestForward:
         params = init_encoder(4, (8,), embed_dim=3, projection_layers=2)
         with pytest.raises(ValueError, match="backbone layer 0"):
             forward(params, np.zeros((2, 5)))
-        params.layers[2] = (np.zeros((7, 3)), np.zeros(3))
+        params = params_of([*params.layers[:2], (np.zeros((7, 3)), np.zeros(3))], 1)
         with pytest.raises(ValueError, match="projection layer 1: input width 8"):
             forward(params, np.zeros((2, 4)))
 
@@ -161,7 +203,7 @@ class TestBackward:
         params = init_encoder(5, (6,), embed_dim=4, seed=6)
         X = np.random.default_rng(7).standard_normal((3, 5))
         grads = backward(params, np.zeros((3, 4)), forward(params, X))
-        assert all(np.all(a == 0.0) for a in grads.arrays())
+        assert not grads.flat.any()
 
     def test_relu_passthrough_at_positive_preactivation(self):
         """With strictly positive preactivations the ReLU factor is one:
@@ -169,7 +211,7 @@ class TestBackward:
         W1 = np.array([[0.7, 1.1]])
         b1 = np.array([0.5, 0.6])
         W2 = np.array([[1.0, 0.2], [-0.3, 0.9]])
-        params = EncoderParams([(W1, b1), (W2, np.zeros(2))], 1)
+        params = params_of([(W1, b1), (W2, np.zeros(2))], 1)
         X = np.array([[1.0]])  # preactivations 1.2 and 1.7, both > 0
         res = forward(params, X)
         assert np.all(X @ W1 + b1 > 0)
@@ -187,7 +229,7 @@ class TestBackward:
         """Pre-normalization gradient rows are orthogonal to the embedding."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4) * 2.0
-        params = EncoderParams([(np.eye(4), np.zeros(4))], 0)
+        params = params_of([(np.eye(4), np.zeros(4))], 0)
         res = forward(params, x[None, :])
         du = rng.standard_normal((1, 4))
         grads = backward(params, du, res)
@@ -219,7 +261,7 @@ class TestBackward:
             tau = float(rng.uniform(0.2, 1.0))
             if not (smooth_neighbourhood(params, X1) and smooth_neighbourhood(params, X2)):
                 continue
-            analytic = flat(batch_grads(params, X1, X2, tau))
+            analytic = batch_grads(params, X1, X2, tau).flat
             numeric = fd_grads(params, X1, X2, tau)
             err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
             assert err < 1e-4, f"config {checked}: rel err {err:.2e}"
@@ -257,7 +299,7 @@ class TestLrAt:
 
 
 def scalar_params(value: float) -> EncoderParams:
-    return EncoderParams([(np.array([[value]]), np.zeros(1))], 0)
+    return params_of([(np.array([[value]]), np.zeros(1))], 0)
 
 
 def scalar_state(params, momentum=0.0, wd=0.0) -> OptimState:
@@ -267,11 +309,11 @@ def scalar_state(params, momentum=0.0, wd=0.0) -> OptimState:
 class TestSgdStep:
     def test_zero_grad_zero_decay_is_identity(self):
         params = init_encoder(3, (4,), embed_dim=2, seed=10)
-        before = flat(params).copy()
+        before = params.flat.copy()
         state = init_optim_state(params, base_lr=0.5, warmup_epochs=0,
                                  total_epochs=5, weight_decay=0.0)
         sgd_step(params, [params.zeros_like()], state, 0.5)
-        np.testing.assert_array_equal(flat(params), before)
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_plain_gradient_descent(self):
         """One step on f(w) = w^2 from w=1 at lr 0.1 lands on 0.8."""
@@ -304,7 +346,7 @@ def sgd_step_oracle(params, grad_sets, state, lr):
         for (W, b), (dW, db) in zip(grads.layers, other.layers):
             W += dW
             b += db
-    for p, g, m in zip(params.arrays(), grads.arrays(), state.buffers.arrays()):
+    for p, g, m in zip(arrays(params), arrays(grads), arrays(state.buffers)):
         m *= state.sgd_momentum
         m += g + state.weight_decay * p
         p -= lr * m
@@ -312,19 +354,20 @@ def sgd_step_oracle(params, grad_sets, state, lr):
 
 
 def random_like(params, rng) -> EncoderParams:
-    return EncoderParams([(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
-                          for W, b in params.layers], params.n_backbone)
+    return params_of([(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
+                      for W, b in params.layers], params.n_backbone)
 
 
 class TestBlockedSgdStep:
-    # 3000 x 256 is 46 blocks of 64 rows and a 56-row remainder; a 17000-wide
-    # row is larger than a block, and its bias is one full block and a rest
+    # 839,259 values: 51 blocks of 16,384 and a 3,675-value remainder, with
+    # blocks that straddle each array boundary; a 17000-wide row and its bias
+    # are each larger than a block
     SHAPES = [((3000, 256), (256,)), ((3, 17000), (17000,)), ((1000, 3), (3,))]
 
     def make(self, seed):
         rng = np.random.default_rng(seed)
-        params = EncoderParams([(rng.standard_normal(w), rng.standard_normal(b))
-                                for w, b in self.SHAPES], 2)
+        params = params_of([(rng.standard_normal(w), rng.standard_normal(b))
+                            for w, b in self.SHAPES], 2)
         state = init_optim_state(params, base_lr=0.3, warmup_epochs=2, total_epochs=6,
                                  weight_decay=5e-4, sgd_momentum=0.9)
         return params, state
@@ -341,23 +384,21 @@ class TestBlockedSgdStep:
             sets = [random_like(params, rng) for _ in range(n_sets)]
             sgd_step_oracle(ref_params, [g.copy() for g in sets], ref_state, lr)
             sgd_step(params, sets, state, lr)
-        for got, want in zip(params.arrays() + state.buffers.arrays(),
-                             ref_params.arrays() + ref_state.buffers.arrays()):
-            assert np.array_equal(got, want)
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        assert state.buffers.flat.tobytes() == ref_state.buffers.flat.tobytes()
 
     def test_every_gradient_set_is_shape_checked(self):
-        """A second set whose bias would broadcast is refused before any
-        parameter moves."""
+        """A second set of the parameters' size but other dims, and a set of
+        fewer layers, are refused before any parameter moves."""
         params = init_encoder(6, (256,), embed_dim=4, seed=12)
-        before = flat(params).copy()
+        before = params.flat.copy()
         state = init_optim_state(params, warmup_epochs=0, total_epochs=5)
-        second = params.zeros_like()
-        second.layers[0] = (second.layers[0][0], np.zeros(1))
-        with pytest.raises(ValueError, match=r"gradient shape \(1,\) does not match parameter \(256,\)"):
+        second = EncoderParams(np.zeros(params.flat.size), ((params.flat.size - 1, 1),), 0)
+        with pytest.raises(ValueError, match=r"dims differ from the parameters' \(\(6, 256\)"):
             sgd_step(params, [params.zeros_like(), second], state, 0.5)
-        with pytest.raises(ValueError, match="gradient arrays"):
-            sgd_step(params, [EncoderParams(params.layers[1:], 0)], state, 0.5)
-        np.testing.assert_array_equal(flat(params), before)
+        with pytest.raises(ValueError, match="dims differ"):
+            sgd_step(params, [params_of(params.layers[1:], 0)], state, 0.5)
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_no_parameter_sized_temporaries(self):
         """A 3072 x 256 update with two gradient sets allocates under 1 MB;
@@ -394,10 +435,10 @@ class TestOptimState:
         for name in ("base_lr", "warmup_epochs", "total_epochs", "weight_decay",
                      "sgd_momentum"):
             assert getattr(state, name) == getattr(direct, name)
-        assert not flat(state.buffers).any()
+        assert not state.buffers.flat.any()
 
     def test_scratch_is_the_steps_own(self):
-        """sgd_step makes its block buffer once and reuses it; the buffer
+        """Every sgd_step reuses the state's one block buffer; the buffer
         is no hyper-parameter, so no caller can pass one in."""
         params = init_encoder(3, (4,), embed_dim=2, seed=10)
         state = init_optim_state(params, total_epochs=7)
@@ -425,6 +466,22 @@ class TestMomentumUpdate:
         f, k = scalar_params(2.0), scalar_params(0.0)
         momentum_update(f, k, 0.5)
         assert k.layers[0][0][0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [0.99, 0.5, 1e-3])
+    def test_bitwise_equal_to_per_array_oracle(self, m):
+        """The whole-vector update is the per-array form's bit for bit."""
+        rng = np.random.default_rng(1)
+        f = random_like(init_encoder(6, (16, 8), embed_dim=4, projection_layers=2), rng)
+        k = random_like(f, rng)
+        ref = k.copy()
+        for a_f, a_k in zip(arrays(f), arrays(ref)):
+            a_k *= m
+            a_k += (1.0 - m) * a_f
+        assert momentum_update(f, k, m).flat.tobytes() == ref.flat.tobytes()
+
+    def test_other_dims_refused(self):
+        with pytest.raises(ValueError, match="shapes of the two encoders differ"):
+            momentum_update(init_encoder(4, (8,), 3), init_encoder(4, (6,), 3), 0.9)
 
 
 class TestQueue:
@@ -484,10 +541,10 @@ class TestTrainEpoch:
     def test_zero_lr_keeps_params_and_reports_initial_loss(self):
         ds, params, state, source, policy, sched = toy_setup(noise=0.0)
         state.base_lr = 0.0
-        before = flat(params).copy()
+        before = params.flat.copy()
         _, loss = train_epoch(ds, params, state, sched, source, policy,
                               seed=1, epoch=0, batch_size=8)
-        np.testing.assert_array_equal(flat(params), before)
+        np.testing.assert_array_equal(params.flat, before)
         # with identity augmentation the reported loss is the loss of the
         # untouched parameters on the dataset batches, in the epoch's order
         order = np.random.default_rng(np.random.SeedSequence([1, 0])).permutation(ds.n)
@@ -523,7 +580,7 @@ class TestTrainEpoch:
             for epoch in range(3):
                 train_epoch(ds, params, state, sched, source, policy,
                             seed=99, epoch=epoch, batch_size=8)
-            runs.append(flat(params))
+            runs.append(params.flat)
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_first_step_follows_finite_difference_direction(self):
@@ -535,7 +592,7 @@ class TestTrainEpoch:
         before = params.copy()
         train_epoch(ds, params, state, sched, source, policy,
                     seed=5, epoch=0, batch_size=ds.n)
-        step = flat(before) - flat(params)
+        step = before.flat - params.flat
 
         X = ds.features
         numeric = fd_grads(before, X, X, 0.5)
@@ -624,8 +681,17 @@ class TestCheckpoint:
         back = load_checkpoint(p)
         assert back.n_backbone == len(hidden_dims)
         assert len(back.layers) == len(hidden_dims) + projection_layers
-        for a, b in zip(params.arrays(), back.arrays(), strict=True):
-            np.testing.assert_array_equal(a, b)
+        assert back.dims == params.dims
+        np.testing.assert_array_equal(back.flat, params.flat)
+
+    def test_body_is_the_flat_vector(self, tmp_path):
+        """After the magic, the two layer counts and the (d_in, d_out) table,
+        the file is ``flat``'s bytes."""
+        params = init_encoder(7, (9, 5), embed_dim=3, projection_layers=2, seed=21)
+        p = tmp_path / "enc.tclp"
+        save_checkpoint(params, p)
+        header = 4 + 8 + 8 * len(params.dims)
+        assert p.read_bytes()[header:] == params.flat.tobytes()
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.tclp"

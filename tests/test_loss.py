@@ -2,6 +2,7 @@
 finite-difference gradient checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from tempcl.encoder import NegativeSource, queue_push
 from tempcl.evaluation import knn_classify
 from tempcl.loss import (
     _PRODUCT_BLOCK_BYTES,
+    _check_unit_rows,
     _row_blocks,
     info_nce,
     info_nce_symmetrized,
@@ -138,6 +140,19 @@ def test_nan_row_is_not_unit_norm(check):
     X[1, 2] = np.nan
     with pytest.raises(ValueError, match="row 1 of .* is not unit-norm"):
         check(X)
+
+
+def test_unit_norm_check_makes_no_copy_of_the_rows():
+    """Checking CIFAR-10-LT's 12,406 train rows of width 128 (12.1 MiB) traces
+    under 1 MiB: the row norms come without a squared copy of X."""
+    X = unit_rows(np.random.default_rng(0), 12_406, 128)
+    tracemalloc.start()
+    try:
+        _check_unit_rows(X, "X")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 class TestRowBlocks:

@@ -54,6 +54,8 @@ from tempcl.encoder import (
     forward,
     init_encoder,
     init_optim_state,
+    load_checkpoint,
+    save_checkpoint,
     train_epoch,
 )
 from tempcl.runner import (
@@ -181,6 +183,19 @@ def test_checkpoint_and_analysis_match_golden(runs, name):
     _, out_dir, _ = runs[name]
     assert sha256(out_dir / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
     assert analysis_digest(out_dir) == HASHES[name]["analysis"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_checkpoints_load_and_resave_byte_for_byte(runs, name, tmp_path):
+    """Each checkpoint of a golden run is its header, then the loaded
+    ``flat``'s bytes, and saving what was loaded writes the same file."""
+    _, out_dir, _ = runs[name]
+    for path in sorted(out_dir.glob("checkpoint_*.tclp")):
+        raw = path.read_bytes()
+        params = load_checkpoint(path)
+        assert raw[-params.flat.nbytes:] == params.flat.tobytes()
+        save_checkpoint(params, tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == raw
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -399,7 +414,7 @@ def test_train_epoch_steps_as_inline_on_views_made_ahead(pixel_train):
     fed, fed_loss = within(lambda: one_epoch(stream.take(pixel_train.n // BATCH)))
     inline, inline_loss = one_epoch(None)
     assert fed_loss == inline_loss
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(fed.arrays(), inline.arrays()))
+    assert fed.flat.tobytes() == inline.flat.tobytes()
     [(idx, _, _)] = taken(stream, 1)
     within(pool.shutdown)
     assert np.array_equal(idx, next(_epoch_views(pixel_train, PIXEL, 5, 1, BATCH))[0])
