@@ -5,15 +5,21 @@ The five runs are seconds-scale (6 epochs of period 3).  Two cover the
 negative sources under the cosine schedule on 150 synthetic training rows;
 the third runs the momentum queue under coarse head/tail temperature
 supervision; the fourth trains on CIFAR-10-format images with pixel
-augmentation; the fifth takes the symmetrized in-batch loss.  Their ``metrics.csv`` files are kept under
-``tests/golden/``; the final checkpoint and the analysis CSVs are
-pinned by sha256.  A change that moves any of these outputs must say why
-and regenerate them on purpose.  The momentum-queue and pixel runs are
-repeated in a fresh process with two BLAS threads, which must give the
-same ``metrics.csv`` and checkpoint, and with one BLAS thread, under which
-the runner's import-time rule opens its worker paths; so is a run whose
-probes are wide enough for the worker.  The in-batch run without probes
-must give its golden less the probe rows.
+augmentation; the fifth takes the symmetrized in-batch loss.  Their
+``metrics.csv`` files are kept under ``tests/golden/``; the final
+checkpoint and the analysis CSVs are pinned by sha256 in
+``tests/golden/hashes.json``.  A change that moves any of these outputs
+must say why and regenerate them on purpose, with
+
+    PYTHONPATH=src python tests/regenerate_goldens.py
+
+which reruns the five configs and rewrites the golden ``metrics.csv``
+files and ``hashes.json``; the comparisons here stay exact.  The
+momentum-queue and pixel runs are repeated in a fresh process with two BLAS
+threads, which must give the same ``metrics.csv`` and checkpoint, and with
+one BLAS thread, under which the runner's import-time rule opens its worker
+paths; so is a run whose probes are wide enough for the worker.  The
+in-batch run without probes must give its golden less the probe rows.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -31,6 +37,7 @@ and run no queued fit.
 """
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -96,28 +103,7 @@ BASE = {
 
 # sha256 of checkpoint_final.tclp, and of every analysis CSV of the run
 # concatenated as (file name, rounded contents) in name order
-HASHES = {
-    "in_batch": {
-        "checkpoint": "38898379604d1a458f5e0fc5586669b573f93915f757601624a35e382e721b25",
-        "analysis": "a6b4857edb570e31220dae19540f0672d3ae9656521c33698989bf40369c9dda",
-    },
-    "momentum_queue": {
-        "checkpoint": "a80a4ba6c5db6aeba4e3c36e042d2c25f136956f78736f888afb9b68bac95f1f",
-        "analysis": "0fa55bf98fff1249daa23abe9a347c83914d7eb0093789945c10c1af789256a2",
-    },
-    "coarse_momentum_queue": {
-        "checkpoint": "aaaa17d1dfb7a1b24d3f4424176d2076ce081cd95f22510f1f08b985a602bf1c",
-        "analysis": "fab400e350bd308f3f4a24af92da5d99a9c2fee2416f1549bbc3ad537cd1f18a",
-    },
-    "pixel": {
-        "checkpoint": "47cb3efbba89e7e0f31cc68e37c9f6bbae831b6d39ce123fe1e3e075f4a9c8b0",
-        "analysis": "2d025c687d2a4ccd0a9d1bb128e7d7c85004b7b1e90251f521a3d168c8f9b8b1",
-    },
-    "symmetrized": {
-        "checkpoint": "bffda4060598f1324c6b0c8fdfc978326913aba81415c66906314be45078eb9c",
-        "analysis": "75e30e1ca132f24e2b95b6b67a8cb4f385fd0281f62129d771c3d188a0e152e6",
-    },
-}
+HASHES = json.loads((GOLDEN / "hashes.json").read_text())
 
 
 def config_text(out_dir, data_dir="", **overrides):
@@ -152,13 +138,16 @@ def analysis_digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    """CIFAR-10-format train and test files for the pixel run."""
-    d = tmp_path_factory.mktemp("cifar10")
+def write_pixel_data(d: Path) -> Path:
+    """The CIFAR-10-format train and test files of the pixel run, in ``d``."""
     (d / "train.bin").write_bytes(cifar10_fixture_bytes(n=300, seed=11))
     (d / "test.bin").write_bytes(cifar10_fixture_bytes(n=100, seed=12))
     return d
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    return write_pixel_data(tmp_path_factory.mktemp("cifar10"))
 
 
 @pytest.fixture(scope="module")
