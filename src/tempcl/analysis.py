@@ -17,7 +17,6 @@ __all__ = [
     "ContributionCurves",
     "coverage_histogram",
     "uniformity_stat",
-    "contribution_curves",
     "aggregate_contribution_curves",
     "pca_project",
     "coverage_csv",
@@ -86,28 +85,10 @@ def _curves(hist: np.ndarray, cumulative: np.ndarray, tau: float) -> Contributio
     return ContributionCurves(individual / individual.max(), cumulative / cumulative.max(), hist)
 
 
-def contribution_curves(similarities: np.ndarray, tau: float) -> ContributionCurves:
-    """Contribution curves for one anchor's negatives.
-
-    Weights are computed with the maximum similarity shifted out of the
-    exponent, which cancels under max-normalization and avoids underflow at
-    small temperatures.
-    """
-    s = np.asarray(similarities, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise ValueError("need at least one negative similarity")
-    if not (s.min() >= -1.0 and s.max() <= 1.0):  # also refuses NaN
-        raise ValueError("similarities must lie in [-1, 1]")
-    if not tau > 0:
-        raise ValueError(f"temperature must be > 0, got {tau}")
-    idx = _bin_of(s)
-    cumulative = np.bincount(idx, weights=np.exp((s - s.max()) / tau), minlength=N_SIM_BINS)
-    return _curves(np.bincount(idx, minlength=N_SIM_BINS), cumulative, tau)
-
-
 def aggregate_contribution_curves(emb: np.ndarray, tau: float) -> ContributionCurves:
-    """:func:`contribution_curves` of the off-diagonal entries of
-    ``similarity_matrix(emb, emb)``, formed twice in row blocks: pass 1 takes
+    """Contribution curves of every anchor's negatives pooled (the
+    off-diagonal entries of ``similarity_matrix(emb, emb)``), each weighted
+    exp((s - max s) / tau).  They are formed twice in row blocks: pass 1 takes
     the maximum, pass 2 adds weights by ``np.add.at`` in one ``bincount``'s
     row-major order.  A diagonal entry, at -inf, adds 0.0 to bin 0's sum."""
     emb = np.asarray(emb, dtype=np.float64)

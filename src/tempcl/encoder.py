@@ -45,7 +45,6 @@ from tempcl.loss import (
     _unit_rows,
     info_nce,
     info_nce_symmetrized,
-    similarity_matrix,
 )
 from tempcl.schedule import ScheduleConfig, class_tau
 
@@ -98,6 +97,9 @@ class EncoderParams:
             layers.append((self.flat[i:j].reshape(d_in, d_out), self.flat[j : j + d_out]))
             i = j + d_out
         object.__setattr__(self, "layers", tuple(layers))
+
+    def __reduce__(self):  # a deep copy or an unpickled set gets views into its own flat
+        return EncoderParams, (self.flat, self.dims, self.n_backbone)
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.flat.copy(), self.dims, self.n_backbone)
@@ -325,24 +327,24 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     """Loss and parameter gradients for one batch; returns (grad_sets,
     loss) with one gradient set per view that carries one.  Anchor i's key
     is row i of the other view (in-batch) or of the key encoder's output,
-    whose rows are followed by the queued keys (momentum queue).  The
-    momentum queue takes the batch's keys here, after the loss's V is
-    built from the queue as it was."""
+    whose rows are followed by the queued keys (momentum queue).  The loss
+    gives the gradients of the anchors and of their keys, which go straight
+    to :func:`backward`; the key encoder takes no gradient, so the queue path
+    drops its keys'.  The momentum queue takes the batch's keys here, after
+    the loss's V is built from the queue as it was."""
     r1 = forward(params, v1)
     U = r1.embeddings
     if source.kind == "in_batch":
         r2 = forward(params, v2)
-        V = r2.embeddings
-        S = similarity_matrix(U, V)
-        per_anchor, G = info_nce_symmetrized(S, tau) if symmetrize else info_nce(S, tau)
-        grads = [backward(params, G @ V, r1), backward(params, G.T @ U, r2)]
-        return grads, float(per_anchor.mean())
+        loss = info_nce_symmetrized if symmetrize else info_nce
+        per_anchor, dU, dK = loss(U, r2.embeddings, tau)
+        return [backward(params, dU, r1), backward(params, dK, r2)], float(per_anchor.mean())
 
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
     queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
-    per_anchor, G = info_nce(similarity_matrix(U, V, v_checked=True), tau)
-    return [backward(params, G @ V, r1)], float(per_anchor.mean())
+    per_anchor, dU, _ = info_nce(U, V, tau, v_checked=True)
+    return [backward(params, dU, r1)], float(per_anchor.mean())
 
 
 def _epoch_views(dataset, policy, seed, epoch, batch_size):

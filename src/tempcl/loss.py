@@ -1,14 +1,31 @@
-"""Temperature-scaled contrastive (InfoNCE) loss on cosine-similarity matrices.
+"""Temperature-scaled contrastive (InfoNCE) loss of unit embeddings, with
+its gradients.
 
-:func:`info_nce` returns the loss and its gradient with respect to each
-similarity, both from one set of exponentials of the softmax over
-similarities.  The gradient is where the temperature acts: a small tau puts
-the weight on the hardest negatives, a large one spreads it.
+:func:`info_nce` takes the anchors U (n x d) and their keys V (m x d, m >= n):
+row i of V is anchor i's positive key, and any rows past n are negatives
+shared by every anchor (queue-style negatives).  Row i of the similarity
+matrix S = U @ V.T belongs to anchor i, and its entry (i, i) holds the
+positive-pair similarity.  The function returns the per-anchor loss and the
+gradients of the mean loss with respect to U and to the keys K = V[:n], all
+from one set of exponentials of the softmax over similarities.  The
+gradients are where the temperature acts: a small tau puts the weight on the
+hardest negatives, a large one spreads it.
 
-Conventions: row i of a similarity matrix belongs to anchor i, column j to
-key j, and the diagonal entry (i, i) holds the positive-pair similarity.
-A matrix may have more columns than rows, in which case the extra columns
-are additional negatives shared by every anchor (queue-style negatives).
+The gradient with respect to the similarities, G = (W - I) / (tau n) with W
+the row softmax, is never formed: it is an n x m array, and every division
+or fix-up of it is a pass over n x m entries.  The exponentials E, shifted
+by each row's maximum, are worked in S's own buffer, with the positives'
+entries (i, i) zeroed once summed, and the scalings are applied to the
+n x d products instead.  With t the row totals of E, r those of the zeroed
+E (the negatives'), c = 1 / (t tau n) per row:
+
+    dU = c * (E @ V) - c r * V[:n]            (= G @ V)
+    dK = E[:, :n].T @ (c * U) - c r * U       (= (G.T @ U)[:n])
+
+The positive's own weight cancels from G's diagonal, 1 - w_ii being the
+negatives' weight r / t, so neither subtracts two near-equal terms when the
+positive dominates: a vanishing loss keeps its gradients' relative accuracy.
+
 All computation is in 64-bit floats.
 """
 
@@ -21,7 +38,6 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-6
-_SIM_BOUND_SLACK = 1e-9
 # float64 products held at once by a row-blocked product; freed 1 MiB blocks leave
 # glibc's mmap threshold below a training step's loss matrix, which then faults
 _PRODUCT_BLOCK_BYTES = 2 << 20
@@ -84,26 +100,6 @@ def similarity_matrix(U: np.ndarray, V: np.ndarray, *, v_checked: bool = False) 
     return np.clip(S, -1.0, 1.0, out=S)
 
 
-def _validate_similarities(S: np.ndarray) -> np.ndarray:
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2:
-        raise ValueError(f"similarity matrix must be 2-D, got shape {S.shape}")
-    n, m = S.shape
-    if m < n:
-        raise ValueError(
-            f"similarity matrix needs a key column per anchor: {n} rows but {m} columns"
-        )
-    if m < 2:
-        raise ValueError("loss undefined without at least one negative (need >= 2 columns)")
-    # a NaN or an infinity makes the minimum or the maximum non-finite
-    lo, hi = S.min(), S.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("similarity matrix contains non-finite entries")
-    if lo < -1.0 - _SIM_BOUND_SLACK or hi > 1.0 + _SIM_BOUND_SLACK:
-        raise ValueError(f"similarities out of [-1, 1]: min {lo:.6g}, max {hi:.6g}")
-    return S
-
-
 def _as_tau_vector(tau, n: int) -> np.ndarray:
     """Broadcast a scalar temperature or validate a per-anchor vector."""
     taus = np.asarray(tau, dtype=np.float64)
@@ -116,18 +112,19 @@ def _as_tau_vector(tau, n: int) -> np.ndarray:
     return taus
 
 
-def info_nce(S: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Contrastive loss from a similarity matrix, softmax form, with its
-    gradient: (per_anchor, grad), ``grad`` that of the mean loss.
+def info_nce(U: np.ndarray, V: np.ndarray, tau, *,
+             v_checked: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contrastive loss of unit anchors ``U`` against keys ``V``, softmax
+    form, with its gradients: (per_anchor, dU, dK), the gradients those of
+    the mean loss with respect to U and to the anchors' keys K = V[:n].
 
-    per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ).  With
-    w_ij the softmax over row i of s_ik/tau_i, the per-anchor gradient is
-    (w_ij - [i == j]) / tau_i; ``grad`` divides it by the number of
-    anchors to match the mean loss.  Off-diagonal entries are positive
-    (negatives are repelled in proportion to their softmax weight), diagonal
-    entries negative.
+    per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ), with
+    S = :func:`similarity_matrix` (U, V, v_checked=v_checked).  ``tau`` is a
+    scalar or one temperature per anchor.  dU and dK are G @ V and
+    (G.T @ U)[:n] for G = dmean/dS, worked from the softmax's exponentials as
+    the module docstring says, without forming G.
 
-    The loss comes from the gradient's exponentials e_ij = exp(z_ij - m_i),
+    The loss comes from the same exponentials e_ij = exp(z_ij - m_i),
     z = S/tau shifted by its row maximum m_i, as
     softplus(log(sum_{j != i} e_ij) - (z_ii - m_i)).  The negatives are
     summed on their own rather than as the row sum less e_ii, so nothing
@@ -135,45 +132,58 @@ def info_nce(S: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     a vanishing loss keeps its full relative accuracy.  Only when every
     negative underflows, a loss below the smallest double, is it exactly 0.
     """
-    S = _validate_similarities(S)
-    return _info_nce(S, _as_tau_vector(tau, S.shape[0]))
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    S = similarity_matrix(U, V, v_checked=v_checked)
+    return _info_nce(S, U, V, _as_tau_vector(tau, S.shape[0]))
 
 
-def _info_nce(S: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`info_nce` of a validated S and temperature vector, worked in
-    place in one n x m buffer (fresh ones cost more than the arithmetic):
-    the shifted logits, their exponentials, the softmax, then the gradient."""
-    n = S.shape[0]
+def _info_nce(S: np.ndarray, U: np.ndarray, V: np.ndarray,
+              taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`info_nce` of S = U @ V.T, clipped, worked in place in S's
+    buffer: the logits S/tau shifted by their row maximum, then their
+    exponentials E, with the diagonal zeroed once the positives are read.
+    The gradients scale n x d rows, not n x m entries."""
+    n, m = S.shape
+    if m < 2:
+        raise ValueError("loss undefined without at least one negative (need >= 2 keys)")
     idx = np.arange(n)
-    g = S / taus[:, None]
-    g -= g.max(axis=1, keepdims=True)
-    z_pos = g[idx, idx]
-    np.exp(g, out=g)
-    total = g.sum(axis=1, keepdims=True)
-    positive = g[idx, idx]
-    g[idx, idx] = 0.0
-    negative = g.sum(axis=1)
-    g[idx, idx] = positive
+    S *= (1.0 / taus)[:, None]
+    S -= S.max(axis=1, keepdims=True)
+    z_pos = S[idx, idx]
+    E = np.exp(S, out=S)
+    positive = E[idx, idx]
+    E[idx, idx] = 0.0
+    negative = E.sum(axis=1)
     with np.errstate(divide="ignore"):
         per_anchor = np.logaddexp(0.0, np.log(negative) - z_pos)
-    g /= total
-    w_pos = g[idx, idx]
-    g /= taus[:, None]
-    g[idx, idx] = (w_pos - 1.0) / taus
-    g /= n
-    return per_anchor, g
+    c = 1.0 / ((positive + negative) * taus * n)
+    cr = c * negative
+    dU = E @ V
+    dU *= c[:, None]
+    dU -= cr[:, None] * V[:n]
+    dK = E[:, :n].T @ (c[:, None] * U)
+    dK -= cr[:, None] * U
+    return per_anchor, dU, dK
 
 
-def info_nce_symmetrized(S: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Average of the loss and its transposed-roles counterpart.
+def info_nce_symmetrized(U: np.ndarray, V: np.ndarray,
+                         tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Average of the loss and its transposed-roles counterpart, in which
+    the keys V are the anchors and U their keys.
 
-    Square matrices only.  Returns (per_anchor, grad) as :func:`info_nce`
-    does, each the per-index average of the two directions.
+    One key per anchor only.  Returns (per_anchor, dU, dK) as
+    :func:`info_nce` does, each the per-index average of the two
+    directions: dU averages the forward dU with the reverse direction's
+    gradient of its keys, and dK the other way round.
     """
-    S = _validate_similarities(S)
-    if S.shape[0] != S.shape[1]:
-        raise ValueError("symmetrized loss requires a square similarity matrix")
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if U.shape[0] != V.shape[0]:
+        raise ValueError(f"symmetrized loss requires a square similarity matrix: "
+                         f"{U.shape[0]} anchors but {V.shape[0]} keys")
+    S = similarity_matrix(U, V)
     taus = _as_tau_vector(tau, S.shape[0])
-    fwd, fwd_grad = _info_nce(S, taus)
-    rev, rev_grad = _info_nce(S.T, taus)
-    return 0.5 * (fwd + rev), 0.5 * (fwd_grad + rev_grad.T)
+    rev, dV_rev, dU_rev = _info_nce(S.T.copy(), V, U, taus)
+    fwd, dU, dV = _info_nce(S, U, V, taus)
+    return 0.5 * (fwd + rev), 0.5 * (dU + dU_rev), 0.5 * (dV + dV_rev)

@@ -8,15 +8,11 @@ says which values moved and why.  From the repository root:
 """
 
 import json
-import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from test_runner import GOLDEN, RUNS, analysis_digest, config, sha256, write_pixel_data  # noqa: E402
-
-from tempcl.runner import run_experiment  # noqa: E402
+from tempcl.runner import run_experiment
+from test_runner import GOLDEN, RUNS, analysis_digest, config, sha256, write_pixel_data
 
 
 def main() -> None:

@@ -10,9 +10,10 @@ import tempcl.loss
 from tempcl.analysis import (
     N_SIM_BINS,
     SIM_BIN_EDGES,
+    ContributionCurves,
     _bin_of,
+    _curves,
     aggregate_contribution_curves,
-    contribution_curves,
     coverage_csv,
     coverage_histogram,
     curves_csv,
@@ -90,6 +91,26 @@ class TestUniformityStat:
         cv1 = uniformity_stat(counts)
         cv2 = float(shuffled.std() / shuffled.mean())
         np.testing.assert_allclose(cv1, cv2, rtol=1e-12)
+
+
+def contribution_curves(similarities, tau) -> ContributionCurves:
+    """Contribution curves for one anchor's negatives, the oracle of
+    :func:`aggregate_contribution_curves`.
+
+    Weights are computed with the maximum similarity shifted out of the
+    exponent, which cancels under max-normalization and avoids underflow at
+    small temperatures.
+    """
+    s = np.asarray(similarities, dtype=np.float64).ravel()
+    if s.size == 0:
+        raise ValueError("need at least one negative similarity")
+    if not (s.min() >= -1.0 and s.max() <= 1.0):  # also refuses NaN
+        raise ValueError("similarities must lie in [-1, 1]")
+    if not tau > 0:
+        raise ValueError(f"temperature must be > 0, got {tau}")
+    idx = _bin_of(s)
+    cumulative = np.bincount(idx, weights=np.exp((s - s.max()) / tau), minlength=N_SIM_BINS)
+    return _curves(np.bincount(idx, minlength=N_SIM_BINS), cumulative, tau)
 
 
 def hard_easy_fixture():

@@ -2,6 +2,8 @@
 re-evaluation and finite-difference oracles, the optimizer, the momentum
 queue, and the training loop."""
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from tempcl.encoder import (
     sgd_step,
     train_epoch,
 )
-from tempcl.loss import info_nce, similarity_matrix
+from tempcl.loss import info_nce
 from tempcl.schedule import ScheduleConfig
 from test_loss import unit_rows
 
@@ -47,16 +49,15 @@ def batch_loss(params, X1, X2, tau) -> float:
     finite-difference oracles."""
     U = forward(params, X1).embeddings
     V = forward(params, X2).embeddings
-    return float(info_nce(similarity_matrix(U, V), tau)[0].mean())
+    return float(info_nce(U, V, tau)[0].mean())
 
 
 def batch_grads(params, X1, X2, tau) -> EncoderParams:
     r1 = forward(params, X1)
     r2 = forward(params, X2)
-    U, V = r1.embeddings, r2.embeddings
-    _, G = info_nce(similarity_matrix(U, V), tau)
-    g1 = backward(params, G @ V, r1)
-    g2 = backward(params, G.T @ U, r2)
+    _, dU, dV = info_nce(r1.embeddings, r2.embeddings, tau)
+    g1 = backward(params, dU, r1)
+    g2 = backward(params, dV, r2)
     np.add(g1.flat, g2.flat, out=g1.flat)
     return g1
 
@@ -109,6 +110,23 @@ class TestLayout:
             assert not np.shares_memory(other.flat, params.flat)
             for a in arrays(other):
                 assert np.shares_memory(a, other.flat)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_or_unpickled_set_keeps_its_layers_as_views(self, clone):
+        """Every layer of the copy is a view into the copy's flat, not the
+        original's, so an in-place update of that flat reaches forward."""
+        params = init_encoder(5, (6,), embed_dim=4, seed=6)
+        X = np.random.default_rng(7).standard_normal((3, 5))
+        before = forward(params, X).embeddings
+        other = clone(params)
+        assert other.dims == params.dims and other.n_backbone == params.n_backbone
+        np.testing.assert_array_equal(other.flat, params.flat)
+        for a in arrays(other):
+            assert np.shares_memory(a, other.flat) and not np.shares_memory(a, params.flat)
+        other.flat[:] *= -1.0
+        assert not np.array_equal(forward(other, X).embeddings, before)
+        np.testing.assert_array_equal(forward(params, X).embeddings, before)
 
     def test_layers_cannot_be_rebound(self):
         params = init_encoder(4, (8,), embed_dim=3)
@@ -551,7 +569,7 @@ class TestTrainEpoch:
         batch_losses = []
         for b in range(ds.n // 8):
             U = forward(params, ds.features[order[b * 8 : (b + 1) * 8]]).embeddings
-            batch_losses.append(float(info_nce(similarity_matrix(U, U), 0.5)[0].mean()))
+            batch_losses.append(float(info_nce(U, U, 0.5)[0].mean()))
         assert loss == float(np.mean(batch_losses))
 
     @pytest.mark.parametrize("epoch, lr", [(1, 0.15), (5, 0.15 * (1 + np.cos(np.pi / 6)))],
