@@ -18,6 +18,7 @@ dropped.
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -440,10 +441,12 @@ def write_atomic(path, content) -> None:
     """Write ``content`` (str as UTF-8, or bytes) to ``path`` through a
     temporary file in the same directory and ``os.replace``: a reader sees
     the earlier file or the whole new one, never a partial write, and a
-    failed write leaves no temporary file behind."""
+    failed write leaves no temporary file behind.  The temporary name is per
+    process and thread, so that writers of one path on two threads do not
+    share it."""
     path = Path(path)
     data = content.encode() if isinstance(content, str) else content
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(data)

@@ -41,10 +41,13 @@ from tempcl.data import (
     write_atomic,
 )
 from tempcl.loss import (
+    _as_tau_vector,
     _check_unit_rows,
+    _info_nce,
     _unit_rows,
     info_nce,
     info_nce_symmetrized,
+    similarity_matrix,
 )
 from tempcl.schedule import ScheduleConfig, class_tau
 
@@ -330,7 +333,7 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     whose rows are followed by the queued keys (momentum queue).  The loss
     gives the gradients of the anchors and of their keys, which go straight
     to :func:`backward`; the key encoder takes no gradient, so the queue path
-    drops its keys'.  The momentum queue takes the batch's keys here, after
+    does not form its keys'.  The momentum queue takes the batch's keys here, after
     the loss's V is built from the queue as it was."""
     r1 = forward(params, v1)
     U = r1.embeddings
@@ -343,7 +346,8 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
     queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
-    per_anchor, dU, _ = info_nce(U, V, tau, v_checked=True)
+    S = similarity_matrix(U, V, v_checked=True)
+    per_anchor, dU, _ = _info_nce(S, U, V, _as_tau_vector(tau, U.shape[0]), keys=False)
     return [backward(params, dU, r1)], float(per_anchor.mean())
 
 

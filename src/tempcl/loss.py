@@ -138,12 +138,13 @@ def info_nce(U: np.ndarray, V: np.ndarray, tau, *,
     return _info_nce(S, U, V, _as_tau_vector(tau, S.shape[0]))
 
 
-def _info_nce(S: np.ndarray, U: np.ndarray, V: np.ndarray,
-              taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _info_nce(S: np.ndarray, U: np.ndarray, V: np.ndarray, taus: np.ndarray,
+              keys: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`info_nce` of S = U @ V.T, clipped, worked in place in S's
     buffer: the logits S/tau shifted by their row maximum, then their
     exponentials E, with the diagonal zeroed once the positives are read.
-    The gradients scale n x d rows, not n x m entries."""
+    The gradients scale n x d rows, not n x m entries.  With ``keys`` False
+    dK is None, for keys that take no gradient (a key encoder's)."""
     n, m = S.shape
     if m < 2:
         raise ValueError("loss undefined without at least one negative (need >= 2 keys)")
@@ -162,6 +163,8 @@ def _info_nce(S: np.ndarray, U: np.ndarray, V: np.ndarray,
     dU = E @ V
     dU *= c[:, None]
     dU -= cr[:, None] * V[:n]
+    if not keys:
+        return per_anchor, dU, None
     dK = E[:, :n].T @ (c[:, None] * U)
     dK -= cr[:, None] * U
     return per_anchor, dU, dK

@@ -8,26 +8,37 @@ checkpoint-based evaluation and analysis entry points used by the CLI.
 
 A run owns one worker thread (a one-worker executor) for work that spends
 its time in NumPy calls that release the GIL, so that it overlaps the main
-thread's.  Each probe fit of a snapshot, a full-batch fit that is mostly
-GEMMs, runs there (LT_LP, then FS_LP) while the main thread runs kNN and
-the analysis dump, if BLAS runs one thread with a CPU to spare
-(``PROBE_WORKER``) and the fit is at least ``PROBE_WORKER_MACS`` wide.  A
-mid-run snapshot's fits go on while the next epochs train: its rows are
-joined at the next snapshot, and a fit not started by then is fitted on the
-main thread, as FS_LP is at the final snapshot and in ``eval``.  Otherwise
-a fit runs inline after the dump: more BLAS threads already fill the CPUs,
-and a narrower fit (a pixel run's) is made of short GIL-bound calls, and
-both ran slower beside the main thread's work.  Under the same rule the
-worker also takes half of the rows of a snapshot forward pass of
-``FORWARD_WORKER_MACS`` or more (a pixel run's test set).  Pixel runs also
-make their views on the worker, one batch ahead of the encoder step (wide
-normal fills and gathers), and so join each snapshot at once;
-embedding-noise views are short GIL-bound calls that slowed the step when
-made ahead, so other runs make them inline.  Views depend only on (seed,
-epoch) and the data, and a probe only on its inputs, so the outputs keep
-their bits.  A failure cancels the worker's queued work.  Every file is
-written on the main thread: ``write_atomic``'s temporary name is per
-process, not per thread.
+thread's.  It takes work only where BLAS runs one thread with a CPU to
+spare (``PROBE_WORKER``): more BLAS threads already fill the CPUs.  The
+placement rules:
+
+- A mid-run snapshot whose probe fits are wide enough for the worker
+  (``PROBE_WORKER_MACS``) runs there whole, on a copy of the encoder, while
+  the next epochs train: both forward passes (whole, as a job on the one
+  worker must not wait on it), the coverage histogram, kNN, the analysis
+  dump, FS_LP then LT_LP.  It writes its analysis files itself; its rows
+  are joined at the next snapshot, before that snapshot starts.
+- The final snapshot, ``eval``, a pixel run's snapshots (its views are made
+  on the worker, and would wait behind a snapshot there) and snapshots with
+  narrow fits run on the main thread, and their rows are joined at once.
+  There the worker takes each wide fit (LT_LP, then FS_LP) while kNN and
+  the dump run here, and a fit not started when it is joined is fitted
+  here; it also takes half of the rows of a forward pass of
+  ``FORWARD_WORKER_MACS`` or more, as in ``analyze``.  A narrower fit (a
+  pixel run's) is made of short GIL-bound calls and ran slower beside the
+  main thread's work.
+- Pixel runs make their views on the worker, one batch ahead of the
+  encoder step (wide normal fills and gathers); embedding-noise views are
+  short GIL-bound calls that slowed the step when made ahead, so other
+  runs make them inline.
+- The main thread writes ``config.resolved``, the checkpoints and, once
+  every snapshot is joined, ``metrics.csv``.
+
+Views depend only on (seed, epoch) and the data, a snapshot only on the
+encoder's parameters, and a probe only on its inputs, so the outputs keep
+their bits wherever they run.  A failure on the worker is raised at the
+join; a failure anywhere cancels the worker's queued work, and running
+work is awaited.
 """
 
 import os
@@ -191,14 +202,16 @@ def snapshot_epochs(cfg: ExperimentConfig) -> list:
 
 def _forward_rows(pool, params, X):
     """``forward(params, X)``'s (embeddings, features), bit for bit.  Where it
-    pays (``PROBE_WORKER``, 4 rows or more, ``FORWARD_WORKER_MACS``), ``pool``'s
-    worker runs the second half of the rows and the caller the first: with 2
-    rows or more in each piece every GEMM keeps the whole product's sums (a
-    1-row piece takes NumPy's gemv path, whose sums differ in the last bit).
-    The gate also keeps narrow pieces, which OpenBLAS's small-matrix kernel
-    sums in another order, off this path (hidden (64,) at D = 3072: <= 5 rows)."""
+    pays (a ``pool``, ``PROBE_WORKER``, 4 rows or more, ``FORWARD_WORKER_MACS``),
+    ``pool``'s worker runs the second half of the rows and the caller the
+    first: with 2 rows or more in each piece every GEMM keeps the whole
+    product's sums (a 1-row piece takes NumPy's gemv path, whose sums differ
+    in the last bit).  The gate also keeps narrow pieces, which OpenBLAS's
+    small-matrix kernel sums in another order, off this path (hidden (64,)
+    at D = 3072: <= 5 rows)."""
     n = X.shape[0]
-    if PROBE_WORKER and n >= 4 and n * sum(W.size for W, _ in params.layers) >= FORWARD_WORKER_MACS:
+    if pool and PROBE_WORKER and n >= 4 and (
+            n * sum(W.size for W, _ in params.layers) >= FORWARD_WORKER_MACS):
         rest = pool.submit(forward, params, X[n // 2:])
         first, rest = forward(params, X[:n // 2]), rest.result()
         return (np.concatenate([first.embeddings, rest.embeddings]),
@@ -215,34 +228,40 @@ def _embed_train(cfg, pool, params, train):
     return emb, _unit_rows(feats)[0], hist
 
 
-def _start_snapshot(cfg, pool, params, train_feat, hist, train, test):
-    """Start one evaluation snapshot: each probe fit wide enough goes to
-    ``pool``'s worker (see the module docstring), then kNN runs here.
-    Returns (join, deferred): ``join()`` takes the fits in row order,
-    fitting here each that is narrow or not started, and gives the
-    snapshot's (metric, scope, value) rows; ``deferred`` tells whether a fit
-    went to the worker."""
+def _worker_fits(cfg, params, train) -> list:
+    """The probe fits that the worker takes: each of at least
+    ``PROBE_WORKER_MACS`` (rows x tap dims x classes), LT_LP, the longer,
+    first, so that a join that finds FS_LP not started fits it beside LT_LP.
+    FS_LP's rows are the smallest class's size of every class."""
+    macs = params.layers[params.n_backbone][0].shape[0] * train.num_classes
+    fit_rows = {"LT_LP": train.n, "FS_LP": train.class_sizes.min() * train.num_classes}
+    return [mode for mode, n in fit_rows.items()
+            if cfg.eval.run_probes and PROBE_WORKER and n * macs >= PROBE_WORKER_MACS]
+
+
+def _snapshot(cfg, pool, params, train, test, out_dir=None, epoch=0) -> list:
+    """One evaluation snapshot of ``params``: its (metric, scope, value) rows
+    (kNN, FS_LP, LT_LP, then ``coverage_cv``) and, given ``out_dir``, its
+    analysis files.  Given ``pool``, the worker takes half of each wide
+    forward pass and each wide probe fit while kNN, the dump and each narrow
+    or not yet started fit run here; without one, all of it runs on this
+    thread, as on the worker that runs a whole mid-run snapshot."""
+    emb, train_feat, hist = _embed_train(cfg, pool, params, train)
     test_feat = _unit_rows(_forward_rows(pool, params, test.features)[1])[0]
 
     def probe(mode):
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
                             cfg.probe_config(mode))
 
-    # each fit's rows (FS_LP's: the smallest class's size of every class);
-    # LT_LP, the longer, goes first, so a join that finds FS_LP not started
-    # fits it here beside LT_LP
-    fit_rows = {"LT_LP": train.n, "FS_LP": train.class_sizes.min() * train.num_classes}
-    fits = {mode: pool.submit(probe, mode) for mode, n in fit_rows.items()
-            if cfg.eval.run_probes and PROBE_WORKER
-            and n * train_feat.shape[1] * train.num_classes >= PROBE_WORKER_MACS}
+    fits = {mode: pool.submit(probe, mode)
+            for mode in (_worker_fits(cfg, params, train) if pool else ())}
     rows = knn_report(train_feat, train.labels, test_feat, test.labels, k_values=KNN_K)
-
-    def join():
-        for mode in ("FS_LP", "LT_LP") if cfg.eval.run_probes else ():
-            fit = fits.get(mode)
-            rows.extend(probe(mode) if fit is None or fit.cancel() else fit.result())
-        return rows + [("coverage_cv", "all", uniformity_stat(hist))]
-    return join, bool(fits)
+    if out_dir:  # before the fits are joined, so that it overlaps them
+        _write_analysis(cfg, emb, train_feat, hist, train.labels, out_dir, epoch)
+    for mode in ("FS_LP", "LT_LP") if cfg.eval.run_probes else ():
+        fit = fits.get(mode)
+        rows.extend(probe(mode) if fit is None or fit.cancel() else fit.result())
+    return rows + [("coverage_cv", "all", uniformity_stat(hist))]
 
 
 def _write_analysis(cfg, emb, feats, hist, labels, out_dir, epoch):
@@ -327,25 +346,26 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     snapshots = set(snapshot_epochs(cfg))
     checkpoints = eval_epochs(cfg.schedule, E)
     views_ahead = cfg.data.augment == "pixel"  # made on the worker (see _ViewStream)
+    # a mid-run snapshot runs whole on the worker while the next epochs train
+    # where its fits would, unless pixel views, made there, would wait behind it
+    jobs = bool(_worker_fits(cfg, params, train)) and not views_ahead
+    dump_dir = out_dir if cfg.analysis.enable else None
     joined = []  # (epoch, rows) of each joined snapshot
-    pending = []  # (epoch, join, extra rows) of a started snapshot not yet joined
+    pending = []  # (epoch, job, train_loss rows) of a snapshot running on the worker
 
     def settle():
-        for epoch, join, extra_rows in pending:
-            joined.append((epoch, join() + list(extra_rows)))
+        for epoch, job, extra_rows in pending:
+            joined.append((epoch, [*job.result(), *extra_rows]))
         pending.clear()
 
     def record(epoch, extra_rows=()):
-        settle()  # the last snapshot's fits, which ran while these epochs trained
-        emb, feats, hist = _embed_train(cfg, pool, params, train)
-        join, deferred = _start_snapshot(cfg, pool, params, feats, hist, train, test)
-        if cfg.analysis.enable:  # before join(), so that it overlaps the worker's fits
-            _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
-        pending.append((epoch, join, extra_rows))
-        # fits on the worker run on while the next epochs train, unless no
-        # epoch follows or pixel views, made on the worker, would wait behind them
-        if not deferred or epoch == E or views_ahead:
-            settle()
+        settle()  # the last snapshot's job, which ran while these epochs trained
+        if jobs and epoch < E:  # on a copy, as the next epochs train params
+            pending.append((epoch, pool.submit(_snapshot, cfg, None, params.copy(), train,
+                                               test, dump_dir, epoch), extra_rows))
+        else:
+            joined.append((epoch, [*_snapshot(cfg, pool, params, train, test, dump_dir, epoch),
+                                   *extra_rows]))
 
     with _one_worker() as pool:  # the run's one worker
         record(0)
@@ -382,9 +402,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=0):
-    """(output dir, train set, test set, encoder, train embedding) for a saved
-    encoder on the config's data; analyze refuses a tap below ``min_tap``."""
+def _load_checkpoint_run(cfg, checkpoint_path, min_tap=0):
+    """(output dir, train set, test set, encoder) for a saved encoder on the
+    config's data; analyze refuses a tap below ``min_tap``."""
     train, test = build_datasets(cfg)
     params = load_checkpoint(checkpoint_path)
     in_dim = params.layers[0][0].shape[0]
@@ -397,25 +417,23 @@ def _load_checkpoint_run(cfg, pool, checkpoint_path, min_tap=0):
                               f"below the {min_tap} dims of the PCA dump")
     out_dir = Path(cfg.run.output_dir)  # made only once the inputs are accepted
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, train, test, params, _embed_train(cfg, pool, params, train)
+    return out_dir, train, test, params
 
 
 def eval_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> list:
     """Metrics rows for a saved encoder, identical to the in-training
     snapshot of the same epoch.  Writes eval_epoch<t>.csv to output_dir."""
-    with _one_worker() as pool:  # as a run's one worker
-        out_dir, train, test, params, (_, feats, hist) = _load_checkpoint_run(
-            cfg, pool, checkpoint_path)
-        join, _ = _start_snapshot(cfg, pool, params, feats, hist, train, test)
-        rows = join()
+    out_dir, train, test, params = _load_checkpoint_run(cfg, checkpoint_path)
+    with _one_worker() as pool:  # as a run's one worker at its final snapshot
+        rows = _snapshot(cfg, pool, params, train, test)
     write_atomic(out_dir / f"eval_epoch{epoch:05d}.csv", _metrics_csv(cfg, [(epoch, rows)]))
     return rows
 
 
 def analyze_checkpoint(cfg: ExperimentConfig, checkpoint_path, epoch: int) -> float:
     """Analysis CSV dumps for a saved encoder; returns the coverage CV."""
+    out_dir, train, _, params = _load_checkpoint_run(cfg, checkpoint_path, PCA_COMPONENTS)
     with _one_worker() as pool:  # for half of a wide train forward
-        out_dir, train, _, _, (emb, feats, hist) = _load_checkpoint_run(
-            cfg, pool, checkpoint_path, min_tap=PCA_COMPONENTS)
+        emb, feats, hist = _embed_train(cfg, pool, params, train)
     _write_analysis(cfg, emb, feats, hist, train.labels, out_dir, epoch)
     return uniformity_stat(hist)

@@ -2,6 +2,7 @@
 mixtures, augmentation, the dataset file format and atomic writes."""
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -600,3 +601,33 @@ class TestWriteAtomic:
             save_dataset(synth_mixture(3, 4, 9, 2.0, seed=3), p)
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["d.tcld"]
+
+    def test_two_threads_writing_one_path_leave_one_whole_file(self, tmp_path, monkeypatch):
+        """Each thread has written its temporary file before either renames
+        it: with one temporary name per thread both renames succeed, and one
+        writer's whole content is left, with no temporary file."""
+        p = tmp_path / "pca.csv"
+        real_replace, both_written = os.replace, threading.Barrier(2, timeout=10)
+
+        def replace(src, dst):
+            both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        contents = [bytes([ord("a") + i]) * (1 << 20) for i in range(2)]
+        errors = []
+
+        def write(content):
+            try:
+                write_atomic(p, content)
+            except BaseException as err:
+                errors.append(err)
+
+        writers = [threading.Thread(target=write, args=(c,)) for c in contents]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(30)
+        assert errors == []
+        assert p.read_bytes() in contents
+        assert [f.name for f in tmp_path.iterdir()] == ["pca.csv"]

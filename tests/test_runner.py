@@ -27,13 +27,14 @@ last bit depends on the BLAS thread count.  ``metrics.csv`` and the
 checkpoint do not, and are compared exactly.
 
 A run owns one worker thread.  Pixel runs take their views from a stream
-that it fills one batch ahead, a wide snapshot forward pass runs half of
-its rows there, and a snapshot's wide probe fits run there while kNN runs
-on the caller's thread; a mid-run snapshot's fits go on while the next
-epochs train.  The stream, the split forward pass and the deferred fits
-are checked against their inline forms, and runs that finish, diverge or
-are interrupted, in training or in a snapshot, must leave no thread behind
-and run no queued fit.
+that it fills one batch ahead.  A mid-run snapshot whose probe fits are
+wide enough runs whole there while the next epochs train; at other
+snapshots a wide forward pass runs half of its rows there, and the wide
+probe fits run there while kNN runs on the caller's thread.  The stream,
+the split forward pass, the whole-snapshot jobs and the fits are checked
+against their inline forms, and runs that finish, diverge or are
+interrupted, in training or in a snapshot, must leave no thread behind and
+run no queued fit.
 """
 
 import hashlib
@@ -284,25 +285,51 @@ def test_one_blas_thread_gives_the_golden_outputs(data_dir, wide_inline, name, t
     which tier-1 (BLAS variables unset) reaches only through monkeypatch:
     the pixel run makes its views there, the momentum-queue run's 1,000
     test rows are a forward pass wide enough to split, and the WIDE run
-    fits its probes there, joining its mid-run snapshots after the next
-    epochs.  The WIDE run must match the run that fits every probe inline."""
+    fits its probes there, running each mid-run snapshot whole there (its
+    forward passes, kNN, probes and dump) while the next epochs train.  The
+    golden runs' snapshots stay on the caller's thread.  The WIDE run must
+    match the run that fits every probe inline."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    script = ("import threading\nimport tempcl.runner\n"  # records where each probe ran
-              "real_probe, on_worker = tempcl.runner.linear_probe, []\n"
-              "def probe(*args, **kwargs):\n"
-              "    on_worker.append(threading.current_thread() is not threading.main_thread())\n"
-              "    return real_probe(*args, **kwargs)\n"
-              "tempcl.runner.linear_probe = probe\n"
-              + _RUN_ONE + "print(tempcl.runner.PROBE_WORKER, any(on_worker))\n")
+    script = ("import json, threading\nimport tempcl.runner as r\n"
+              "placed = []  # (function, rows or file name, whether on the worker) of each call\n"
+              "def wrap(name, size):\n"
+              "    real = getattr(r, name)\n"
+              "    def call(*args, **kwargs):\n"
+              "        worker = threading.current_thread() is not threading.main_thread()\n"
+              "        placed.append((name, size(args), worker))\n"
+              "        return real(*args, **kwargs)\n"
+              "    setattr(r, name, call)\n"
+              "wrap('forward', lambda a: len(a[1]))\n"
+              "wrap('knn_report', lambda a: len(a[2]))\n"
+              "wrap('linear_probe', lambda a: a[4].mode)\n"
+              "wrap('write_atomic', lambda a: a[0].name)\n"
+              + _RUN_ONE + "print(r.PROBE_WORKER, json.dumps(placed))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(data_dir), name],
                           env=env, check=True, capture_output=True, text=True)
-    assert proc.stdout.endswith(f"\nTrue {name == 'wide'}\n")
+    probe_worker, placed = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert probe_worker == "True"
+    placed = json.loads(placed)
+
+    def where(fn):
+        return [(size, worker) for name, size, worker in placed if name == fn]
+
+    assert any(worker for _, worker in where("linear_probe")) == (name == "wide")
     if name == "wide":
+        mid_run = [e for e in snapshot_epochs(config("-", **WIDE)) if e < EPOCHS]
+        assert where("forward")[:2 * len(mid_run)] == [(722, True), (300, True)] * len(mid_run)
+        assert sorted(where("forward")[2 * len(mid_run):]) == [(300, False), (361, False),
+                                                               (361, True)]
+        assert where("knn_report") == [(300, True)] * len(mid_run) + [(300, False)]
+        dumps = tuple(f"{kind}_epoch{e:05d}.csv" for e in mid_run
+                      for kind in ("coverage", "curves", "pca"))
+        assert sum(file in dumps for file, _ in where("write_atomic")) == len(dumps)
+        assert all(worker == (file in dumps) for file, worker in where("write_atomic"))
         for file in ("metrics.csv", "checkpoint_final.tclp"):
             assert (tmp_path / file).read_bytes() == (wide_inline / file).read_bytes()
         return
+    assert not any(worker for _, worker in where("knn_report") + where("write_atomic"))
     golden = (GOLDEN / f"metrics_{name}.csv").read_text()
     assert (tmp_path / "metrics.csv").read_text() == golden
     assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
@@ -550,15 +577,15 @@ def on_worker() -> bool:
 
 def patch_forward(monkeypatch, worker=None, caller=None):
     """Wraps the runner's snapshot forward pass: each call is recorded as
-    (rows, whether on a worker) in the returned list, then runs the hook of
-    its thread (if any), then the real function."""
+    (rows, whether on a worker) in the returned list, then the hook of its
+    thread (if any) runs with the call's rows, then the real function."""
     calls = []
 
     def recorded(params, X):
         calls.append((X.shape[0], on_worker()))
         hook = worker if on_worker() else caller
         if hook:
-            hook()
+            hook(X.shape[0])
         return forward(params, X)
 
     monkeypatch.setattr(tempcl.runner, "forward", recorded)
@@ -611,53 +638,58 @@ def patch_train_epoch(monkeypatch, hook):
 @pytest.mark.parametrize("entry", ["run_experiment", "eval_checkpoint"])
 def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path, monkeypatch,
                                                            one_blas_thread, entry):
-    """A mid-run snapshot's fits, LT_LP then FS_LP, run on the worker while
-    the next epoch trains: each waits for that epoch to start, and the epoch
-    waits for FS_LP to start, so a snapshot joined before training goes on
-    breaks it.  At the final snapshot, as in eval, LT_LP runs on the worker
-    while the analysis dump (in a run) and then FS_LP run on the caller's
-    thread: each waits at a barrier for LT_LP, and LT_LP for each, so a
-    snapshot that runs them one after the other breaks it.  The outputs are
-    those of the run that fits every probe inline."""
+    """A mid-run snapshot runs whole on the worker, its forward passes, kNN,
+    FS_LP, LT_LP and dump, while the next epoch trains: its kNN waits for
+    that epoch to start, and the epoch waits for its LT_LP, the last fit, to
+    start, so a snapshot run inline or joined before training goes on breaks
+    it.  At the final snapshot, as in eval, LT_LP runs on the worker while
+    the analysis dump (in a run) and then FS_LP run on the caller's thread:
+    each waits at a barrier for LT_LP, and LT_LP for each, so a snapshot
+    that runs them one after the other breaks it.  The outputs are those of
+    the run that fits every probe inline."""
     before = threading.active_count()
     cfg = config(tmp_path, **WIDE)
     epochs = snapshot_epochs(cfg) if entry == "run_experiment" else [EPOCHS]
     resumed = {e: threading.Event() for e in epochs}  # epoch e trains after snapshot e
-    fs_lp_started = {e: threading.Event() for e in epochs}
+    lt_lp_started = {e: threading.Event() for e in epochs}
     fs_lp, dump = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
 
     def snapshot(name):
         """The epoch of the snapshot whose ``name`` call this is."""
         return epochs[[n for n, _ in calls].count(name) - 1]
 
+    def knn():
+        epoch = snapshot("kNN")
+        if epoch < EPOCHS:
+            assert resumed[epoch].wait(10)
+
     def lt_lp():
         epoch = snapshot("LT_LP")
         if epoch < EPOCHS:
-            assert resumed[epoch].wait(10)
+            lt_lp_started[epoch].set()
             return
         if entry == "run_experiment":
             dump.wait()
         fs_lp.wait()
 
     def fs_lp_hook():
-        epoch = snapshot("FS_LP")
-        if epoch < EPOCHS:
-            assert resumed[epoch].wait(10)
-            fs_lp_started[epoch].set()
-        else:
+        if snapshot("FS_LP") == EPOCHS:
             fs_lp.wait()
 
     def resume(epoch):
         if epoch in resumed:
             resumed[epoch].set()
-            assert fs_lp_started[epoch].wait(10)
+            assert lt_lp_started[epoch].wait(10)
 
-    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp, fs_lp=fs_lp_hook)
+    calls = patch_snapshot(monkeypatch, knn=knn, lt_lp=lt_lp, fs_lp=fs_lp_hook)
+    forwards = patch_forward(monkeypatch)
     trained = patch_train_epoch(monkeypatch, resume)
+    mid_run = len(epochs) - 1
     if entry == "run_experiment":
-        real_coverage_csv = tempcl.runner.coverage_csv  # the dump's first call
+        real_coverage_csv, dumps = tempcl.runner.coverage_csv, []  # the dump's first call
 
         def coverage_csv(hist):
+            dumps.append(on_worker())
             if snapshot("kNN") == EPOCHS:
                 dump.wait()
             return real_coverage_csv(hist)
@@ -665,6 +697,7 @@ def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
         monkeypatch.setattr(tempcl.runner, "coverage_csv", coverage_csv)
         run_experiment(cfg)
         assert trained == list(range(EPOCHS))
+        assert dumps == [True] * mid_run + [False]
         for name in ("metrics.csv", "checkpoint_final.tclp"):
             assert (tmp_path / name).read_bytes() == (wide_inline / name).read_bytes()
         assert analysis_digest(tmp_path) == analysis_digest(wide_inline)
@@ -677,9 +710,12 @@ def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
     def on_caller(name):
         return [thread == here for n, thread in calls if n == name]
 
-    assert on_caller("kNN") == [True] * len(epochs)
+    assert on_caller("kNN") == [False] * mid_run + [True]
     assert on_caller("LT_LP") == [False] * len(epochs)
-    assert on_caller("FS_LP") == [False] * (len(epochs) - 1) + [True]
+    assert on_caller("FS_LP") == [False] * mid_run + [True]
+    # each mid-run snapshot's passes whole on the worker; the final's 722 train rows split
+    assert forwards[:2 * mid_run] == [(722, True), (300, True)] * mid_run
+    assert sorted(forwards[2 * mid_run:]) == [(300, False), (361, False), (361, True)]
     assert threading.active_count() == before
 
 
@@ -765,30 +801,96 @@ class ObservedShutdown(ThreadPoolExecutor):
 
 def test_an_interrupt_while_lt_lp_fits_propagates_and_leaves_no_thread(tmp_path, monkeypatch,
                                                                         one_blas_thread):
-    """The epoch-0 snapshot's LT_LP is still fitting when epoch 1 is
-    interrupted, and goes on until the run's worker is shutting down: the
-    FS_LP queued behind it never runs."""
+    """The final snapshot's LT_LP is still fitting on the worker when the
+    caller's kNN is interrupted, and goes on until the run's worker is
+    shutting down: the FS_LP queued behind it never runs."""
     before = threading.active_count()
     fitting, shutting_down = threading.Event(), threading.Event()
     monkeypatch.setattr(ObservedShutdown, "shutting_down", shutting_down)
     monkeypatch.setattr(tempcl.runner, "ThreadPoolExecutor", ObservedShutdown)
+    final = len(snapshot_epochs(config("-", **WIDE)))
 
     def lt_lp():
-        fitting.set()
+        if [name for name, _ in calls].count("LT_LP") == final:
+            fitting.set()
+            assert shutting_down.wait(10)
+
+    def knn():
+        if not on_worker():  # the final snapshot's, the one kNN on the caller's thread
+            assert fitting.wait(10)
+            raise KeyboardInterrupt
+
+    calls = patch_snapshot(monkeypatch, knn=knn, lt_lp=lt_lp)
+    trained = patch_train_epoch(monkeypatch, lambda epoch: None)
+    with pytest.raises(KeyboardInterrupt):
+        within(lambda: main(["train", "--config", cli_config(tmp_path)]))
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    # the mid-run snapshots' calls on the worker, then the final snapshot's two,
+    # appended on two threads
+    worker = calls[0][1]
+    mid_run = [("kNN", True), ("FS_LP", True), ("LT_LP", True)] * (final - 1)
+    assert [(name, thread == worker) for name, thread in calls[:-2]] == mid_run
+    assert sorted((name, thread == worker) for name, thread in calls[-2:]) == [
+        ("LT_LP", True), ("kNN", False)]
+    assert trained == list(range(EPOCHS))
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_while_a_mid_run_snapshot_runs_propagates_and_leaves_no_thread(
+        tmp_path, monkeypatch, one_blas_thread):
+    """The epoch-0 snapshot is in its kNN on the worker when epoch 1 is
+    interrupted, and goes on until the run's worker is shutting down; the
+    interrupt leaves the run once the snapshot is whole, dump included."""
+    before = threading.active_count()
+    running, shutting_down = threading.Event(), threading.Event()
+    monkeypatch.setattr(ObservedShutdown, "shutting_down", shutting_down)
+    monkeypatch.setattr(tempcl.runner, "ThreadPoolExecutor", ObservedShutdown)
+    knn_on_worker = []
+
+    def knn():
+        knn_on_worker.append(on_worker())
+        running.set()
         assert shutting_down.wait(10)
 
     def interrupt(epoch):
         if epoch == 1:
-            assert fitting.wait(10)
+            assert running.wait(10)
             raise KeyboardInterrupt
 
-    calls = patch_snapshot(monkeypatch, lt_lp=lt_lp)
+    calls = patch_snapshot(monkeypatch, knn=knn)
     trained = patch_train_epoch(monkeypatch, interrupt)
     with pytest.raises(KeyboardInterrupt):
         within(lambda: main(["train", "--config", cli_config(tmp_path)]))
+    out = tmp_path / "out"
+    assert not (out / "metrics.csv").exists()
+    assert [name for name, _ in calls] == ["kNN", "FS_LP", "LT_LP"]
+    assert knn_on_worker == [True] and len({thread for _, thread in calls}) == 1
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "coverage_epoch00000.csv", "curves_epoch00000.csv", "pca_epoch00000.csv"]
+    assert trained == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_a_diverging_mid_run_snapshot_exits_3_at_the_next_join_and_leaves_no_thread(
+        tmp_path, capsys, monkeypatch, one_blas_thread):
+    """The epoch-0 snapshot's train forward pass, on the worker, diverges
+    while epoch 1 trains; the run stops at the next snapshot, before epoch 2
+    trains, and no kNN or probe runs."""
+    before = threading.active_count()
+    resumed = threading.Event()
+
+    def diverge(rows):
+        assert resumed.wait(10)
+        raise FloatingPointError("made-up divergence in a mid-run snapshot")
+
+    forwards = patch_forward(monkeypatch, worker=diverge)
+    calls = patch_snapshot(monkeypatch)
+    trained = patch_train_epoch(monkeypatch, lambda epoch: epoch == 1 and resumed.set())
+    assert within(lambda: main(["train", "--config", cli_config(tmp_path)])) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric divergence: made-up divergence in a mid-run snapshot\n"
     assert not (tmp_path / "out" / "metrics.csv").exists()
-    # appended on two threads, in either order
-    assert sorted(name for name, _ in calls) == ["LT_LP", "kNN"]
+    assert forwards == [(722, True)]
+    assert calls == []
     assert trained == [0, 1]
     assert threading.active_count() == before
 
@@ -857,9 +959,11 @@ def test_a_forward_pass_below_the_gate_or_beside_more_blas_threads_runs_on_the_c
 def test_the_goldens_hold_with_every_snapshot_forward_pass_split(runs, data_dir, wide_inline,
                                                                  tmp_path, monkeypatch,
                                                                  split_open):
-    """The pixel run and the wide run, and the pixel run's eval and analyze,
-    with each snapshot forward pass split: the same outputs, and half of
-    every pass on the worker."""
+    """The pixel run, whose snapshots all run on the caller's thread, its
+    eval and analyze, and the wide run's final snapshot, with each of their
+    forward passes split: the same outputs, and half of every pass on the
+    worker.  The wide run's mid-run snapshots run whole on the worker, where
+    no pass is split."""
     calls = patch_forward(monkeypatch)
     run_experiment(config(tmp_path / "pixel", data_dir, **RUNS["pixel"]))
     assert (tmp_path / "pixel" / "metrics.csv").read_text() == (
@@ -876,44 +980,54 @@ def test_the_goldens_hold_with_every_snapshot_forward_pass_split(runs, data_dir,
     for kind in ("coverage", "curves", "pca"):
         name = f"{kind}_epoch{EPOCHS:05d}.csv"
         assert (tmp_path / "checkpoint" / name).read_bytes() == (final / name).read_bytes()
+    # 5 pixel snapshots, eval's 2 passes and analyze's 1; 2 passes each
+    halves = len(snapshot_epochs(cfg)) * 2 + 3
+    assert sum(worker for _, worker in calls) == halves
+    assert len(calls) == 2 * halves
 
+    calls.clear()
     run_experiment(config(tmp_path / "wide", **WIDE))
     for name in ("metrics.csv", "checkpoint_final.tclp"):
         assert (tmp_path / "wide" / name).read_bytes() == (wide_inline / name).read_bytes()
     assert analysis_digest(tmp_path / "wide") == analysis_digest(wide_inline)
-
-    # 5 pixel snapshots, eval's 2 passes and analyze's 1, 3 wide snapshots; 2 passes each
-    halves = len(snapshot_epochs(cfg)) * 2 + 3 + len(snapshot_epochs(config("-", **WIDE))) * 2
-    assert sum(worker for _, worker in calls) == halves
-    assert len(calls) == 2 * halves
+    mid_run = len(snapshot_epochs(config("-", **WIDE))) - 1
+    assert calls[:2 * mid_run] == [(722, True), (300, True)] * mid_run
+    assert sorted(calls[2 * mid_run:]) == [(150, False), (150, True), (361, False), (361, True)]
 
 
 def test_a_diverging_worker_half_exits_3_and_leaves_no_thread(tmp_path, capsys, monkeypatch,
                                                               one_blas_thread):
-    """The wide run's 722 train rows are split at its first snapshot."""
+    """The wide run's 722 train rows are split at its final snapshot, after
+    the mid-run snapshots' whole passes on the worker."""
     before = threading.active_count()
 
-    def diverge():
-        raise FloatingPointError("made-up divergence in a worker's half")
+    def diverge(rows):
+        if rows == 361:
+            raise FloatingPointError("made-up divergence in a worker's half")
 
     calls = patch_forward(monkeypatch, worker=diverge)
     assert within(lambda: main(["train", "--config", cli_config(tmp_path)])) == EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric divergence: made-up divergence in a worker's half\n"
     assert not (tmp_path / "out" / "metrics.csv").exists()
-    assert sorted(calls) == [(361, False), (361, True)]
+    mid_run = len(snapshot_epochs(config("-", **WIDE))) - 1
+    assert calls[:2 * mid_run] == [(722, True), (300, True)] * mid_run
+    assert sorted(calls[2 * mid_run:]) == [(361, False), (361, True)]
     assert threading.active_count() == before
 
 
 def test_an_interrupt_in_the_callers_half_propagates_and_leaves_no_thread(tmp_path, monkeypatch,
                                                                           one_blas_thread):
+    """At the final snapshot, the first of the caller's passes is
+    interrupted while the worker's half is still running."""
     before = threading.active_count()
     running, interrupted = threading.Event(), threading.Event()
 
-    def worker():  # still running its half when the interrupt is raised
-        running.set()
-        assert interrupted.wait(10)
+    def worker(rows):
+        if rows == 361:  # the final snapshot's half, not a mid-run snapshot's pass
+            running.set()
+            assert interrupted.wait(10)
 
-    def caller():
+    def caller(rows):
         assert running.wait(10)
         interrupted.set()
         raise KeyboardInterrupt
@@ -922,7 +1036,9 @@ def test_an_interrupt_in_the_callers_half_propagates_and_leaves_no_thread(tmp_pa
     with pytest.raises(KeyboardInterrupt):
         within(lambda: main(["train", "--config", cli_config(tmp_path)]))
     assert not (tmp_path / "out" / "metrics.csv").exists()
-    assert sorted(calls) == [(361, False), (361, True)]
+    mid_run = len(snapshot_epochs(config("-", **WIDE))) - 1
+    assert calls[:2 * mid_run] == [(722, True), (300, True)] * mid_run
+    assert sorted(calls[2 * mid_run:]) == [(361, False), (361, True)]
     assert threading.active_count() == before
 
 
