@@ -438,18 +438,6 @@ class TestTwoSoftmaxOracle:
         np.testing.assert_allclose(got, per_anchor, rtol=1e-13)
         np.testing.assert_allclose(got.mean(), per_anchor.mean(), rtol=1e-13)
 
-    def test_the_queue_path_without_key_gradients_keeps_the_bits(self):
-        """The momentum queue's keys take no gradient: the private path that
-        skips dK gives info_nce's loss and dU bit for bit."""
-        rng = np.random.default_rng(72)
-        U, V = unit_rows(rng, 128, 32), unit_rows(rng, 1152, 32)
-        taus = rng.choice([0.07, 0.2, 0.5], size=128)
-        per_anchor, dU, _ = info_nce(U, V, taus, v_checked=True)
-        S = similarity_matrix(U, V, v_checked=True)
-        got, got_dU, dK = _info_nce(S, U, V, _as_tau_vector(taus, 128), keys=False)
-        assert dK is None
-        assert got.tobytes() == per_anchor.tobytes() and got_dU.tobytes() == dU.tobytes()
-
     def test_square_at_a_small_tau_with_vanishing_losses(self):
         """At tau = 0.005 with every key well above the anchor's negatives
         the losses fall below 1e-60 and still agree to 1e-13 relative.  The
@@ -666,6 +654,18 @@ class TestInfoNceGrad:
     def test_symmetrize_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             info_nce_symmetrized(np.eye(2, 4), np.eye(4), 1.0)
+
+    def test_the_queue_path_without_key_gradients_keeps_the_bits(self):
+        """The momentum queue's keys take no gradient: the private path that
+        skips dK gives info_nce's loss and dU bit for bit."""
+        rng = np.random.default_rng(72)
+        U, V = unit_rows(rng, 128, 32), unit_rows(rng, 1152, 32)
+        taus = rng.choice([0.07, 0.2, 0.5], size=128)
+        per_anchor, dU, _ = info_nce(U, V, taus, v_checked=True)
+        S = similarity_matrix(U, V, v_checked=True)
+        got, got_dU, dK = _info_nce(S, U, V, _as_tau_vector(taus, 128), keys=False)
+        assert dK is None
+        assert got.tobytes() == per_anchor.tobytes() and got_dU.tobytes() == dU.tobytes()
 
 
 class TestSymmetrized:
