@@ -42,10 +42,10 @@ class ProbeConfig:
     """Linear-probe settings: FS_LP trains on a balanced few-shot subset,
     LT_LP on the full long-tail training set."""
 
-    mode: str = "LT_LP"
-    epochs: int = 500
-    lr: float = 0.5
-    seed: int = 0
+    mode: str
+    epochs: int
+    lr: float
+    seed: int
 
     def __post_init__(self):
         if self.mode not in ("FS_LP", "LT_LP"):
@@ -133,7 +133,7 @@ def knn_report(
     train_labels,
     test_emb,
     test_labels,
-    k_values=(1, 10),
+    k_values,
 ) -> list:
     """Rows of the kNN accuracy at each requested k (metric ``knn<k>``), in
     order, on the (balanced) test set; classes group by their train sizes."""

@@ -112,17 +112,16 @@ def _as_tau_vector(tau, n: int) -> np.ndarray:
     return taus
 
 
-def info_nce(U: np.ndarray, V: np.ndarray, tau, *,
-             v_checked: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def info_nce(U: np.ndarray, V: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contrastive loss of unit anchors ``U`` against keys ``V``, softmax
     form, with its gradients: (per_anchor, dU, dK), the gradients those of
     the mean loss with respect to U and to the anchors' keys K = V[:n].
 
     per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ), with
-    S = :func:`similarity_matrix` (U, V, v_checked=v_checked).  ``tau`` is a
-    scalar or one temperature per anchor.  dU and dK are G @ V and
-    (G.T @ U)[:n] for G = dmean/dS, worked from the softmax's exponentials as
-    the module docstring says, without forming G.
+    S = :func:`similarity_matrix` (U, V).  ``tau`` is a scalar or one
+    temperature per anchor.  dU and dK are G @ V and (G.T @ U)[:n] for
+    G = dmean/dS, worked from the softmax's exponentials as the module
+    docstring says, without forming G.
 
     The loss comes from the same exponentials e_ij = exp(z_ij - m_i),
     z = S/tau shifted by its row maximum m_i, as
@@ -134,7 +133,7 @@ def info_nce(U: np.ndarray, V: np.ndarray, tau, *,
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    S = similarity_matrix(U, V, v_checked=v_checked)
+    S = similarity_matrix(U, V)
     return _info_nce(S, U, V, _as_tau_vector(tau, S.shape[0]))
 
 

@@ -12,21 +12,18 @@ thread's.  It takes work only where BLAS runs one thread with a CPU to
 spare (``PROBE_WORKER``): more BLAS threads already fill the CPUs.  The
 placement rules:
 
-- A mid-run snapshot whose probe fits are wide enough for the worker
-  (``PROBE_WORKER_MACS``) runs there whole, on a copy of the encoder, while
-  the next epochs train: both forward passes (whole, as a job on the one
-  worker must not wait on it), the coverage histogram, kNN, the analysis
-  dump, FS_LP then LT_LP.  It writes its analysis files itself; its rows
-  are joined at the next snapshot, before that snapshot starts.
-- The final snapshot, ``eval``, a pixel run's snapshots (its views are made
-  on the worker, and would wait behind a snapshot there) and snapshots with
-  narrow fits run on the main thread, and their rows are joined at once.
-  There the worker takes each wide fit (LT_LP, then FS_LP) while kNN and
-  the dump run here, and a fit not started when it is joined is fitted
-  here; it also takes half of the rows of a forward pass of
-  ``FORWARD_WORKER_MACS`` or more, as in ``analyze``.  A narrower fit (a
-  pixel run's) is made of short GIL-bound calls and ran slower beside the
-  main thread's work.
+- A mid-run snapshot runs there whole, on a copy of the encoder, while the
+  next epochs train, unless the run streams pixel views (made on the
+  worker, they would wait behind a snapshot there): both forward passes
+  (whole, as a job on the one worker must not wait on it), the coverage
+  histogram, kNN, the analysis dump, FS_LP then LT_LP.  It writes its
+  analysis files itself; its rows are joined at the next snapshot, before
+  that snapshot starts.
+- The final snapshot, ``eval`` and a pixel run's snapshots run on the main
+  thread, and their rows are joined at once.  There the worker takes
+  LT_LP, then FS_LP, while kNN and the dump run here, and a fit not
+  started when it is joined is fitted here; it also takes half of the rows
+  of a forward pass of ``FORWARD_WORKER_MACS`` or more, as in ``analyze``.
 - Pixel runs make their views on the worker, one batch ahead of the
   encoder step (wide normal fills and gathers); embedding-noise views are
   short GIL-bound calls that slowed the step when made ahead, so other
@@ -109,13 +106,10 @@ def _blas_leaves_a_cpu() -> bool:
     return False
 
 
-# A probe is fitted on the worker only where that ran faster than inline: with
-# one BLAS thread and a CPU to spare (two BLAS threads on two CPUs made
-# k100-moco snapshots slower, the two fits oversubscribing the cores), and
-# with GEMMs (rows x feature dims x classes) this wide (alongside kNN and
-# FS_LP, fits of 0.5 M or less ran slower there, and fits of 1 M or more faster)
+# The worker takes snapshot work only with one BLAS thread and a CPU to spare:
+# two BLAS threads on two CPUs made k100-moco snapshots slower, the two fits
+# oversubscribing the cores
 PROBE_WORKER = _blas_leaves_a_cpu()
-PROBE_WORKER_MACS = 1 << 20
 # A snapshot forward pass is split from this many multiply-adds (rows x weight sizes): halves
 # repack every weight, and splits broke even at 7-16 M and gained on every measured shape from 17 M
 FORWARD_WORKER_MACS = 1 << 24
@@ -228,24 +222,14 @@ def _embed_train(cfg, pool, params, train):
     return emb, _unit_rows(feats)[0], hist
 
 
-def _worker_fits(cfg, params, train) -> list:
-    """The probe fits that the worker takes: each of at least
-    ``PROBE_WORKER_MACS`` (rows x tap dims x classes), LT_LP, the longer,
-    first, so that a join that finds FS_LP not started fits it beside LT_LP.
-    FS_LP's rows are the smallest class's size of every class."""
-    macs = params.layers[params.n_backbone][0].shape[0] * train.num_classes
-    fit_rows = {"LT_LP": train.n, "FS_LP": train.class_sizes.min() * train.num_classes}
-    return [mode for mode, n in fit_rows.items()
-            if cfg.eval.run_probes and PROBE_WORKER and n * macs >= PROBE_WORKER_MACS]
-
-
 def _snapshot(cfg, pool, params, train, test, out_dir=None, epoch=0) -> list:
     """One evaluation snapshot of ``params``: its (metric, scope, value) rows
     (kNN, FS_LP, LT_LP, then ``coverage_cv``) and, given ``out_dir``, its
-    analysis files.  Given ``pool``, the worker takes half of each wide
-    forward pass and each wide probe fit while kNN, the dump and each narrow
-    or not yet started fit run here; without one, all of it runs on this
-    thread, as on the worker that runs a whole mid-run snapshot."""
+    analysis files.  Given ``pool`` and ``PROBE_WORKER``, the worker takes
+    half of each wide forward pass and the probe fits, LT_LP (the longer)
+    first, so that a join that finds FS_LP not started fits it here beside
+    LT_LP, while kNN and the dump run here; without a pool, all of it runs
+    on this thread, as on the worker that runs a whole mid-run snapshot."""
     emb, train_feat, hist = _embed_train(cfg, pool, params, train)
     test_feat = _unit_rows(_forward_rows(pool, params, test.features)[1])[0]
 
@@ -253,8 +237,8 @@ def _snapshot(cfg, pool, params, train, test, out_dir=None, epoch=0) -> list:
         return linear_probe(train_feat, train.labels, test_feat, test.labels,
                             cfg.probe_config(mode))
 
-    fits = {mode: pool.submit(probe, mode)
-            for mode in (_worker_fits(cfg, params, train) if pool else ())}
+    on_worker = ("LT_LP", "FS_LP") if pool and PROBE_WORKER and cfg.eval.run_probes else ()
+    fits = {mode: pool.submit(probe, mode) for mode in on_worker}
     rows = knn_report(train_feat, train.labels, test_feat, test.labels, k_values=KNN_K)
     if out_dir:  # before the fits are joined, so that it overlaps them
         _write_analysis(cfg, emb, train_feat, hist, train.labels, out_dir, epoch)
@@ -346,23 +330,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     snapshots = set(snapshot_epochs(cfg))
     checkpoints = eval_epochs(cfg.schedule, E)
     views_ahead = cfg.data.augment == "pixel"  # made on the worker (see _ViewStream)
-    # a mid-run snapshot runs whole on the worker while the next epochs train
-    # where its fits would, unless pixel views, made there, would wait behind it
-    jobs = bool(_worker_fits(cfg, params, train)) and not views_ahead
+    jobs = PROBE_WORKER and not views_ahead
     dump_dir = out_dir if cfg.analysis.enable else None
     joined = []  # (epoch, rows) of each joined snapshot
-    pending = []  # (epoch, job, train_loss rows) of a snapshot running on the worker
-
-    def settle():
-        for epoch, job, extra_rows in pending:
-            joined.append((epoch, [*job.result(), *extra_rows]))
-        pending.clear()
+    job = None  # (epoch, future rows, train_loss rows) of the snapshot running on the worker
 
     def record(epoch, extra_rows=()):
-        settle()  # the last snapshot's job, which ran while these epochs trained
+        nonlocal job
+        if job:  # the last snapshot, which ran while these epochs trained
+            last, rows, last_extra = job
+            joined.append((last, [*rows.result(), *last_extra]))
+            job = None
         if jobs and epoch < E:  # on a copy, as the next epochs train params
-            pending.append((epoch, pool.submit(_snapshot, cfg, None, params.copy(), train,
-                                               test, dump_dir, epoch), extra_rows))
+            job = (epoch, pool.submit(_snapshot, cfg, None, params.copy(), train, test,
+                                      dump_dir, epoch), extra_rows)
         else:
             joined.append((epoch, [*_snapshot(cfg, pool, params, train, test, dump_dir, epoch),
                                    *extra_rows]))

@@ -351,7 +351,7 @@ class TestLinearProbe:
         means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         train, labels = np.repeat(means, 20, axis=0), np.repeat([0, 1, 2], 20)
         test, test_labels = np.repeat(means, 5, axis=0), np.repeat([0, 1, 2], 5)
-        cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5)
+        cfg = ProbeConfig(mode="LT_LP", epochs=200, lr=0.5, seed=0)
         rows = linear_probe(train, labels, test, test_labels, cfg)
         assert scores(rows, "lt_lp")["all"] == 1.0
 
@@ -411,7 +411,7 @@ class TestLinearProbe:
     def test_single_class_training_rejected(self):
         with pytest.raises(ValueError, match="one class"):
             linear_probe(np.eye(3), [1, 1, 1], np.eye(3), [0, 1, 2],
-                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1))
+                         ProbeConfig(mode="LT_LP", epochs=10, lr=0.1, seed=0))
 
 
 class TestEvalReportRows:
@@ -427,7 +427,7 @@ def report(kind, train, labels, test, test_labels):
     """The rows of one scorer: kNN at k = 1, or a probe of mode ``kind``."""
     if kind == "knn":
         return scores(knn_report(train, labels, test, test_labels, k_values=(1,)), "knn1")
-    cfg = ProbeConfig(mode=kind, epochs=200, lr=0.5)
+    cfg = ProbeConfig(mode=kind, epochs=200, lr=0.5, seed=0)
     return scores(linear_probe(train, labels, test, test_labels, cfg), kind.lower())
 
 

@@ -274,8 +274,9 @@ class TestInfoNce:
     @pytest.mark.parametrize("value", [1.5, -1.5])
     def test_rejects_similarities_out_of_range(self, value):
         """A similarity past [-1, 1] needs a row of norm past 1, which the
-        unit-norm check refuses; keys trusted by ``v_checked`` are clipped
-        into range, so the loss is that of the unit row."""
+        unit-norm check refuses; keys trusted by ``v_checked``, as the queue
+        path trusts them, are clipped into range, so the loss is that of the
+        unit row."""
         U = np.eye(2, 3)
         V = np.eye(3)
         V[1] *= value
@@ -283,8 +284,8 @@ class TestInfoNce:
             info_nce(U, V, 1.0)
         unit = V.copy()
         unit[1] /= abs(value)
-        np.testing.assert_array_equal(info_nce(U, V, 1.0, v_checked=True)[0],
-                                      info_nce(U, unit, 1.0)[0])
+        trusted = _info_nce(similarity_matrix(U, V, v_checked=True), U, V, np.ones(2))[0]
+        np.testing.assert_array_equal(trusted, info_nce(U, unit, 1.0)[0])
 
     def test_accepts_rounding_past_the_unit_bound(self):
         """Rows of norm 1 + 4e-7, inside the unit-norm tolerance, give
@@ -661,7 +662,7 @@ class TestInfoNceGrad:
         rng = np.random.default_rng(72)
         U, V = unit_rows(rng, 128, 32), unit_rows(rng, 1152, 32)
         taus = rng.choice([0.07, 0.2, 0.5], size=128)
-        per_anchor, dU, _ = info_nce(U, V, taus, v_checked=True)
+        per_anchor, dU, _ = info_nce(U, V, taus)
         S = similarity_matrix(U, V, v_checked=True)
         got, got_dU, dK = _info_nce(S, U, V, _as_tau_vector(taus, 128), keys=False)
         assert dK is None

@@ -18,8 +18,9 @@ files and ``hashes.json``; the comparisons here stay exact.  The
 momentum-queue and pixel runs are repeated in a fresh process with two BLAS
 threads, which must give the same ``metrics.csv`` and checkpoint, and with
 one BLAS thread, under which the runner's import-time rule opens its worker
-paths; so is a run whose probes are wide enough for the worker.  The
-in-batch run without probes must give its golden less the probe rows.
+paths; so is a run of 100 classes (``WIDE``).  The in-batch run without
+probes must give its golden less the probe rows, with and without the
+worker.
 
 The analysis CSVs are hashed with every decimal number rounded to 12
 significant digits: the contribution curves come from a BLAS product whose
@@ -27,10 +28,10 @@ last bit depends on the BLAS thread count.  ``metrics.csv`` and the
 checkpoint do not, and are compared exactly.
 
 A run owns one worker thread.  Pixel runs take their views from a stream
-that it fills one batch ahead.  A mid-run snapshot whose probe fits are
-wide enough runs whole there while the next epochs train; at other
-snapshots a wide forward pass runs half of its rows there, and the wide
-probe fits run there while kNN runs on the caller's thread.  The stream,
+that it fills one batch ahead.  A mid-run snapshot of a run that does not
+stream its views runs whole there while the next epochs train; at other
+snapshots a wide forward pass runs half of its rows there, and the probe
+fits run there while kNN runs on the caller's thread.  The stream,
 the split forward pass, the whole-snapshot jobs and the fits are checked
 against their inline forms, and runs that finish, diverge or are
 interrupted, in training or in a snapshot, must leave no thread behind and
@@ -237,21 +238,37 @@ def test_analyze_checkpoint_reproduces_the_final_analysis(runs, data_dir, name, 
         assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
 
 
-def test_a_run_without_probes_gives_the_golden_less_its_probe_rows(data_dir, tmp_path):
+def test_a_run_without_probes_gives_the_golden_less_its_probe_rows(data_dir, tmp_path,
+                                                                   monkeypatch):
     """eval.run_probes = false drops the fs_lp and lt_lp rows and nothing
     else: training, so the checkpoint, and every other row are the in-batch
-    golden's, and eval_checkpoint gives the final snapshot's rows."""
+    golden's, and eval_checkpoint gives the final snapshot's rows.  So with
+    the worker shut (more BLAS threads) and open (one BLAS thread), where
+    each mid-run snapshot, with no fit, runs whole on it."""
     overrides = {**RUNS["in_batch"], "eval__run_probes": "false"}
-    run_dir = tmp_path / "run"
-    run_experiment(config(run_dir, data_dir, **overrides))
     golden = (GOLDEN / "metrics_in_batch.csv").read_text().splitlines(keepends=True)
-    assert (run_dir / "metrics.csv").read_text().splitlines(keepends=True) == [
-        line for line in golden if ",fs_lp," not in line and ",lt_lp," not in line]
-    assert sha256(run_dir / "checkpoint_final.tclp") == HASHES["in_batch"]["checkpoint"]
-    rows = eval_checkpoint(config(tmp_path / "eval", data_dir, **overrides),
-                           run_dir / "checkpoint_final.tclp", EPOCHS)
-    final = [line.rstrip("\n").split(",")[2:] for line in _final_lines(run_dir)]
-    assert [[metric, scope, repr(value)] for metric, scope, value in rows] == final
+    calls, forwards = patch_snapshot(monkeypatch), patch_forward(monkeypatch)
+    for probe_worker in (False, True):
+        monkeypatch.setattr(tempcl.runner, "PROBE_WORKER", probe_worker)
+        calls.clear()
+        forwards.clear()
+        run_dir = tmp_path / f"run_{probe_worker}"
+        cfg = config(run_dir, data_dir, **overrides)
+        run_experiment(cfg)
+        assert (run_dir / "metrics.csv").read_text().splitlines(keepends=True) == [
+            line for line in golden if ",fs_lp," not in line and ",lt_lp," not in line]
+        assert sha256(run_dir / "checkpoint_final.tclp") == HASHES["in_batch"]["checkpoint"]
+        snapshots = len(snapshot_epochs(cfg))
+        mid_run = snapshots - 1 if probe_worker else 0
+        here = threading.get_ident()
+        assert [(name, thread == here) for name, thread in calls] == (
+            [("kNN", False)] * mid_run + [("kNN", True)] * (snapshots - mid_run))
+        # the train and test sets' passes of each mid-run snapshot, whole on the worker
+        assert forwards[:2 * mid_run] == [(151, True), (1000, True)] * mid_run
+        rows = eval_checkpoint(config(run_dir / "eval", data_dir, **overrides),
+                               run_dir / "checkpoint_final.tclp", EPOCHS)
+        final = [line.rstrip("\n").split(",")[2:] for line in _final_lines(run_dir)]
+        assert [[metric, scope, repr(value)] for metric, scope, value in rows] == final
 
 
 # runs one golden config, or WIDE, given (output dir, data dir, run name)
@@ -282,13 +299,14 @@ def test_two_blas_threads_give_the_golden_outputs(data_dir, name, tmp_path):
 @pytest.mark.parametrize("name", ["momentum_queue", "pixel", "wide"])
 def test_one_blas_thread_gives_the_golden_outputs(data_dir, wide_inline, name, tmp_path):
     """The goldens hold where the import-time rule opens the worker paths,
-    which tier-1 (BLAS variables unset) reaches only through monkeypatch:
-    the pixel run makes its views there, the momentum-queue run's 1,000
-    test rows are a forward pass wide enough to split, and the WIDE run
-    fits its probes there, running each mid-run snapshot whole there (its
-    forward passes, kNN, probes and dump) while the next epochs train.  The
-    golden runs' snapshots stay on the caller's thread.  The WIDE run must
-    match the run that fits every probe inline."""
+    which tier-1 (BLAS variables unset) reaches only through monkeypatch.
+    The pixel run makes its views there, so its snapshots run on the
+    caller's thread, which hands the worker their probe fits.  The
+    momentum-queue and WIDE runs run each mid-run snapshot whole there (its
+    forward passes, kNN, probes and dump) while the next epochs train, and
+    split their final snapshot's widest forward pass (the momentum-queue
+    run's 1,000 test rows, the WIDE run's 722 train rows).  The WIDE run
+    must match the run that fits every probe inline."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
@@ -315,21 +333,30 @@ def test_one_blas_thread_gives_the_golden_outputs(data_dir, wide_inline, name, t
     def where(fn):
         return [(size, worker) for name, size, worker in placed if name == fn]
 
-    assert any(worker for _, worker in where("linear_probe")) == (name == "wide")
-    if name == "wide":
-        mid_run = [e for e in snapshot_epochs(config("-", **WIDE)) if e < EPOCHS]
-        assert where("forward")[:2 * len(mid_run)] == [(722, True), (300, True)] * len(mid_run)
-        assert sorted(where("forward")[2 * len(mid_run):]) == [(300, False), (361, False),
-                                                               (361, True)]
-        assert where("knn_report") == [(300, True)] * len(mid_run) + [(300, False)]
+    assert any(worker for _, worker in where("linear_probe"))
+    if name == "pixel":
+        assert not any(worker for _, worker in where("knn_report") + where("write_atomic"))
+    else:
+        # (train rows, test rows), and the final snapshot's forward passes
+        (train, test), final = {"momentum_queue": ((151, 1000), [(151, False), (500, False),
+                                                                  (500, True)]),
+                                "wide": ((722, 300), [(300, False), (361, False),
+                                                      (361, True)])}[name]
+        mid_run = [e for e in snapshot_epochs(config("-", **{**RUNS, "wide": WIDE}[name]))
+                   if e < EPOCHS]
+        assert where("forward")[:2 * len(mid_run)] == [(train, True), (test, True)] * len(mid_run)
+        assert sorted(where("forward")[2 * len(mid_run):]) == final
+        assert where("knn_report") == [(test, True)] * len(mid_run) + [(test, False)]
+        assert where("linear_probe")[:2 * len(mid_run)] == [("FS_LP", True),
+                                                            ("LT_LP", True)] * len(mid_run)
         dumps = tuple(f"{kind}_epoch{e:05d}.csv" for e in mid_run
                       for kind in ("coverage", "curves", "pca"))
         assert sum(file in dumps for file, _ in where("write_atomic")) == len(dumps)
         assert all(worker == (file in dumps) for file, worker in where("write_atomic"))
+    if name == "wide":
         for file in ("metrics.csv", "checkpoint_final.tclp"):
             assert (tmp_path / file).read_bytes() == (wide_inline / file).read_bytes()
         return
-    assert not any(worker for _, worker in where("knn_report") + where("write_atomic"))
     golden = (GOLDEN / f"metrics_{name}.csv").read_text()
     assert (tmp_path / "metrics.csv").read_text() == golden
     assert sha256(tmp_path / "checkpoint_final.tclp") == HASHES[name]["checkpoint"]
@@ -592,8 +619,8 @@ def patch_forward(monkeypatch, worker=None, caller=None):
     return calls
 
 
-# 100 classes of 10 down to 5 rows: LT_LP's GEMMs (722 rows x 128 features x 100
-# classes) are wide enough for the worker
+# 100 classes of 10 down to 5 rows, as k100-moco: 722 train rows, a forward pass
+# wide enough to split, and LT_LP's GEMMs of 722 rows x 128 features x 100 classes
 WIDE = {"data__classes": 100, "data__n_max": 10, "data__imbalance": 2,
         "data__test_per_class": 3}
 
@@ -720,14 +747,22 @@ def test_lt_lp_fits_on_the_worker_alongside_knn_and_fs_lp(wide_inline, tmp_path,
 
 
 @pytest.mark.parametrize("run", ["in_batch", "pixel"])
-def test_a_narrow_lt_lp_fits_on_the_callers_thread(runs, data_dir, tmp_path, monkeypatch,
-                                                    one_blas_thread, run):
-    """The golden runs' probes are too narrow to gain on the worker."""
-    calls = patch_snapshot(monkeypatch)
+def test_eval_of_a_narrow_golden_run_fits_lt_lp_on_the_worker(runs, data_dir, tmp_path,
+                                                              monkeypatch, one_blas_thread, run):
+    """However narrow its fits, beside one BLAS thread eval hands LT_LP to
+    the worker: kNN, on the caller's thread, waits at a barrier for LT_LP
+    to start, and LT_LP for kNN, so a snapshot that fits LT_LP on the
+    caller's thread breaks it.  The rows are the golden's final snapshot's."""
+    started = threading.Barrier(2, timeout=10)
+    calls = patch_snapshot(monkeypatch, knn=started.wait, lt_lp=started.wait)
     cfg = config(tmp_path, data_dir, **RUNS[run])
     eval_checkpoint(cfg, runs[run][1] / "checkpoint_final.tclp", EPOCHS)
+    written = (tmp_path / f"eval_epoch{EPOCHS:05d}.csv").read_text().splitlines(True)
+    assert written[1:] == _final_lines(runs[run][1])
+    here = threading.get_ident()
     assert sorted(name for name, _ in calls) == ["FS_LP", "LT_LP", "kNN"]
-    assert {thread for _, thread in calls} == {threading.get_ident()}
+    on_caller = {name: thread == here for name, thread in calls}
+    assert on_caller["kNN"] and not on_caller["LT_LP"]
 
 
 @pytest.mark.parametrize("env, cpus, expected", [
@@ -740,7 +775,8 @@ def test_a_narrow_lt_lp_fits_on_the_callers_thread(runs, data_dir, tmp_path, mon
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),  # 0 sets no count
     ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, True),
 ])
-def test_the_worker_takes_lt_lp_only_beside_one_blas_thread(monkeypatch, env, cpus, expected):
+def test_the_worker_takes_snapshot_work_only_beside_one_blas_thread(monkeypatch, env, cpus,
+                                                                    expected):
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
