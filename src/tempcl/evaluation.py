@@ -157,16 +157,16 @@ def fewshot_subset(labels, seed: int) -> np.ndarray:
                                        [counts.min()] * len(counts), seed))
 
 
-def _probe_grads(W, b, X, onehot):
+def _probe_grads(W, b, X, label_at):
     """Gradients (dW, db) of the mean softmax cross-entropy of a linear
-    classifier.  The softmax and then the logit gradient are built in place
-    in one buffer."""
+    classifier, built in place in one buffer: the softmax, less 1 at each
+    row's label, whose flat index in the n x K logits ``label_at`` holds."""
     P = X @ W
     P += b
     P -= P.max(axis=1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)
-    P -= onehot
+    P.reshape(-1)[label_at] -= 1.0
     P /= X.shape[0]
     return X.T @ P, P.sum(axis=0)
 
@@ -200,10 +200,9 @@ def linear_probe(
     D = X.shape[1]
     W = np.zeros((D, K))
     b = np.zeros(K)
-    onehot = np.zeros((X.shape[0], K))
-    onehot[np.arange(X.shape[0]), y] = 1.0
+    label_at = np.arange(X.shape[0]) * K + y
     for _ in range(cfg.epochs):
-        dW, db = _probe_grads(W, b, X, onehot)
+        dW, db = _probe_grads(W, b, X, label_at)
         dW *= cfg.lr
         db *= cfg.lr
         W -= dW

@@ -374,8 +374,6 @@ class TestLinearProbe:
         rng = np.random.default_rng(26)
         X = rng.standard_normal((4, 3))
         y = np.array([0, 1, 2, 1])
-        onehot = np.zeros((4, 3))
-        onehot[np.arange(4), y] = 1.0
         W = rng.standard_normal((3, 3)) * 0.3
         b = rng.standard_normal(3) * 0.1
         def cross_entropy():
@@ -384,7 +382,7 @@ class TestLinearProbe:
             log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
             return -log_p[np.arange(4), y].mean()
 
-        dW, db = _probe_grads(W, b, X, onehot)
+        dW, db = _probe_grads(W, b, X, np.arange(4) * 3 + y)
         h = 1e-5
         for arr, grad in ((W, dW), (b, db)):
             fd = np.zeros_like(arr)
