@@ -87,7 +87,7 @@ def _curves(hist: np.ndarray, cumulative: np.ndarray, tau: float) -> Contributio
 
 def aggregate_contribution_curves(emb: np.ndarray, tau: float) -> ContributionCurves:
     """Contribution curves of every anchor's negatives pooled (the
-    off-diagonal entries of ``similarity_matrix(emb, emb)``), each weighted
+    off-diagonal entries of emb @ emb.T, clipped to [-1, 1]), each weighted
     exp((s - max s) / tau).  They are formed twice in row blocks: pass 1 takes
     the maximum, pass 2 adds weights by ``np.add.at`` in one ``bincount``'s
     row-major order.  A diagonal entry, at -inf, adds 0.0 to bin 0's sum."""

@@ -44,10 +44,10 @@ from tempcl.loss import (
     _as_tau_vector,
     _check_unit_rows,
     _info_nce,
+    _logits,
     _unit_rows,
     info_nce,
     info_nce_symmetrized,
-    similarity_matrix,
 )
 from tempcl.schedule import ScheduleConfig, class_tau
 
@@ -346,8 +346,8 @@ def _batch_gradients(params, v1, v2, tau, source, symmetrize):
     keys = forward(source.key_params, v2).embeddings
     V = np.vstack([keys, source.queue])
     queue_push(source, keys)  # checks the keys; the queued rows were checked when pushed
-    S = similarity_matrix(U, V, v_checked=True)
-    per_anchor, dU, _ = _info_nce(S, U, V, _as_tau_vector(tau, U.shape[0]), keys=False)
+    taus = _as_tau_vector(tau, U.shape[0])
+    per_anchor, dU, _ = _info_nce(_logits(U, V, taus, v_checked=True), U, V, taus, keys=False)
     return [backward(params, dU, r1)], float(per_anchor.mean())
 
 

@@ -3,21 +3,27 @@ its gradients.
 
 :func:`info_nce` takes the anchors U (n x d) and their keys V (m x d, m >= n):
 row i of V is anchor i's positive key, and any rows past n are negatives
-shared by every anchor (queue-style negatives).  Row i of the similarity
-matrix S = U @ V.T belongs to anchor i, and its entry (i, i) holds the
-positive-pair similarity.  The function returns the per-anchor loss and the
-gradients of the mean loss with respect to U and to the keys K = V[:n], all
-from one set of exponentials of the softmax over similarities.  The
-gradients are where the temperature acts: a small tau puts the weight on the
-hardest negatives, a large one spreads it.
+shared by every anchor (queue-style negatives).  Row i of the logits
+Z = (U / tau) @ V.T, z_ij = s_ij / tau_i for the cosine similarity s_ij,
+belongs to anchor i, and (i, i) is its positive pair: tau scales the n x d
+anchors, not the n x m product.  The function returns the per-anchor loss
+and the gradients of the mean loss with respect to U and to the keys
+K = V[:n], all from one set of exponentials of the softmax over Z.  The
+gradients are where the temperature acts: a small tau puts the weight on
+the hardest negatives, a large one spreads it.
+
+The exponentials E = exp(Z) take no row-max shift while every 1/tau is at
+most ``_UNSHIFTED_INV_TAU`` (500): unit rows (within the 1e-6 tolerance,
+with no clip to [-1, 1]) bound |z_ij| by 500.001, so each e_ij is a normal
+double and a row total overflows only past 10^91 terms.  A smaller tau
+takes the shift, under which a negative's weight may underflow to 0.
 
 The gradient with respect to the similarities, G = (W - I) / (tau n) with W
 the row softmax, is never formed: it is an n x m array, and every division
-or fix-up of it is a pass over n x m entries.  The exponentials E, shifted
-by each row's maximum, are worked in S's own buffer, with the positives'
-entries (i, i) zeroed once summed, and the scalings are applied to the
-n x d products instead.  With t the row totals of E, r those of the zeroed
-E (the negatives'), c = 1 / (t tau n) per row:
+or fix-up of it is a pass over n x m entries.  E is worked in Z's own
+buffer, with the positives' entries (i, i) zeroed once summed, and the
+scalings are applied to the n x d products instead.  With t the row totals
+of E, r those of the zeroed E (the negatives'), c = 1 / (t tau n) per row:
 
     dU = c * (E @ V) - c r * V[:n]            (= G @ V)
     dK = E[:, :n].T @ (c * U) - c r * U       (= (G.T @ U)[:n])
@@ -32,12 +38,13 @@ All computation is in 64-bit floats.
 import numpy as np
 
 __all__ = [
-    "similarity_matrix",
     "info_nce",
     "info_nce_symmetrized",
 ]
 
 _UNIT_NORM_TOL = 1e-6
+# the largest 1/tau whose logits are exponentiated with no row-max shift
+_UNSHIFTED_INV_TAU = 500.0
 # float64 products held at once by a row-blocked product; freed 1 MiB blocks leave
 # glibc's mmap threshold below a training step's loss matrix, which then faults
 _PRODUCT_BLOCK_BYTES = 2 << 20
@@ -79,27 +86,6 @@ def _row_blocks(n: int, row_bytes: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def similarity_matrix(U: np.ndarray, V: np.ndarray, *, v_checked: bool = False) -> np.ndarray:
-    """Cosine similarities between two batches of unit-norm row vectors.
-
-    Returns the N x M matrix with entry (i, j) = dot(U[i], V[j]), clamped
-    to [-1, 1].  V holds the key of each row of U, then any negatives shared
-    by every anchor, so it needs U's width and at least U's rows.  All rows
-    must be unit-norm (within 1e-6).  ``v_checked`` says every row of V has
-    passed that check already, as keys in a momentum queue have in
-    ``queue_push``; only U is checked then.
-    """
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1] or V.shape[0] < U.shape[0]:
-        raise ValueError(f"shape mismatch: U is {U.shape}, V is {V.shape}")
-    _check_unit_rows(U, "U")
-    if not v_checked:
-        _check_unit_rows(V, "V")
-    S = U @ V.T
-    return np.clip(S, -1.0, 1.0, out=S)
-
-
 def _as_tau_vector(tau, n: int) -> np.ndarray:
     """Broadcast a scalar temperature or validate a per-anchor vector."""
     taus = np.asarray(tau, dtype=np.float64)
@@ -112,46 +98,61 @@ def _as_tau_vector(tau, n: int) -> np.ndarray:
     return taus
 
 
+def _logits(U: np.ndarray, V: np.ndarray, taus: np.ndarray,
+            v_checked: bool = False) -> np.ndarray:
+    """Z = (U / taus) @ V.T, the n x m logits of unit anchors ``U`` against
+    keys ``V``: V holds each anchor's key, then any shared negatives, so it
+    needs U's width and at least U's rows.  All rows must be unit-norm
+    (within 1e-6).  ``v_checked`` says every row of V has passed that check
+    already, as keys in a momentum queue have in ``queue_push``; only U is
+    checked then."""
+    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1] or V.shape[0] < U.shape[0]:
+        raise ValueError(f"shape mismatch: U is {U.shape}, V is {V.shape}")
+    _check_unit_rows(U, "U")
+    if not v_checked:
+        _check_unit_rows(V, "V")
+    return (U * (1.0 / taus)[:, None]) @ V.T
+
+
 def info_nce(U: np.ndarray, V: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contrastive loss of unit anchors ``U`` against keys ``V``, softmax
     form, with its gradients: (per_anchor, dU, dK), the gradients those of
     the mean loss with respect to U and to the anchors' keys K = V[:n].
 
-    per_anchor[i] = -log( exp(s_ii/tau_i) / sum_j exp(s_ij/tau_i) ), with
-    S = :func:`similarity_matrix` (U, V).  ``tau`` is a scalar or one
-    temperature per anchor.  dU and dK are G @ V and (G.T @ U)[:n] for
-    G = dmean/dS, worked from the softmax's exponentials as the module
-    docstring says, without forming G.
+    per_anchor[i] = -log( exp(z_ii) / sum_j exp(z_ij) ) for the logits
+    Z = (U / tau) @ V.T, unclipped.  ``tau`` is a scalar or one temperature
+    per anchor.  dU and dK are G @ V and (G.T @ U)[:n] for G = dmean/dS,
+    worked from the softmax's exponentials as the module docstring says.
 
-    The loss comes from the same exponentials e_ij = exp(z_ij - m_i),
-    z = S/tau shifted by its row maximum m_i, as
-    softplus(log(sum_{j != i} e_ij) - (z_ii - m_i)).  The negatives are
-    summed on their own rather than as the row sum less e_ii, so nothing
-    cancels, and softplus of a very negative argument is its exponential:
-    a vanishing loss keeps its full relative accuracy.  Only when every
-    negative underflows, a loss below the smallest double, is it exactly 0.
+    The loss comes from the same exponentials e_ij = exp(z_ij), shifted by
+    the row maximum only past 1/tau = 500, as
+    softplus(log(sum_{j != i} e_ij) - z_ii).  The negatives are summed on
+    their own rather than as the row sum less e_ii, so nothing cancels, and
+    softplus of a very negative argument is its exponential: a vanishing
+    loss keeps its full relative accuracy.  Only when every shifted negative
+    underflows, a loss below the smallest double, is it exactly 0.
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    S = similarity_matrix(U, V)
-    return _info_nce(S, U, V, _as_tau_vector(tau, S.shape[0]))
+    taus = _as_tau_vector(tau, len(U))
+    return _info_nce(_logits(U, V, taus), U, V, taus)
 
 
-def _info_nce(S: np.ndarray, U: np.ndarray, V: np.ndarray, taus: np.ndarray,
+def _info_nce(Z: np.ndarray, U: np.ndarray, V: np.ndarray, taus: np.ndarray,
               keys: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`info_nce` of S = U @ V.T, clipped, worked in place in S's
-    buffer: the logits S/tau shifted by their row maximum, then their
-    exponentials E, with the diagonal zeroed once the positives are read.
-    The gradients scale n x d rows, not n x m entries.  With ``keys`` False
-    dK is None, for keys that take no gradient (a key encoder's)."""
-    n, m = S.shape
+    """:func:`info_nce` of the logits Z = :func:`_logits` (U, V, taus),
+    worked in place: shifted by their row maximum only past
+    ``_UNSHIFTED_INV_TAU``, then their exponentials E, the diagonal zeroed
+    once the positives are read.  With ``keys`` False dK is None, for keys
+    that take no gradient (a key encoder's)."""
+    n, m = Z.shape
     if m < 2:
         raise ValueError("loss undefined without at least one negative (need >= 2 keys)")
     idx = np.arange(n)
-    S *= (1.0 / taus)[:, None]
-    S -= S.max(axis=1, keepdims=True)
-    z_pos = S[idx, idx]
-    E = np.exp(S, out=S)
+    if 1.0 / taus.min() > _UNSHIFTED_INV_TAU:
+        Z -= Z.max(axis=1, keepdims=True)
+    z_pos = Z[idx, idx]
+    E = np.exp(Z, out=Z)
     positive = E[idx, idx]
     E[idx, idx] = 0.0
     negative = E.sum(axis=1)
@@ -184,8 +185,7 @@ def info_nce_symmetrized(U: np.ndarray, V: np.ndarray,
     if U.shape[0] != V.shape[0]:
         raise ValueError(f"symmetrized loss requires a square similarity matrix: "
                          f"{U.shape[0]} anchors but {V.shape[0]} keys")
-    S = similarity_matrix(U, V)
-    taus = _as_tau_vector(tau, S.shape[0])
-    rev, dV_rev, dU_rev = _info_nce(S.T.copy(), V, U, taus)
-    fwd, dU, dV = _info_nce(S, U, V, taus)
+    taus = _as_tau_vector(tau, len(U))
+    fwd, dU, dV = _info_nce(_logits(U, V, taus), U, V, taus)
+    rev, dV_rev, dU_rev = _info_nce(_logits(V, U, taus, v_checked=True), V, U, taus)
     return 0.5 * (fwd + rev), 0.5 * (dU + dU_rev), 0.5 * (dV + dV_rev)

@@ -22,9 +22,9 @@ from tempcl.analysis import (
     uniformity_stat,
 )
 from tempcl.evaluation import knn_classify
-from tempcl.loss import _PRODUCT_BLOCK_BYTES, _row_blocks, similarity_matrix
+from tempcl.loss import _PRODUCT_BLOCK_BYTES, _row_blocks
 from test_data import traced_peak
-from test_loss import unit_rows
+from test_loss import similarity_matrix, unit_rows
 
 
 class TestCoverageHistogram:

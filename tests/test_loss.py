@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from tempcl.analysis import aggregate_contribution_curves
+import tempcl.loss
 from tempcl.encoder import NegativeSource, queue_push
 from tempcl.evaluation import knn_classify
 from tempcl.loss import (
@@ -23,10 +24,10 @@ from tempcl.loss import (
     _as_tau_vector,
     _check_unit_rows,
     _info_nce,
+    _logits,
     _row_blocks,
     info_nce,
     info_nce_symmetrized,
-    similarity_matrix,
 )
 
 
@@ -35,6 +36,25 @@ def unit_rows(rng, n, d):
     the analysis, encoder and evaluation tests)."""
     X = rng.standard_normal((n, d))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def similarity_matrix(U, V):
+    """The cosine similarities U @ V.T of unit rows, clipped to [-1, 1]: the
+    oracles' S, one float64 rounding apart from the loss's logits (also
+    imported by the analysis tests)."""
+    return np.clip(np.asarray(U, dtype=np.float64) @ np.asarray(V, dtype=np.float64).T,
+                   -1.0, 1.0)
+
+
+def exact_similarities(U, V):
+    """U @ V.T in long double, the float64 rows' products to about 1e-19: a
+    reference S apart from any float64 rounding of it."""
+    return np.asarray(U, dtype=np.longdouble) @ np.asarray(V, dtype=np.longdouble).T
+
+
+def unit_logits(U, V, **kw):
+    """:func:`_logits` at unit temperature: the similarity matrix."""
+    return _logits(U, V, np.ones(len(U)), **kw)
 
 
 def random_similarities(rng, n, m=None):
@@ -89,40 +109,50 @@ def distance_factors(S, tau):
 
 
 class TestSimilarityMatrix:
+    """The logits at unit temperature are the similarity matrix; a
+    temperature per anchor divides its row."""
+
     def test_orthonormal_basis(self):
         """Identity embeddings give the identity similarity matrix."""
         I = np.eye(2)
-        np.testing.assert_array_equal(similarity_matrix(I, I), I)
+        np.testing.assert_array_equal(unit_logits(I, I), I)
 
     def test_antipodal_rows(self):
         """U_i = -V_i puts -1 on the diagonal."""
         rng = np.random.default_rng(7)
         V = rng.standard_normal((2, 3))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        S = similarity_matrix(-V, V)
+        S = unit_logits(-V, V)
         np.testing.assert_allclose(np.diag(S), -1.0, atol=1e-12)
 
     def test_matches_elementwise_dot_oracle(self):
-        """Entries equal independently computed dot products."""
+        """Entries equal independently computed dot products over each
+        anchor's temperature."""
         rng = np.random.default_rng(11)
         U = rng.standard_normal((3, 4))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         V = rng.standard_normal((3, 4))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        S = similarity_matrix(U, V)
+        taus = np.array([1.0, 0.07, 0.002])
+        Z = _logits(U, V, taus)
         for i in range(3):
             for j in range(3):
-                expect = sum(U[i, d] * V[j, d] for d in range(4))
-                assert abs(S[i, j] - expect) < 1e-12
+                expect = sum(U[i, d] * V[j, d] for d in range(4)) / taus[i]
+                assert abs(Z[i, j] - expect) < 1e-12 / taus[i]
 
     def test_entries_clamped(self):
-        U = np.eye(3)
-        S = similarity_matrix(U, U)
-        assert S.min() >= -1.0 and S.max() <= 1.0
+        """No clip: the unit-norm check bounds the entries.  Rows of norm
+        1 + 9e-7, inside its tolerance, give logits past 1 / tau and within
+        (1 + 1e-6)^2 / tau, the bound the unshifted exponentials rely on."""
+        U = np.eye(3) * (1.0 + 9e-7)
+        taus = np.array([0.002, 0.5, 1.0])
+        Z = _logits(U, U, taus)
+        assert np.all(np.diag(Z) > 1.0 / taus)
+        assert np.all(np.abs(Z) <= (1.0 + 1e-6) ** 2 / taus[:, None])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            similarity_matrix(np.eye(2), np.eye(3))
+            unit_logits(np.eye(2), np.eye(3))
 
     def test_shared_negative_rows_match_clamped_product(self):
         """A V with more rows than U (keys, then a queue) gives the clamped
@@ -132,35 +162,35 @@ class TestSimilarityMatrix:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         V = rng.standard_normal((7, 4))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        np.testing.assert_array_equal(similarity_matrix(U, V), np.clip(U @ V.T, -1.0, 1.0))
+        np.testing.assert_array_equal(unit_logits(U, V), similarity_matrix(U, V))
 
     @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["fewer-rows", "other-width"])
     def test_v_needs_a_key_per_row_and_the_same_width(self, shape):
         V = np.eye(*shape)
         with pytest.raises(ValueError, match="shape mismatch"):
-            similarity_matrix(np.eye(3, 4), V)
+            unit_logits(np.eye(3, 4), V)
 
     def test_checked_v_skips_only_the_v_check(self):
+        """Keys trusted by ``v_checked`` are taken as they are, unclipped."""
         U = np.eye(3)
         V = np.vstack([np.eye(3), np.eye(3)[:2]])  # keys, then a two-row queue
         V[4] *= 1.5
-        np.testing.assert_array_equal(similarity_matrix(U, V, v_checked=True),
-                                      np.clip(U @ V.T, -1.0, 1.0))
+        np.testing.assert_array_equal(unit_logits(U, V, v_checked=True), U @ V.T)
         with pytest.raises(ValueError, match="row 4 of V"):
-            similarity_matrix(U, V)
+            unit_logits(U, V)
         with pytest.raises(ValueError, match="row 0 of U"):
-            similarity_matrix(2.0 * U, V, v_checked=True)
+            unit_logits(2.0 * U, V, v_checked=True)
 
     def test_non_normalized_row_named(self):
         U = np.eye(3)
         V = np.eye(3).copy()
         V[1] *= 1.5
         with pytest.raises(ValueError, match="row 1"):
-            similarity_matrix(U, V)
+            unit_logits(U, V)
 
 
 @pytest.mark.parametrize("check", [
-    lambda X: similarity_matrix(np.eye(3), X),
+    lambda X: unit_logits(np.eye(3), X),
     lambda X: knn_classify(np.eye(3), [0, 1, 2], X, [1]),
     lambda X: queue_push(NegativeSource(kind="momentum_queue", queue=np.empty((0, 3))), X),
     lambda X: aggregate_contribution_curves(X, 0.5),
@@ -275,25 +305,25 @@ class TestInfoNce:
     def test_rejects_similarities_out_of_range(self, value):
         """A similarity past [-1, 1] needs a row of norm past 1, which the
         unit-norm check refuses; keys trusted by ``v_checked``, as the queue
-        path trusts them, are clipped into range, so the loss is that of the
-        unit row."""
+        path trusts them, are taken as they are, unclipped, so the loss is
+        that of the similarities U @ V.T."""
         U = np.eye(2, 3)
         V = np.eye(3)
         V[1] *= value
         with pytest.raises(ValueError, match="row 1 of V is not unit-norm"):
             info_nce(U, V, 1.0)
-        unit = V.copy()
-        unit[1] /= abs(value)
-        trusted = _info_nce(similarity_matrix(U, V, v_checked=True), U, V, np.ones(2))[0]
-        np.testing.assert_array_equal(trusted, info_nce(U, unit, 1.0)[0])
+        taus = np.ones(2)
+        trusted = _info_nce(_logits(U, V, taus, v_checked=True), U, V, taus)[0]
+        np.testing.assert_allclose(trusted, info_nce_distance_form(U @ V.T, 1.0), rtol=1e-12)
 
     def test_accepts_rounding_past_the_unit_bound(self):
         """Rows of norm 1 + 4e-7, inside the unit-norm tolerance, give
-        similarities past 1 that are clipped: the loss of exact unit rows."""
+        similarities past 1, which are not clipped: a finite loss within
+        1e-6 relative of that of exact unit rows."""
         U = np.eye(2) * (1.0 + 4e-7)
         per_anchor = info_nce(U, U, 1.0)[0]
         assert np.all(np.isfinite(per_anchor))
-        np.testing.assert_array_equal(per_anchor, info_nce(np.eye(2), np.eye(2), 1.0)[0])
+        np.testing.assert_allclose(per_anchor, info_nce(np.eye(2), np.eye(2), 1.0)[0], rtol=1e-6)
 
     def test_underflowing_negatives_give_zero_without_warning(self):
         """Negatives 2/tau below the positive underflow to zero weight; the
@@ -397,11 +427,11 @@ class TestGFormOracle:
 
 
 def two_softmax_oracle(S, tau):
-    """(per_anchor, grad) from two softmaxes over S: a log-sum-exp over each
-    row's negatives, shifted by their own maximum, for the loss, and the
-    full-row softmax for the gradient."""
+    """(per_anchor, grad) from two softmaxes over S, in S's precision: a
+    log-sum-exp over each row's negatives, shifted by their own maximum, for
+    the loss, and the full-row softmax for the gradient."""
     n, m = S.shape
-    taus = np.broadcast_to(np.asarray(tau, dtype=np.float64), (n,))
+    taus = np.broadcast_to(np.asarray(tau, dtype=S.dtype), (n,))
     idx = np.arange(n)
     diag = S[idx, idx]
     z = (S - diag[:, None]) / taus[:, None]
@@ -420,7 +450,20 @@ def two_softmax_oracle(S, tau):
     return per_anchor, grad
 
 
+def summed_diagonal(grad):
+    """``grad`` with each diagonal entry set to minus the row's other
+    entries, as the softmax's rows sum to 1: the oracle's (w_ii - 1)/tau
+    rounds to 0 where the positive dominates."""
+    grad = grad.copy()
+    np.fill_diagonal(grad, 0.0)
+    np.fill_diagonal(grad, -grad.sum(axis=1))
+    return grad
+
+
 class TestTwoSoftmaxOracle:
+    """The oracle works in long double on :func:`exact_similarities`, so
+    agreement with it is accuracy."""
+
     def test_queue_shaped_with_per_anchor_tau(self):
         """128 anchors against their keys and a 1024-row queue, with a
         temperature per anchor: the loss agrees to 1e-13 relative and the
@@ -432,7 +475,7 @@ class TestTwoSoftmaxOracle:
         keys /= np.linalg.norm(keys, axis=1, keepdims=True)
         V = np.vstack([keys, unit_rows(rng, 1024, 32)])
         taus = rng.choice([0.07, 0.2, 0.5], size=128)
-        per_anchor, grad = two_softmax_oracle(similarity_matrix(U, V), taus)
+        per_anchor, grad = two_softmax_oracle(exact_similarities(U, V), taus)
         got, dU, dK = info_nce(U, V, taus)
         assert_rows_close(dU, grad @ V, taus)
         assert_rows_close(dK, (grad.T @ U)[:128], taus)
@@ -441,25 +484,74 @@ class TestTwoSoftmaxOracle:
 
     def test_square_at_a_small_tau_with_vanishing_losses(self):
         """At tau = 0.005 with every key well above the anchor's negatives
-        the losses fall below 1e-60 and still agree to 1e-13 relative.  The
-        oracle's diagonal, (w_ii - 1)/tau, rounds to 0 there; with it taken
-        as minus the row's other entries, as the softmax's rows sum to 1, dU
-        and dK agree with G @ V and (G.T @ U)[:n] to 1e-12 of each row's own
-        norm: the negatives' weight is summed, not left as 1 - w_ii."""
+        the losses fall below 1e-60 and still agree to 1e-12 relative: the
+        float64 rounding of each similarity at width 256, times 1/tau = 200,
+        leaves a few 1e-13 in the logits.  The oracle's diagonal,
+        (w_ii - 1)/tau, rounds to 0 there; with it taken as minus the row's
+        other entries, as the softmax's rows sum to 1, dU and dK agree with
+        G @ V and (G.T @ U)[:n] to 1e-12 of each row's own norm: the
+        negatives' weight is summed, not left as 1 - w_ii."""
         rng = np.random.default_rng(71)
         U = unit_rows(rng, 64, 256)
         V = U + 0.1 * unit_rows(rng, 64, 256)
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        per_anchor, grad = two_softmax_oracle(similarity_matrix(U, V), 0.005)
+        per_anchor, grad = two_softmax_oracle(exact_similarities(U, V), 0.005)
         got, dU, dK = info_nce(U, V, 0.005)
         assert per_anchor.max() < 1e-60
         assert np.all(np.diag(grad) == 0.0)
-        np.fill_diagonal(grad, 0.0)
-        np.fill_diagonal(grad, -grad.sum(axis=1))
+        grad = summed_diagonal(grad)
         for have, want in ((dU, grad @ V), (dK, grad.T @ U)):
             err = np.linalg.norm(have - want, axis=1)
             assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
-        np.testing.assert_allclose(got, per_anchor, rtol=1e-13)
+        np.testing.assert_allclose(got, per_anchor, rtol=1e-12)
+
+
+class TestShiftGuard:
+    """The logits are exponentiated with no row-max shift while every
+    1/tau is at most ``_UNSHIFTED_INV_TAU``, and shifted past it."""
+
+    @pytest.mark.parametrize("tau_low", [0.0015, 0.0025], ids=["both-sides", "below"])
+    def test_per_anchor_tau_about_the_bound_matches_long_double(self, tau_low):
+        """128 anchors against their keys and a 1,024-row queue, each at
+        tau_low or 0.1: 1/0.0015 is past the bound, 1/0.0025 below it.  The
+        loss agrees with the long-double oracle to 1e-12 relative (1/tau up
+        to 667 times S's float64 rounding), and dU and dK to 1e-12 of each
+        row's own norm."""
+        assert 1.0 / 0.0025 < tempcl.loss._UNSHIFTED_INV_TAU < 1.0 / 0.0015
+        rng = np.random.default_rng(73)
+        U = unit_rows(rng, 128, 32)
+        keys = U + 0.3 * unit_rows(rng, 128, 32)
+        keys /= np.linalg.norm(keys, axis=1, keepdims=True)
+        V = np.vstack([keys, unit_rows(rng, 1024, 32)])
+        taus = rng.choice([tau_low, 0.1], size=128)
+        per_anchor, grad = two_softmax_oracle(exact_similarities(U, V), taus)
+        grad = summed_diagonal(grad)
+        got, dU, dK = info_nce(U, V, taus)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        np.testing.assert_allclose(got, per_anchor, rtol=1e-12)
+        for have, want in ((dU, grad @ V), (dK, (grad.T @ U)[:128])):
+            err = np.linalg.norm(have - want, axis=1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    def test_a_row_just_past_the_bound_takes_the_shifted_path(self, monkeypatch):
+        """One anchor at 1/tau = 500.5 among anchors at tau = 0.1: the outputs
+        are finite, and bit for bit those of logits already shifted by their
+        row maximum, which a second shift leaves as they are.  With the bound
+        lifted, the unshifted exponentials give other bits, so the check can
+        tell the paths apart."""
+        rng = np.random.default_rng(74)
+        U, V = unit_rows(rng, 16, 8), unit_rows(rng, 48, 8)
+        taus = np.full(16, 0.1)
+        taus[5] = 1.0 / 500.5
+        got = info_nce(U, V, taus)
+        Z = _logits(U, V, taus)
+        Z -= Z.max(axis=1, keepdims=True)
+        shifted = _info_nce(Z, U, V, taus)
+        for a, b in zip(got, shifted):
+            assert np.all(np.isfinite(a)) and a.tobytes() == b.tobytes()
+        monkeypatch.setattr(tempcl.loss, "_UNSHIFTED_INV_TAU", np.inf)
+        unshifted = info_nce(U, V, taus)
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(got, unshifted))
 
 
 class TestDistanceForm:
@@ -658,13 +750,14 @@ class TestInfoNceGrad:
 
     def test_the_queue_path_without_key_gradients_keeps_the_bits(self):
         """The momentum queue's keys take no gradient: the private path that
-        skips dK gives info_nce's loss and dU bit for bit."""
+        skips dK, on the logits of keys trusted as checked, gives info_nce's
+        loss and dU bit for bit."""
         rng = np.random.default_rng(72)
         U, V = unit_rows(rng, 128, 32), unit_rows(rng, 1152, 32)
         taus = rng.choice([0.07, 0.2, 0.5], size=128)
         per_anchor, dU, _ = info_nce(U, V, taus)
-        S = similarity_matrix(U, V, v_checked=True)
-        got, got_dU, dK = _info_nce(S, U, V, _as_tau_vector(taus, 128), keys=False)
+        taus = _as_tau_vector(taus, 128)
+        got, got_dU, dK = _info_nce(_logits(U, V, taus, v_checked=True), U, V, taus, keys=False)
         assert dK is None
         assert got.tobytes() == per_anchor.tobytes() and got_dU.tobytes() == dU.tobytes()
 
